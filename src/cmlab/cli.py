@@ -29,7 +29,7 @@ from .hamiltonian import (
     build_hamiltonian,
 )
 from .regularizer import make_regularizer
-from .solver import EigenInit, RandomOrthonormal, SolverConfig, solve_cm
+from .solver import EigenInit, IndefinitePenaltyError, RandomOrthonormal, SolverConfig, solve_cm
 
 VERIFY_BOX_POINTS = 256
 VERIFY_N = 2
@@ -496,7 +496,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg)
         return cmd_sweep(cfg)
-    except ConfigError as exc:
+    except (ConfigError, IndefinitePenaltyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

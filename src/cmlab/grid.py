@@ -79,7 +79,7 @@ class Grid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.points_per_axis))
+        return math.prod(self.points_per_axis)
 
     @property
     def cell_volume(self) -> float:

@@ -1,8 +1,8 @@
 """Discretized Schrodinger operator: -1/2 Laplacian + pointwise potential.
 
 The Laplacian is the second-order central stencil (3-point in 1D, 5-point
-in 2D), applied matrix-free; a dense symmetric matrix can be materialized
-at desk scale for the eigensolver and for oracle checks.
+in 2D).  The operator is assembled once as a sparse CSR matrix, which backs
+the operator apply, the solver's shifted linear solve and the eigensolver.
 """
 
 from __future__ import annotations
@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .grid import PERIODIC, DiscreteFunction, Grid, GridMismatchError
-
-DENSE_LIMIT_DEFAULT = 4096
 
 
 @dataclass(frozen=True)
@@ -91,17 +90,27 @@ Potential = FreeParticle | HarmonicWell | MultiWell | Tabulated
 class HamiltonianOperator:
     """Symmetric operator -1/2 Laplacian + V on one grid.
 
-    ``apply`` is matrix-free and reentrant; ``materialize_dense`` builds the
-    symmetric matrix once (cached) when the node count is small enough.
+    The operator is assembled once, at construction, as a read-only CSR
+    matrix (``matrix``); applying it is a sparse matrix product, which is
+    reentrant.
     """
 
-    def __init__(self, grid: Grid, potential: Potential, dense_limit: int = DENSE_LIMIT_DEFAULT):
+    def __init__(self, grid: Grid, potential: Potential):
         self.grid = grid
         self.potential = potential
-        self.dense_limit = int(dense_limit)
         self.potential_values = potential.values_on(grid)
         self.potential_values.setflags(write=False)
-        self._dense: np.ndarray | None = None
+        periodic = grid.boundary == PERIODIC
+        kinetic = [_kinetic_1d(n, h, periodic) for n, h in zip(grid.shape, grid.spacing)]
+        if grid.dim == 1:
+            lap = kinetic[0]
+        else:
+            # C-order nodes (i, j) -> i * ny + j: axis 0 is the outer Kronecker factor
+            lap = scipy.sparse.kronsum(kinetic[1], kinetic[0])
+        matrix = scipy.sparse.csr_array(lap + scipy.sparse.diags_array(self.potential_values))
+        for part in (matrix.data, matrix.indices, matrix.indptr):
+            part.setflags(write=False)
+        self.matrix = matrix
 
     @property
     def node_count(self) -> int:
@@ -110,18 +119,9 @@ class HamiltonianOperator:
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         """Apply the operator to node values, one column per function."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        cols = x[:, None] if single else x
-        if cols.shape[0] != self.node_count:
+        if x.shape[0] != self.matrix.shape[0]:
             raise GridMismatchError("input length does not match grid node count")
-        periodic = self.grid.boundary == PERIODIC
-        shaped = cols.reshape(self.grid.shape + (cols.shape[1],))
-        out = np.zeros_like(shaped)
-        for axis in range(self.grid.dim):
-            out += _second_difference(shaped, axis, periodic) / self.grid.spacing[axis] ** 2
-        out = -0.5 * out.reshape(cols.shape)
-        out += self.potential_values[:, None] * cols
-        return out[:, 0] if single else out
+        return self.matrix @ x
 
     def apply(self, u: DiscreteFunction) -> DiscreteFunction:
         if u.grid != self.grid:
@@ -129,53 +129,25 @@ class HamiltonianOperator:
         return DiscreteFunction(self.grid, self.apply_array(u.values))
 
     def materialize_dense(self) -> np.ndarray:
-        """Dense symmetric matrix of the operator (exactly symmetrized storage)."""
-        if self.node_count > self.dense_limit:
-            raise ValueError(
-                f"node count {self.node_count} exceeds dense limit {self.dense_limit}; "
-                "use the iterative path (matrix-free apply)"
-            )
-        if self._dense is None:
-            mats = [
-                _dense_kinetic_1d(n, h, self.grid.boundary == PERIODIC)
-                for n, h in zip(self.grid.shape, self.grid.spacing)
-            ]
-            if self.grid.dim == 1:
-                a = mats[0]
-            else:
-                nx, ny = self.grid.shape
-                a = np.kron(mats[0], np.eye(ny)) + np.kron(np.eye(nx), mats[1])
-            a[np.diag_indices_from(a)] += self.potential_values
-            a = 0.5 * (a + a.T)
-            a.setflags(write=False)
-            self._dense = a
-        return self._dense
+        """Dense copy of ``matrix``: the oracle in tests and the input of full-spectrum solves."""
+        return self.matrix.toarray()
 
 
-def build_hamiltonian(
-    grid: Grid, potential: Potential, dense_limit: int = DENSE_LIMIT_DEFAULT
-) -> HamiltonianOperator:
-    """Assemble the operator, validating tabulated potentials against the grid."""
-    return HamiltonianOperator(grid, potential, dense_limit)
+def build_hamiltonian(grid: Grid, potential: Potential) -> HamiltonianOperator:
+    """Same as ``HamiltonianOperator(grid, potential)``.
+
+    It adds no checks: each potential's ``values_on`` validates its own
+    parameters, and a tabulated one its length and finiteness.
+    """
+    return HamiltonianOperator(grid, potential)
 
 
-def _second_difference(a: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    """u_{i-1} - 2 u_i + u_{i+1} along ``axis`` (implicit zeros outside for Dirichlet)."""
-    moved = np.moveaxis(a, axis, 0)
-    out = -2.0 * moved
+def _kinetic_1d(n: int, h: float, periodic: bool) -> scipy.sparse.sparray:
+    """-1/2 times the 3-point second difference on n nodes of spacing h."""
+    off = np.full(n - 1, -0.5 / h**2)
+    a = scipy.sparse.diags_array([off, np.full(n, 1.0 / h**2), off], offsets=[-1, 0, 1])
     if periodic:
-        out += np.roll(moved, 1, axis=0) + np.roll(moved, -1, axis=0)
-    else:
-        out[:-1] += moved[1:]
-        out[1:] += moved[:-1]
-    return np.moveaxis(out, 0, axis)
-
-
-def _dense_kinetic_1d(n: int, h: float, periodic: bool) -> np.ndarray:
-    d = 1.0 / h**2
-    off = -0.5 / h**2
-    a = np.diag(np.full(n, d)) + np.diag(np.full(n - 1, off), 1) + np.diag(np.full(n - 1, off), -1)
-    if periodic:
-        a[0, n - 1] += off
-        a[n - 1, 0] += off
+        # wrap-around neighbours; on two nodes they add onto the off-diagonals
+        corners = scipy.sparse.coo_array(([off[0], off[0]], ([0, n - 1], [n - 1, 0])), shape=(n, n))
+        a = a + corners
     return a

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .eigensolver import EigenSystem, reference_eigenpairs
@@ -33,6 +33,10 @@ from .regularizer import Regularizer, ZeroRegularizer
 
 OBJECTIVE_REL_TOL = 1e-10
 STREAK_REQUIRED = 3
+
+
+class IndefinitePenaltyError(ValueError):
+    """A fixed penalty too small to make H + penalty I positive definite."""
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,8 @@ def solve_cm(
     """Best feasible frame over all configured starts.
 
     Returns a result even when the iteration cap is hit (``converged`` is
-    False then); rank collapse inside the orthonormal projection raises.
+    False then); rank collapse inside the orthonormal projection raises, and
+    so does a fixed penalty that leaves H + penalty I indefinite.
     ``eigs`` can carry precomputed reference eigenpairs to avoid a redundant
     eigensolve when the caller already has them.
     """
@@ -199,12 +204,21 @@ def solve_cm(
     if needs_eigs and (eigs is None or eigs.count < N):
         eigs = reference_eigenpairs(H, N)
 
+    # the shifted operator H + penalty I must be positive definite: the
+    # quadratic step is a minimization only then, and the factorization
+    # relies on it
+    if eigs is None:
+        eigs = reference_eigenpairs(H, 1)
+    lam_min = float(eigs.eigenvalues[0])
     if config.penalty is not None:
         penalty = config.penalty
+        if penalty + lam_min <= 0:
+            raise IndefinitePenaltyError(
+                f"penalty {penalty:g} leaves H + penalty I indefinite: the lowest "
+                f"eigenvalue of H is {lam_min:.6g}, so the penalty must exceed {-lam_min:.6g}"
+            )
     else:
         penalty = default_penalty(config.mu, float(eigs.eigenvalues[N - 1]))
-        # the shifted operator must stay positive definite for the linear solve
-        lam_min = float(eigs.eigenvalues[0])
         if lam_min < 0:
             penalty += 2.0 * (-lam_min)
 
@@ -280,31 +294,20 @@ def _start_matrix(start: Start, H: HamiltonianOperator, N: int, eigs) -> np.ndar
 
 
 def _build_shifted_solver(H: HamiltonianOperator, penalty: float):
-    """Solver for (H + penalty I) X = RHS, column-wise."""
-    if H.node_count <= H.dense_limit:
-        shifted = H.materialize_dense() + penalty * np.eye(H.node_count)
-        factor = scipy.linalg.cho_factor(shifted)
+    """Solver for (H + penalty I) X = RHS, column-wise, from one sparse LU factor.
 
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            return scipy.linalg.cho_solve(factor, rhs)
-
-    else:
-        op = scipy.sparse.linalg.LinearOperator(
-            (H.node_count, H.node_count),
-            matvec=lambda v: H.apply_array(v) + penalty * v,
-            dtype=float,
-        )
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            out = np.empty_like(rhs)
-            for j in range(rhs.shape[1]):
-                sol, info = scipy.sparse.linalg.cg(op, rhs[:, j], rtol=1e-12, maxiter=10_000)
-                if info != 0:
-                    raise RuntimeError(f"inner CG failed with status {info}")
-                out[:, j] = sol
-            return out
-
-    return solve
+    The caller guarantees the shifted matrix is positive definite, so the
+    factorization pivots on the diagonal under a symmetric fill-reducing
+    ordering.
+    """
+    shifted = H.matrix + penalty * scipy.sparse.eye_array(H.node_count)
+    factor = scipy.sparse.linalg.splu(
+        scipy.sparse.csc_array(shifted),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return factor.solve
 
 
 def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> _Run:

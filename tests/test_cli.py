@@ -139,6 +139,17 @@ def test_cmd_solve_requires_mu(tmp_path, capsys):
     assert "problem.mu" in capsys.readouterr().err
 
 
+def test_cmd_solve_indefinite_penalty_is_usage_error(tmp_path, capsys):
+    with open(config_path("multiwell_solve.json")) as fh:
+        doc = json.load(fh)
+    doc["solver"].update(penalty=0.1, max_iters=5)
+    doc["output"]["dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path, doc)
+    assert main(["solve", path]) == 2
+    assert "penalty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_solve_deterministic_bytes(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

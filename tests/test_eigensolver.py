@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cmlab import (
     FreeParticle,
@@ -80,14 +81,58 @@ def test_variational_floor_random_frames(box_H, box_eigs, rng):
         assert mode_energies(box_H, frame).sum() >= e0 - 1e-8
 
 
-def test_iterative_path_matches_dense():
+def test_shift_invert_matches_dense():
     g = Grid(1, (1.0,), (300,), "dirichlet")
-    dense_eigs = reference_eigenpairs(build_hamiltonian(g, FreeParticle()), 3)
-    iter_eigs = reference_eigenpairs(build_hamiltonian(g, FreeParticle(), dense_limit=128), 3)
-    np.testing.assert_allclose(iter_eigs.eigenvalues, dense_eigs.eigenvalues, rtol=1e-8)
-    assert iter_eigs.modes.ortho_defect <= 1e-10
-    limit = 1e-8 * np.maximum(1.0, np.abs(iter_eigs.eigenvalues))
-    assert np.all(iter_eigs.residual_norms <= limit)
+    H = build_hamiltonian(g, FreeParticle())
+    dense_vals = scipy.linalg.eigh(H.materialize_dense(), eigvals_only=True)[:3]
+    eigs = reference_eigenpairs(H, 3)
+    np.testing.assert_allclose(eigs.eigenvalues, dense_vals, rtol=1e-8)
+    assert eigs.modes.ortho_defect <= 1e-10
+    limit = 1e-8 * np.maximum(1.0, np.abs(eigs.eigenvalues))
+    assert np.all(eigs.residual_norms <= limit)
+
+
+@pytest.mark.parametrize(
+    "grid, count",
+    [
+        # 0, then pairs: counts end on a cluster boundary so the span is defined
+        (Grid(1, (1.0,), (256,), "periodic"), 5),
+        # (1,1), (1,2) and (2,1), (2,2), (1,3) and (3,1)
+        (Grid(2, (1.0, 1.0), (32, 32), "dirichlet"), 6),
+    ],
+)
+def test_shift_invert_degenerate_spans_match_dense(grid, count, rng):
+    # inside a degenerate eigenspace the basis is arbitrary: compare the
+    # spectral projectors Phi Phi^T w, not the eigenvectors
+    H = build_hamiltonian(grid, FreeParticle())
+    dense_vals, dense_vecs = scipy.linalg.eigh(H.materialize_dense())
+    eigs = reference_eigenpairs(H, count)
+    np.testing.assert_allclose(eigs.eigenvalues, dense_vals[:count], rtol=1e-8, atol=1e-8)
+    w = grid.cell_volume
+    phi = eigs.modes.matrix
+    dense_phi = dense_vecs[:, :count] / np.sqrt(w)
+    probes = rng.standard_normal((grid.node_count, 4))
+    projected = phi @ (w * (phi.T @ probes))
+    dense_projected = dense_phi @ (w * (dense_phi.T @ probes))
+    scale = np.abs(dense_projected).max()
+    np.testing.assert_allclose(projected, dense_projected, rtol=0, atol=1e-8 * scale)
+    assert eigs.modes.ortho_defect <= 1e-10
+    limit = 1e-8 * np.maximum(1.0, np.abs(eigs.eigenvalues))
+    assert np.all(eigs.residual_norms <= limit)
+
+
+TINY_SHAPES = [(n,) for n in range(2, 12)] + [(a, b) for a in range(2, 6) for b in (2, 3)]
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("shape", TINY_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_tiny_grids_every_count_matches_eigvalsh(shape, boundary):
+    g = Grid(len(shape), (1.0,) * len(shape), shape, boundary)
+    H = build_hamiltonian(g, FreeParticle())
+    exact = np.linalg.eigvalsh(H.materialize_dense())
+    for count in range(1, g.node_count + 1):
+        eigs = reference_eigenpairs(H, count)
+        np.testing.assert_allclose(eigs.eigenvalues, exact[:count], rtol=0, atol=1e-9)
 
 
 def test_count_validation(box_H):

@@ -12,6 +12,7 @@ from cmlab import (
     inner_product,
     reference_eigenpairs,
 )
+from cmlab.solver import _build_shifted_solver
 
 
 def test_dense_free_particle_dirichlet_stencil():
@@ -147,11 +148,30 @@ def test_tabulated_size_mismatch_raises():
         build_hamiltonian(g, Tabulated((float("nan"),) * 16))
 
 
-def test_dense_limit_enforced():
-    g = Grid(1, (1.0,), (64,), "dirichlet")
-    H = build_hamiltonian(g, FreeParticle(), dense_limit=32)
-    with pytest.raises(ValueError, match="iterative"):
-        H.materialize_dense()
+def test_past_old_dense_cliff():
+    # 6400 nodes: beyond the former 4096-node switch to CG and unseeded ARPACK
+    g = Grid(2, (16.0, 16.0), (80, 80), "dirichlet")
+    centers = ((4.0, 4.0), (4.0, 12.0), (12.0, 4.0), (12.0, 12.0))
+    wells = MultiWell(centers=centers, depth=3.0, width=1.2)
+    H = build_hamiltonian(g, wells)
+    penalty = 10.0
+    rhs = np.random.default_rng(7).standard_normal((g.node_count, 4))
+    x = _build_shifted_solver(H, penalty)(rhs)
+    residual = H.apply_array(x) + penalty * x - rhs
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+    first = reference_eigenpairs(H, 5)
+    second = reference_eigenpairs(H, 5)
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.modes.matrix.tobytes() == second.modes.matrix.tobytes()
+    assert first.residual_norms.tobytes() == second.residual_norms.tobytes()
+
+
+def test_sparse_matrix_is_read_only():
+    g = Grid(2, (1.0, 1.0), (6, 5), "periodic")
+    H = build_hamiltonian(g, HarmonicWell(omega=1.0))
+    for part in (H.matrix.data, H.matrix.indices, H.matrix.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = part[0]
 
 
 def test_apply_grid_mismatch_raises():

@@ -21,6 +21,7 @@ from cmlab import (
     solve_cm,
     warm_started,
 )
+from cmlab.solver import IndefinitePenaltyError
 
 L1 = make_regularizer("l1")
 ZERO = make_regularizer("zero")
@@ -244,6 +245,18 @@ def test_solver_config_validation():
         SolverConfig(mu=1.0, tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(mu=1.0, starts=())
+
+
+def test_indefinite_penalty_raises(multiwell_H, multiwell_eigs):
+    lam_min = float(multiwell_eigs.eigenvalues[0])
+    assert lam_min < -0.1
+    # with reference eigenpairs at hand, and with none (a one-pair eigensolve)
+    for starts, eigs in (((EigenInit(),), multiwell_eigs), ((RandomOrthonormal(1),), None)):
+        cfg = SolverConfig(mu=10.0, penalty=0.1, max_iters=5, starts=starts)
+        with pytest.raises(IndefinitePenaltyError, match="indefinite"):
+            solve_cm(multiwell_H, L1, 4, cfg, eigs=eigs)
+    cfg = SolverConfig(mu=10.0, penalty=0.5 - lam_min, max_iters=5, starts=(RandomOrthonormal(1),))
+    assert solve_cm(multiwell_H, L1, 4, cfg).modes.ortho_defect <= 1e-8
 
 
 def test_start_labels_and_winner(box_H, box_eigs):
