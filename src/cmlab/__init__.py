@@ -23,16 +23,7 @@ from .consistency import (
     procrustes_align,
 )
 from .eigensolver import EigenSystem, EigensolverError, reference_eigenpairs, spectral_gap
-from .grid import (
-    DIRICHLET,
-    PERIODIC,
-    DiscreteFunction,
-    Grid,
-    GridMismatchError,
-    inner_product,
-    l1_norm,
-    l2_norm,
-)
+from .grid import DIRICHLET, PERIODIC, Grid, GridMismatchError
 from .hamiltonian import (
     FreeParticle,
     HamiltonianOperator,
@@ -40,9 +31,8 @@ from .hamiltonian import (
     MultiWell,
     Potential,
     Tabulated,
-    build_hamiltonian,
 )
-from .modes import ModeSet, RankDeficientError, orthonormalize
+from .modes import ModeSet, RankDeficientError, orthonormal_columns
 from .regularizer import L1Regularizer, Regularizer, ZeroRegularizer, make_regularizer
 from .solver import (
     EigenInit,
@@ -62,7 +52,6 @@ __all__ = [
     "AlignmentError",
     "CoeffMatrix",
     "DIRICHLET",
-    "DiscreteFunction",
     "EigenInit",
     "EigenSystem",
     "EigensolverError",
@@ -86,23 +75,19 @@ __all__ = [
     "SweepReport",
     "Tabulated",
     "ZeroRegularizer",
-    "build_hamiltonian",
     "coefficients",
     "column_mass_lemma_check",
     "column_mass_suite",
     "gap_bound_suite",
     "gap_lower_bound",
-    "inner_product",
     "interaction_matrix",
-    "l1_norm",
-    "l2_norm",
     "localization",
     "make_regularizer",
     "mode_energies",
     "mu_sweep",
     "nu_spectrum",
     "objective",
-    "orthonormalize",
+    "orthonormal_columns",
     "procrustes_align",
     "reference_eigenpairs",
     "solve_cm",

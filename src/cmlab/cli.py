@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 
@@ -26,7 +28,6 @@ from .hamiltonian import (
     MultiWell,
     Potential,
     Tabulated,
-    build_hamiltonian,
 )
 from .regularizer import make_regularizer
 from .solver import EigenInit, IndefinitePenaltyError, RandomOrthonormal, SolverConfig, solve_cm
@@ -124,11 +125,26 @@ def _reject_unknown(block: dict, name: str) -> None:
         raise ConfigError(f"unknown key(s) in {name}: {', '.join(sorted(block))}")
 
 
-def _pos_float(value, where: str) -> float:
+def _int(value, where: str, minimum: int) -> int:
+    """A JSON integer: not a bool, not a float, at least ``minimum``."""
+    if type(value) is not int or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}")
+    return value
+
+
+def _float(value, where: str) -> float:
+    """A finite number; bools are not numbers."""
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be a number")
+    if isinstance(value, bool) or not math.isfinite(out):
+        raise ConfigError(f"{where} must be a finite number")
+    return out
+
+
+def _pos_float(value, where: str) -> float:
+    out = _float(value, where)
     if out <= 0:
         raise ConfigError(f"{where} must be positive")
     return out
@@ -139,7 +155,7 @@ def _point(value, dim: int, where: str) -> tuple[float, ...]:
         value = [value]
     if not isinstance(value, (list, tuple)) or len(value) != dim:
         raise ConfigError(f"{where} must have {dim} coordinate(s)")
-    return tuple(float(v) for v in value)
+    return tuple(_float(v, where) for v in value)
 
 
 def _parse_potential(block: dict, dim: int) -> PotentialSpec:
@@ -178,19 +194,12 @@ def _parse_starts(value, seed: int) -> tuple[str, ...]:
         return ("eigen", f"random:{seed + 1}", f"random:{seed + 2}")
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError("solver.starts must be a non-empty list")
-    out = []
     for item in value:
-        if item == "eigen":
-            out.append("eigen")
-        elif isinstance(item, str) and item.startswith("random:"):
-            try:
-                int(item.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"bad start spec {item!r}; expected 'random:<seed>'")
-            out.append(item)
-        else:
-            raise ConfigError(f"bad start spec {item!r}; expected 'eigen' or 'random:<seed>'")
-    return tuple(out)
+        if item != "eigen" and not (isinstance(item, str) and re.fullmatch("random:[0-9]+", item)):
+            raise ConfigError(
+                f"bad start spec {item!r}; expected 'eigen' or 'random:<seed>' with seed >= 0"
+            )
+    return tuple(value)
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
@@ -199,11 +208,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     raw = dict(raw)
 
     domain = _block(raw, "domain")
-    try:
-        dim = int(domain.pop("dim", None))
-    except (TypeError, ValueError):
-        raise ConfigError("domain.dim must be 1 or 2")
-    if dim not in (1, 2):
+    dim = domain.pop("dim", None)
+    if type(dim) is not int or dim not in (1, 2):
         raise ConfigError("domain.dim must be 1 or 2")
     extent = domain.pop("extent", None)
     points = domain.pop("points", None)
@@ -211,6 +217,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError(f"domain.extent must list {dim} side length(s)")
     if not isinstance(points, (list, tuple)) or len(points) != dim:
         raise ConfigError(f"domain.points must list {dim} node count(s)")
+    extent = tuple(_pos_float(e, "domain.extent[]") for e in extent)
+    points = tuple(_int(p, "domain.points[]", 2) for p in points)
     boundary = domain.pop("boundary", "dirichlet")
     if boundary not in ("dirichlet", "periodic"):
         raise ConfigError("domain.boundary must be 'dirichlet' or 'periodic'")
@@ -223,12 +231,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         )
 
     problem = _block(raw, "problem")
-    try:
-        n_modes = int(problem.pop("N", None))
-    except (TypeError, ValueError):
-        raise ConfigError("problem.N must be a positive integer")
-    if n_modes < 1:
-        raise ConfigError("problem.N must be a positive integer")
+    n_modes = _int(problem.pop("N", None), "problem.N", 1)
+    nodes = math.prod(points)
+    if n_modes > nodes:
+        raise ConfigError(f"problem.N = {n_modes} exceeds the {nodes} grid nodes")
     reg = problem.pop("regularizer", "l1")
     if reg not in ("l1", "zero"):
         raise ConfigError("problem.regularizer must be 'l1' or 'zero'")
@@ -244,22 +250,15 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
             raise ConfigError("problem.mu_schedule must be strictly ascending")
     _reject_unknown(problem, "problem")
 
-    seed_raw = raw.pop("seed", 0)
-    if not isinstance(seed_raw, int) or isinstance(seed_raw, bool):
-        raise ConfigError("seed must be an integer")
+    seed = _int(raw.pop("seed", 0), "seed", 0)
 
     solver = _block(raw, "solver", required=False)
     penalty = solver.pop("penalty", None)
     if penalty is not None:
         penalty = _pos_float(penalty, "solver.penalty")
-    try:
-        max_iters = int(solver.pop("max_iters", 3000))
-    except (TypeError, ValueError):
-        raise ConfigError("solver.max_iters must be an integer")
-    if max_iters < 1:
-        raise ConfigError("solver.max_iters must be at least 1")
+    max_iters = _int(solver.pop("max_iters", 3000), "solver.max_iters", 1)
     tol = _pos_float(solver.pop("tol", 1e-7), "solver.tol")
-    starts = _parse_starts(solver.pop("starts", None), seed_raw)
+    starts = _parse_starts(solver.pop("starts", None), seed)
     _reject_unknown(solver, "solver")
 
     output = _block(raw, "output", required=False)
@@ -281,8 +280,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
 
     return ExperimentConfig(
         dim=dim,
-        extent=tuple(float(e) for e in extent),
-        points=tuple(int(p) for p in points),
+        extent=extent,
+        points=points,
         boundary=boundary,
         potential=potential,
         N=n_modes,
@@ -296,7 +295,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         out_dir=out_dir,
         formats=tuple(formats),
         trace=trace,
-        seed=seed_raw,
+        seed=seed,
     )
 
 
@@ -350,9 +349,11 @@ def build_potential(cfg: ExperimentConfig, grid: Grid) -> Potential:
 def build_operator(cfg: ExperimentConfig) -> HamiltonianOperator:
     grid = build_grid(cfg)
     try:
-        return build_hamiltonian(grid, build_potential(cfg, grid))
+        return HamiltonianOperator(grid, build_potential(cfg, grid))
     except ValueError as exc:
         raise ConfigError(str(exc))
+    except ArithmeticError as exc:
+        raise ConfigError(f"domain or potential is out of floating-point range: {exc}")
 
 
 def build_solver_config(cfg: ExperimentConfig, mu: float) -> SolverConfig:
@@ -422,6 +423,9 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     if cfg.mu_schedule is None:
         raise ConfigError("problem.mu_schedule is required for sweep")
+    nodes = math.prod(cfg.points)
+    if cfg.N + 1 > nodes:
+        raise ConfigError(f"sweep needs N + 1 = {cfg.N + 1} eigenpairs, the grid has {nodes} nodes")
     H = build_operator(cfg)
     J = make_regularizer(cfg.regularizer)
     solver_cfg = build_solver_config(cfg, cfg.mu_schedule[0])
@@ -446,11 +450,14 @@ def cmd_verify(cases: int, seed: int) -> int:
     if cases < 1:
         print("error: --cases must be at least 1", file=sys.stderr)
         return 2
+    if seed < 0:
+        print("error: --seed must be non-negative", file=sys.stderr)
+        return 2
     worst_mass, mass_violations = consistency.column_mass_suite(cases, seed)
     print(f"column_mass: {cases} draws, max mass = {reports.fmt(worst_mass)} (limit 1 + 1e-10)")
 
     grid = Grid(1, (1.0,), (VERIFY_BOX_POINTS,), "dirichlet")
-    H = build_hamiltonian(grid, FreeParticle())
+    H = HamiltonianOperator(grid, FreeParticle())
     frame_cases = max(1, cases // 10)
     max_slack, bound_violations = consistency.gap_bound_suite(H, VERIFY_N, frame_cases, seed)
     print(

@@ -5,8 +5,10 @@ uniform spacing and uniform quadrature weights (rectangle rule).  Dirichlet
 grids keep interior nodes only; the boundary values are implicitly zero,
 which keeps the finite-difference Laplacian symmetric.  Periodic grids wrap.
 
-All inner products and norms in the package are the weighted discrete ones
-defined here.
+Every node carries the same weight, :attr:`Grid.cell_volume`, so the weighted
+discrete inner products and norms used across the package are ``cell_volume``
+times plain sums over node-value arrays, e.g. ``w * (u @ v)`` for an inner
+product and ``w * np.abs(u).sum()`` for an L1 norm.
 """
 
 from __future__ import annotations
@@ -87,11 +89,6 @@ class Grid:
         return math.prod(self.spacing)
 
     @property
-    def weights(self) -> np.ndarray:
-        """Per-node quadrature weights (uniform)."""
-        return np.full(self.node_count, self.cell_volume)
-
-    @property
     def volume(self) -> float:
         """Sum of quadrature weights, i.e. the discrete measure of the domain."""
         return self.node_count * self.cell_volume
@@ -111,55 +108,3 @@ class Grid:
             return axes[0][:, None]
         xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
-
-    def function(self, values) -> "DiscreteFunction":
-        return DiscreteFunction(self, np.asarray(values, dtype=float))
-
-    def zeros(self) -> "DiscreteFunction":
-        return DiscreteFunction(self, np.zeros(self.node_count))
-
-    def from_callable(self, f) -> "DiscreteFunction":
-        """Sample ``f`` at the nodes.  1D callables get x, 2D ones get (x, y)."""
-        coords = self.coordinates()
-        if self.dim == 1:
-            vals = np.asarray([f(x) for x in coords[:, 0]], dtype=float)
-        else:
-            vals = np.asarray([f(x, y) for x, y in coords], dtype=float)
-        return DiscreteFunction(self, vals)
-
-
-@dataclass(frozen=True)
-class DiscreteFunction:
-    """Real scalar values on the nodes of one grid, immutable after creation."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float).reshape(-1)
-        if vals.size != self.grid.node_count:
-            raise ValueError(
-                f"value count {vals.size} does not match grid node count {self.grid.node_count}"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-def _require_same_grid(u: DiscreteFunction, v: DiscreteFunction) -> None:
-    if u.grid != v.grid:
-        raise GridMismatchError("functions live on different grids")
-
-
-def inner_product(u: DiscreteFunction, v: DiscreteFunction) -> float:
-    """Weighted discrete L2 inner product sum_n w_n u_n v_n."""
-    _require_same_grid(u, v)
-    return u.grid.cell_volume * float(u.values @ v.values)
-
-
-def l2_norm(u: DiscreteFunction) -> float:
-    return math.sqrt(max(inner_product(u, u), 0.0))
-
-
-def l1_norm(u: DiscreteFunction) -> float:
-    """Weighted discrete L1 norm sum_n w_n |u_n|."""
-    return u.grid.cell_volume * float(np.abs(u.values).sum())

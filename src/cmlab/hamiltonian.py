@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .grid import PERIODIC, DiscreteFunction, Grid, GridMismatchError
+from .grid import PERIODIC, Grid, GridMismatchError
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,6 @@ class Tabulated:
             raise ValueError(
                 f"tabulated potential has {v.size} values, grid has {grid.node_count} nodes"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("tabulated potential contains non-finite values")
         return v
 
 
@@ -108,6 +106,8 @@ class HamiltonianOperator:
             # C-order nodes (i, j) -> i * ny + j: axis 0 is the outer Kronecker factor
             lap = scipy.sparse.kronsum(kinetic[1], kinetic[0])
         matrix = scipy.sparse.csr_array(lap + scipy.sparse.diags_array(self.potential_values))
+        if not np.all(np.isfinite(matrix.data)):
+            raise ValueError("operator has non-finite entries (potential or grid spacing)")
         for part in (matrix.data, matrix.indices, matrix.indptr):
             part.setflags(write=False)
         self.matrix = matrix
@@ -123,23 +123,9 @@ class HamiltonianOperator:
             raise GridMismatchError("input length does not match grid node count")
         return self.matrix @ x
 
-    def apply(self, u: DiscreteFunction) -> DiscreteFunction:
-        if u.grid != self.grid:
-            raise GridMismatchError("function lives on a different grid")
-        return DiscreteFunction(self.grid, self.apply_array(u.values))
-
     def materialize_dense(self) -> np.ndarray:
         """Dense copy of ``matrix``: the oracle in tests and the input of full-spectrum solves."""
         return self.matrix.toarray()
-
-
-def build_hamiltonian(grid: Grid, potential: Potential) -> HamiltonianOperator:
-    """Same as ``HamiltonianOperator(grid, potential)``.
-
-    It adds no checks: each potential's ``values_on`` validates its own
-    parameters, and a tabulated one its length and finiteness.
-    """
-    return HamiltonianOperator(grid, potential)
 
 
 def _kinetic_1d(n: int, h: float, periodic: bool) -> scipy.sparse.sparray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DiscreteFunction, Grid, GridMismatchError
+from .grid import Grid
 
 
 class RankDeficientError(ValueError):
@@ -33,27 +33,9 @@ class ModeSet:
         self.matrix = mat
         self._gram: np.ndarray | None = None
 
-    @classmethod
-    def from_functions(cls, functions) -> "ModeSet":
-        functions = list(functions)
-        if not functions:
-            raise ValueError("need at least one function")
-        grid = functions[0].grid
-        for f in functions[1:]:
-            if f.grid != grid:
-                raise GridMismatchError("mode functions live on different grids")
-        return cls(grid, np.column_stack([f.values for f in functions]))
-
     @property
     def count(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def columns(self) -> list[DiscreteFunction]:
-        return [self.column(i) for i in range(self.count)]
-
-    def column(self, i: int) -> DiscreteFunction:
-        return DiscreteFunction(self.grid, self.matrix[:, i])
 
     def gram(self) -> np.ndarray:
         """Weighted Gram matrix of the columns."""
@@ -87,8 +69,3 @@ def orthonormal_columns(matrix: np.ndarray, cell_volume: float) -> np.ndarray:
             "mode stack is numerically rank deficient (Gram condition >= 1e12)"
         )
     return (u @ vt) / np.sqrt(cell_volume)
-
-
-def orthonormalize(stack: ModeSet) -> ModeSet:
-    """Project a raw mode stack onto the orthonormality constraint set."""
-    return ModeSet(stack.grid, orthonormal_columns(stack.matrix, stack.grid.cell_volume))

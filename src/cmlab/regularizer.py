@@ -1,40 +1,31 @@
 """Regularization functionals with the boundedness contract 0 <= J(g) <= C ||g||_2.
 
-Two instances ship: the weighted discrete L1 norm (the interesting one) and
-the zero functional (turns the solver into a plain variational minimizer).
-Both expose the proximal map the splitting solver needs.  The prox is taken
-with respect to the weighted L2 metric, so the node weight cancels and the
+Two instances ship: the weighted discrete L1 norm (the interesting one, with
+C the square root of the domain measure ``Grid.volume``) and the zero
+functional (C = 0; turns the solver into a plain variational minimizer).
+Both work on (node_count, N) arrays of node values: ``evaluate_columns``
+gives J per column as ``cell_volume`` times a plain sum, and ``prox_array``
+is the proximal map the splitting solver needs.  The prox is taken with
+respect to the weighted L2 metric, so the node weight cancels and the
 threshold is resolution independent.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DiscreteFunction, Grid, l1_norm
-
 
 @dataclass(frozen=True)
 class L1Regularizer:
-    """J(u) = sum_n w_n |u_n|; bound constant sqrt of the domain measure."""
+    """J(u) = sum_n w_n |u_n|."""
 
     kind: str = "l1"
-
-    def bound_constant(self, grid: Grid) -> float:
-        return math.sqrt(grid.volume)
-
-    def evaluate(self, u: DiscreteFunction) -> float:
-        return l1_norm(u)
 
     def evaluate_columns(self, matrix: np.ndarray, cell_volume: float) -> np.ndarray:
         """Per-column value on raw node values."""
         return cell_volume * np.abs(matrix).sum(axis=0)
-
-    def prox(self, u: DiscreteFunction, step: float) -> DiscreteFunction:
-        return DiscreteFunction(u.grid, self.prox_array(u.values, step))
 
     def prox_array(self, values: np.ndarray, step: float) -> np.ndarray:
         """Nodewise soft threshold at level ``step``."""
@@ -49,19 +40,8 @@ class ZeroRegularizer:
 
     kind: str = "zero"
 
-    def bound_constant(self, grid: Grid) -> float:
-        return 0.0
-
-    def evaluate(self, u: DiscreteFunction) -> float:
-        return 0.0
-
     def evaluate_columns(self, matrix: np.ndarray, cell_volume: float) -> np.ndarray:
         return np.zeros(matrix.shape[1])
-
-    def prox(self, u: DiscreteFunction, step: float) -> DiscreteFunction:
-        if step <= 0:
-            raise ValueError("prox step must be positive")
-        return u
 
     def prox_array(self, values: np.ndarray, step: float) -> np.ndarray:
         if step <= 0:

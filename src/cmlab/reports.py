@@ -19,12 +19,19 @@ def fmt(x: float) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.
+
+    The file gets the mode a plain ``open(path, "w")`` would give it
+    (0o666 minus the umask), not the 0o600 of ``mkstemp``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
+        umask = os.umask(0)
+        os.umask(umask)
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

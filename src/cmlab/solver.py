@@ -17,8 +17,6 @@ consistency experiments lean on.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -226,27 +224,11 @@ def solve_cm(
     w = H.grid.cell_volume
 
     runs = []
-    for index, start in enumerate(config.starts):
+    for start in config.starts:
         x0 = rotation_polish(_start_matrix(start, H, N, eigs), w, J)
-        runs.append((index, start.label, x0))
-
-    def run_one(item):
-        index, label, x0 = item
-        return index, label, _splitting_run(H, J, config, penalty, shifted_solve, w, x0)
-
-    max_workers = max(1, int(os.environ.get("CM_LAB_THREADS", "1")))
-    if max_workers > 1 and len(runs) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run_one, runs))
-    else:
-        outcomes = [run_one(item) for item in runs]
-    outcomes.sort(key=lambda t: t[0])
-
-    best = None
-    for index, label, run in outcomes:
-        if best is None or run.best_objective < best[2].best_objective:
-            best = (index, label, run)
-    _, winner_label, run = best
+        runs.append(_splitting_run(H, J, config, penalty, shifted_solve, w, x0))
+    winner = min(range(len(runs)), key=lambda i: runs[i].best_objective)
+    run = runs[winner]
 
     modes = ModeSet(H.grid, run.best_matrix)
     return SolverResult(
@@ -255,9 +237,9 @@ def solve_cm(
         iterations=run.iterations,
         converged=run.converged,
         trace=tuple(run.trace),
-        winner_start=winner_label,
-        start_labels=tuple(label for _, label, _ in outcomes),
-        start_objectives=tuple(r.best_objective for _, _, r in outcomes),
+        winner_start=config.starts[winner].label,
+        start_labels=tuple(start.label for start in config.starts),
+        start_objectives=tuple(r.best_objective for r in runs),
     )
 
 

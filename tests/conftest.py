@@ -6,8 +6,10 @@ import pytest
 from cmlab import (
     FreeParticle,
     Grid,
+    HamiltonianOperator,
+    L1Regularizer,
+    ModeSet,
     MultiWell,
-    build_hamiltonian,
     make_regularizer,
     mu_sweep,
     reference_eigenpairs,
@@ -21,6 +23,11 @@ def config_path(name: str) -> str:
     return os.path.abspath(os.path.join(CONFIG_DIR, name))
 
 
+def l1_total(modes: ModeSet) -> float:
+    """sum_i ||f_i||_1 over the columns of a frame (weighted discrete L1 norms)."""
+    return float(L1Regularizer().evaluate_columns(modes.matrix, modes.grid.cell_volume).sum())
+
+
 @pytest.fixture(scope="session")
 def box_grid():
     return Grid(1, (1.0,), (512,), "dirichlet")
@@ -28,7 +35,7 @@ def box_grid():
 
 @pytest.fixture(scope="session")
 def box_H(box_grid):
-    return build_hamiltonian(box_grid, FreeParticle())
+    return HamiltonianOperator(box_grid, FreeParticle())
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +45,7 @@ def box_eigs(box_H):
 
 @pytest.fixture(scope="session")
 def small_box_H():
-    return build_hamiltonian(Grid(1, (1.0,), (64,), "dirichlet"), FreeParticle())
+    return HamiltonianOperator(Grid(1, (1.0,), (64,), "dirichlet"), FreeParticle())
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +55,7 @@ def small_box_full_eigs(small_box_H):
 
 @pytest.fixture(scope="session")
 def periodic_H():
-    return build_hamiltonian(Grid(1, (1.0,), (256,), "periodic"), FreeParticle())
+    return HamiltonianOperator(Grid(1, (1.0,), (256,), "periodic"), FreeParticle())
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +67,7 @@ def periodic_eigs(periodic_H):
 def multiwell_H():
     grid = Grid(1, (40.0,), (400,), "dirichlet")
     wells = MultiWell(centers=((8.0,), (16.0,), (24.0,), (32.0,)), depth=3.0, width=1.5)
-    return build_hamiltonian(grid, wells)
+    return HamiltonianOperator(grid, wells)
 
 
 @pytest.fixture(scope="session")

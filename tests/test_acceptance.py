@@ -14,17 +14,16 @@ import pytest
 from cmlab import (
     FreeParticle,
     Grid,
+    HamiltonianOperator,
     SolverConfig,
-    build_hamiltonian,
     column_mass_suite,
     gap_bound_suite,
-    l1_norm,
     make_regularizer,
     mu_sweep,
     reference_eigenpairs,
 )
 from cmlab.cli import main
-from conftest import config_path
+from conftest import config_path, l1_total
 
 
 def _verdict(num: int, ok: bool, name: str) -> None:
@@ -34,7 +33,7 @@ def _verdict(num: int, ok: bool, name: str) -> None:
 
 def test_criterion_01_eigensolver_oracle():
     t0 = time.perf_counter()
-    H = build_hamiltonian(Grid(1, (1.0,), (512,), "dirichlet"), FreeParticle())
+    H = HamiltonianOperator(Grid(1, (1.0,), (512,), "dirichlet"), FreeParticle())
     eigs = reference_eigenpairs(H, 3)
     elapsed = time.perf_counter() - t0
     analytic = np.array([np.pi**2 / 2, 2 * np.pi**2, 9 * np.pi**2 / 2])
@@ -48,7 +47,7 @@ def test_criterion_02_energy_floor(reference_sweep):
 
 
 def test_criterion_03_l1_cap(reference_sweep, box_eigs):
-    cap_total = sum(l1_norm(f) for f in box_eigs.modes.take(2).columns)
+    cap_total = l1_total(box_eigs.modes.take(2))
     ok = all(r.energy_gap <= cap_total / r.mu + 1e-8 for r in reference_sweep.records)
     _verdict(3, ok, "E(mu) - E0 <= (1/mu) sum ||phi_i||_1 + 1e-8 at every mu")
 

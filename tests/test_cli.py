@@ -3,9 +3,18 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmlab.cli import load_config, main, parse_config
-from conftest import config_path
+from cmlab.cli import ConfigError, build_operator, load_config, main, parse_config
+from conftest import CONFIG_DIR, config_path, l1_total
+
+SHIPPED_CONFIGS = (
+    "reference_sweep.json",
+    "periodic_degenerate.json",
+    "multiwell_solve.json",
+    "box_eig.json",
+)
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -122,11 +131,11 @@ def test_cmd_solve_l1_bracket(tmp_path):
     assert main(["solve", path]) == 0
     with open(out / "solve.json") as fh:
         report = json.load(fh)
-    from cmlab import FreeParticle, Grid, build_hamiltonian, l1_norm, reference_eigenpairs
+    from cmlab import FreeParticle, Grid, HamiltonianOperator, reference_eigenpairs
 
-    eigs = reference_eigenpairs(build_hamiltonian(Grid(1, (1.0,), (128,)), FreeParticle()), 2)
+    eigs = reference_eigenpairs(HamiltonianOperator(Grid(1, (1.0,), (128,)), FreeParticle()), 2)
     e0 = eigs.eigenvalues[:2].sum()
-    cap = sum(l1_norm(f) for f in eigs.modes.columns) / 100.0
+    cap = l1_total(eigs.modes) / 100.0
     assert e0 - 1e-8 <= report["objective"] <= e0 + cap + 1e-8
     assert report["ortho_defect"] <= 1e-8
     assert len(report["localization"]) == 2
@@ -236,6 +245,8 @@ def test_cmd_verify_passes(capsys):
 def test_cmd_verify_zero_cases_usage_error(capsys):
     assert main(["verify", "--cases", "0"]) == 2
     assert "cases" in capsys.readouterr().err
+    assert main(["verify", "--cases", "5", "--seed", "-9"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_cmd_verify_deterministic(capsys):
@@ -250,9 +261,119 @@ def test_cmd_verify_deterministic(capsys):
 
 
 def test_shipped_configs_parse():
-    for name in ("reference_sweep.json", "periodic_degenerate.json", "multiwell_solve.json", "box_eig.json"):
+    for name in SHIPPED_CONFIGS:
         cfg = load_config(config_path(name))
         assert cfg.N >= 1
+
+
+# --- bad input: exit 2 with a message, never a traceback --------------------------------
+
+
+DELETE = object()
+
+
+def _edit(doc, path, value):
+    """Set the key at ``path`` to ``value``, or remove it when ``value`` is DELETE."""
+    for key in path[:-1]:
+        doc = doc[key]
+    if value is DELETE:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+
+
+MULTIWELL_BAD_CENTER = {"kind": "multiwell", "centers": [["a"]], "depth": 3.0, "width": 1.5}
+
+# (subcommand, (path, value) edits of configs/reference_sweep.json, extra CLI arguments)
+BAD_INPUT_PROBES = {
+    "points_string": ("sweep", [(("domain", "points"), ["a"])], []),
+    "extent_string": ("sweep", [(("domain", "extent"), ["x"])], []),
+    "center_string": ("sweep", [(("potential",), MULTIWELL_BAD_CENTER)], []),
+    "random_start_negative": ("sweep", [(("solver", "starts"), ["random:-1"])], []),
+    "seed_negative": ("sweep", [(("solver", "starts"), DELETE), (("seed",), -9)], []),
+    "seed_flag_negative": ("sweep", [(("solver", "starts"), DELETE)], ["--seed", "-9"]),
+    "mu_schedule_nan": ("sweep", [(("problem", "mu_schedule"), ["nan"])], []),
+    "mu_schedule_inf": ("sweep", [(("problem", "mu_schedule"), [5, "inf"])], []),
+    "sweep_n_plus_one_over_nodes": (
+        "sweep",
+        [(("domain", "points"), [3]), (("problem", "N"), 3)],
+        [],
+    ),
+    "solve_n_over_nodes": (
+        "solve",
+        [(("domain", "points"), [64]), (("problem", "N"), 65), (("problem", "mu"), 10.0)],
+        [],
+    ),
+    "max_iters_bool": ("sweep", [(("solver", "max_iters"), True)], []),
+    "max_iters_float": ("sweep", [(("solver", "max_iters"), 2.7)], []),
+    "n_float": ("sweep", [(("problem", "N"), 2.5)], []),
+    "points_float": ("sweep", [(("domain", "points"), [10.7])], []),
+    "dim_bool": ("sweep", [(("domain", "dim"), True)], []),
+    "tol_inf": ("sweep", [(("solver", "tol"), "inf")], []),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BAD_INPUT_PROBES))
+def test_bad_input_exits_2_without_traceback(probe, tmp_path, capsys):
+    command, edits, extra = BAD_INPUT_PROBES[probe]
+    with open(config_path("reference_sweep.json")) as fh:
+        doc = json.load(fh)
+    doc["output"]["dir"] = str(tmp_path / "out")
+    for path, value in edits:
+        _edit(doc, path, value)
+    assert main([command, write_config(tmp_path, doc), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a JSON document, containers included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+_CONFIG_WORDS = [
+    "eigen", "random:1", "random:-1", "random:x", "nan", "inf", "-inf", "1e400", "3", "-2", "2.5",
+    "free", "harmonic", "multiwell", "tabulated", "dirichlet", "periodic", "l1", "zero", "csv",
+    "kind", "centers", "center", "omega", "depth", "width", "path", "",
+]  # fmt: skip
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),  # small: a mutated node count must stay cheap to assemble
+    st.floats(),
+    st.sampled_from(_CONFIG_WORDS),
+    st.text(max_size=6),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_CONFIG_WORDS), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(SHIPPED_CONFIGS), data=st.data())
+def test_mutated_configs_parse_or_raise_config_error(name, data):
+    with open(config_path(name)) as fh:
+        doc = json.load(fh)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+        _edit(doc, path, data.draw(st.just(DELETE) | _VALUES, label="value"))
+    try:
+        build_operator(parse_config(doc, base_dir=CONFIG_DIR))
+    except ConfigError:
+        pass
 
 
 def test_tabulated_potential_from_csv(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from cmlab import (
     AlignmentError,
+    GridMismatchError,
     Grid,
     ModeSet,
     SolverConfig,
@@ -17,10 +18,11 @@ from cmlab import (
     mode_energies,
     mu_sweep,
     nu_spectrum,
-    orthonormalize,
+    orthonormal_columns,
     procrustes_align,
 )
 from cmlab.consistency import _haar_orthogonal, default_gap_threshold
+from conftest import l1_total
 
 L1 = make_regularizer("l1")
 ZERO = make_regularizer("zero")
@@ -28,6 +30,11 @@ ZERO = make_regularizer("zero")
 
 def _rotated(frame, rot):
     return ModeSet(frame.grid, frame.matrix @ rot)
+
+
+def _random_frame(grid, rng, count):
+    raw = rng.standard_normal((grid.node_count, count))
+    return ModeSet(grid, orthonormal_columns(raw, grid.cell_volume))
 
 
 # --- interaction matrix and its spectrum ------------------------------------
@@ -46,7 +53,7 @@ def test_interaction_matrix_similarity_invariance(box_H, box_eigs, rng):
 
 
 def test_interaction_matrix_rayleigh_bound(box_H, box_eigs, rng):
-    frame = orthonormalize(ModeSet(box_H.grid, rng.standard_normal((512, 1))))
+    frame = _random_frame(box_H.grid, rng, 1)
     m = interaction_matrix(box_H, frame)
     assert m.shape == (1, 1)
     assert m[0, 0] >= box_eigs.eigenvalues[0] - 1e-8
@@ -125,6 +132,12 @@ def test_procrustes_count_mismatch(box_eigs):
         procrustes_align(box_eigs.modes.take(2), box_eigs.modes.take(3))
 
 
+def test_procrustes_grid_mismatch_raises(box_eigs, rng):
+    other = _random_frame(Grid(1, (1.0,), (33,), "dirichlet"), rng, 2)
+    with pytest.raises(GridMismatchError):
+        procrustes_align(box_eigs.modes.take(2), other)
+
+
 # --- eigenbasis coefficients and the gap bound -------------------------------
 
 
@@ -143,7 +156,7 @@ def test_coefficients_rotation_keeps_column_masses(box_eigs, rng):
 
 
 def test_coefficients_full_depth_total_mass(small_box_H, small_box_full_eigs, rng):
-    frame = orthonormalize(ModeSet(small_box_H.grid, rng.standard_normal((64, 3))))
+    frame = _random_frame(small_box_H.grid, rng, 3)
     coeffs = coefficients(frame, small_box_full_eigs, 64)
     assert coeffs.col_mass.sum() == pytest.approx(3.0, abs=1e-10)
     assert np.abs(coeffs.tail_mass).max() <= 1e-10
@@ -153,7 +166,7 @@ def test_coefficients_full_depth_total_mass(small_box_H, small_box_full_eigs, rn
 
 def test_coefficients_partial_depth_mass_bounded(small_box_H, small_box_full_eigs, rng):
     # Bessel: captured mass can only grow toward N with the depth
-    frame = orthonormalize(ModeSet(small_box_H.grid, rng.standard_normal((64, 3))))
+    frame = _random_frame(small_box_H.grid, rng, 3)
     previous = 0.0
     for depth in (3, 6, 12, 64):
         coeffs = coefficients(frame, small_box_full_eigs, depth)
@@ -167,6 +180,12 @@ def test_coefficients_partial_depth_mass_bounded(small_box_H, small_box_full_eig
 def test_coefficients_depth_validation(box_eigs):
     with pytest.raises(ValueError):
         coefficients(box_eigs.modes.take(2), box_eigs, 5)
+
+
+def test_coefficients_grid_mismatch_raises(box_eigs, rng):
+    other = _random_frame(Grid(1, (1.0,), (17,), "dirichlet"), rng, 2)
+    with pytest.raises(GridMismatchError):
+        coefficients(other, box_eigs, 2)
 
 
 def test_gap_lower_bound_zero_at_eigenfunctions(box_eigs):
@@ -279,9 +298,7 @@ def test_mu_sweep_reference_record_invariants(reference_sweep):
 
 
 def test_mu_sweep_reference_caps(reference_sweep, box_eigs):
-    from cmlab import l1_norm
-
-    cap_total = sum(l1_norm(f) for f in box_eigs.modes.take(2).columns)
+    cap_total = l1_total(box_eigs.modes.take(2))
     for r in reference_sweep.records:
         assert r.energy_gap <= cap_total / r.mu + 1e-8
 

@@ -3,16 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cmlab import (
-    DiscreteFunction,
-    Grid,
-    GridMismatchError,
-    inner_product,
-    l1_norm,
-    l2_norm,
-    orthonormalize,
-)
-from cmlab.modes import ModeSet
+from cmlab import Grid, L1Regularizer, ModeSet, orthonormal_columns
 
 
 def test_spacing_dirichlet_and_periodic():
@@ -27,7 +18,7 @@ def test_spacing_dirichlet_and_periodic():
 def test_weights_positive_and_sum_to_discrete_measure():
     for boundary in ("dirichlet", "periodic"):
         g = Grid(1, (1.0,), (200,), boundary)
-        w = g.weights
+        w = np.full(g.node_count, g.cell_volume)
         assert np.all(w > 0)
         assert abs(w.sum() - g.volume) <= 1e-12 * g.volume
     # periodic quadrature reproduces the box measure exactly
@@ -38,91 +29,87 @@ def test_weights_positive_and_sum_to_discrete_measure():
     assert abs(gd.volume - 256 / 257) <= 1e-12
 
 
-def test_inner_product_of_constants_measures_domain():
+def test_weighted_dot_of_constants_measures_domain():
     gp = Grid(1, (1.0,), (300,), "periodic")
-    one = gp.function(np.ones(gp.node_count))
-    assert abs(inner_product(one, one) - 1.0) <= 1e-12
+    one = np.ones(gp.node_count)
+    assert abs(gp.cell_volume * (one @ one) - 1.0) <= 1e-12
     gd = Grid(1, (1.0,), (256,), "dirichlet")
-    oned = gd.function(np.ones(gd.node_count))
-    val = inner_product(oned, oned)
+    oned = np.ones(gd.node_count)
+    val = gd.cell_volume * (oned @ oned)
     assert abs(val - gd.volume) <= 1e-12
     assert abs(val - 1.0) <= 1.0 / 256  # quadrature tolerance at this resolution
 
 
-def test_inner_product_orthonormalized_pair_vanishes(rng):
+def test_orthonormal_columns_pair_vanishes(rng):
     g = Grid(1, (1.0,), (128,), "dirichlet")
-    stack = orthonormalize(ModeSet(g, rng.standard_normal((128, 2))))
-    u, v = stack.columns
-    assert abs(inner_product(u, v)) <= 1e-12
+    stack = ModeSet(g, orthonormal_columns(rng.standard_normal((128, 2)), g.cell_volume))
+    assert abs(stack.gram()[0, 1]) <= 1e-12
 
 
-def test_inner_product_sine_orthogonality():
+def test_weighted_sine_orthogonality():
     g = Grid(1, (1.0,), (256,), "dirichlet")
     x = g.coordinates()[:, 0]
-    u = g.function(np.sin(np.pi * x))
-    v = g.function(np.sin(2 * np.pi * x))
-    assert abs(inner_product(u, v)) <= 1e-10
+    u = np.sin(np.pi * x)
+    v = np.sin(2 * np.pi * x)
+    assert abs(g.cell_volume * (u @ v)) <= 1e-10
 
 
-def test_inner_product_grid_mismatch_raises():
-    a = Grid(1, (1.0,), (32,), "dirichlet")
-    b = Grid(1, (1.0,), (33,), "dirichlet")
-    with pytest.raises(GridMismatchError):
-        inner_product(a.zeros(), b.zeros())
-
-
-def test_inner_product_symmetric_bilinear(rng):
+def test_weighted_gram_symmetric_bilinear(rng):
     g = Grid(1, (2.0,), (97,), "periodic")
     for _ in range(100):
-        u = g.function(rng.standard_normal(97))
-        v = g.function(rng.standard_normal(97))
-        t = g.function(rng.standard_normal(97))
+        u, v, t = rng.standard_normal((3, 97))
         a, b = rng.standard_normal(2)
-        assert inner_product(u, v) == pytest.approx(inner_product(v, u), abs=1e-12)
-        lhs = inner_product(g.function(a * u.values + b * v.values), t)
-        rhs = a * inner_product(u, t) + b * inner_product(v, t)
+        gram = ModeSet(g, np.column_stack([u, v, t, a * u + b * v])).gram()
+        assert gram[0, 1] == pytest.approx(gram[1, 0], abs=1e-12)
+        lhs = gram[3, 2]
+        rhs = a * gram[0, 2] + b * gram[1, 2]
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_cauchy_schwarz(rng):
     g = Grid(1, (1.0,), (64,), "dirichlet")
     for _ in range(100):
-        u = g.function(rng.standard_normal(64))
-        v = g.function(rng.standard_normal(64))
-        assert abs(inner_product(u, v)) <= l2_norm(u) * l2_norm(v) + 1e-12
+        gram = ModeSet(g, rng.standard_normal((64, 2))).gram()
+        assert abs(gram[0, 1]) <= math.sqrt(gram[0, 0]) * math.sqrt(gram[1, 1]) + 1e-12
 
 
-def test_l2_norm_cases(box_eigs):
+def _weighted_norms(modes: ModeSet) -> np.ndarray:
+    return np.sqrt(np.maximum(np.diag(modes.gram()), 0.0))
+
+
+def test_weighted_l2_cases(box_eigs):
     g = Grid(1, (1.0,), (50,), "periodic")
-    assert l2_norm(g.zeros()) == 0.0
+    assert _weighted_norms(ModeSet(g, np.zeros(50)))[0] == 0.0
     c = -3.0
-    const = g.function(np.full(50, c))
-    assert l2_norm(const) == pytest.approx(abs(c) * math.sqrt(g.volume), rel=1e-12)
-    for phi in box_eigs.modes.columns:
-        assert l2_norm(phi) == pytest.approx(1.0, abs=1e-10)
+    const = ModeSet(g, np.full(50, c))
+    assert _weighted_norms(const)[0] == pytest.approx(abs(c) * math.sqrt(g.volume), rel=1e-12)
+    for norm in _weighted_norms(box_eigs.modes):
+        assert norm == pytest.approx(1.0, abs=1e-10)
 
 
-def test_l1_norm_cases(rng):
+def test_weighted_l1_cases(rng):
     g = Grid(1, (1.0,), (512,), "periodic")
-    assert l1_norm(g.zeros()) == 0.0
-    assert l1_norm(g.function(np.ones(512))) == pytest.approx(1.0, abs=1e-12)
+    w = g.cell_volume
+    l1 = L1Regularizer()
+    assert l1.evaluate_columns(np.zeros((512, 1)), w)[0] == 0.0
+    assert l1.evaluate_columns(np.ones((512, 1)), w)[0] == pytest.approx(1.0, abs=1e-12)
     omega = 1.0
-    for _ in range(100):
-        u = g.function(rng.standard_normal(512))
-        assert l1_norm(u) <= math.sqrt(omega) * l2_norm(u) + 1e-12
+    us = rng.standard_normal((512, 100))
+    l2 = _weighted_norms(ModeSet(g, us))
+    assert np.all(l1.evaluate_columns(us, w) <= math.sqrt(omega) * l2 + 1e-12)
 
 
 def test_discrete_function_size_mismatch():
     g = Grid(1, (1.0,), (10,), "dirichlet")
     with pytest.raises(ValueError):
-        DiscreteFunction(g, np.zeros(11))
+        ModeSet(g, np.zeros(11))
 
 
 def test_values_are_read_only():
     g = Grid(1, (1.0,), (10,), "dirichlet")
-    f = g.function(np.arange(10.0))
+    f = ModeSet(g, np.arange(10.0))
     with pytest.raises(ValueError):
-        f.values[0] = 7.0
+        f.matrix[0, 0] = 7.0
 
 
 def test_grid_validation_errors():

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 
@@ -67,8 +68,14 @@ def test_sweep_json_structure(reference_sweep, reference_config):
 
 def test_write_atomic(tmp_path):
     target = tmp_path / "sub" / "file.csv"
-    write_atomic(str(target), "a,b\n1,2\n")
+    old_umask = os.umask(0o022)
+    try:
+        write_atomic(str(target), "a,b\n1,2\n")
+    finally:
+        os.umask(old_umask)
     assert target.read_text() == "a,b\n1,2\n"
+    # the mode a plain open(path, "w") gives, not mkstemp's 0o600
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
     write_atomic(str(target), "other\n")
     assert target.read_text() == "other\n"
     leftovers = [p for p in os.listdir(tmp_path / "sub") if p.startswith(".tmp_")]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,17 +13,17 @@ from cmlab import (
     RandomOrthonormal,
     RankDeficientError,
     SolverConfig,
-    l1_norm,
     localization,
     make_regularizer,
     mode_energies,
     objective,
-    orthonormalize,
+    orthonormal_columns,
     procrustes_align,
     solve_cm,
     warm_started,
 )
 from cmlab.solver import IndefinitePenaltyError
+from conftest import l1_total
 
 L1 = make_regularizer("l1")
 ZERO = make_regularizer("zero")
@@ -36,38 +38,34 @@ def test_modeset_shape_validation():
         ModeSet(g, np.zeros((15, 2)))
 
 
-def test_modeset_from_functions_grid_mismatch():
-    a = Grid(1, (1.0,), (16,), "dirichlet")
-    b = Grid(1, (1.0,), (17,), "dirichlet")
-    with pytest.raises(GridMismatchError):
-        ModeSet.from_functions([a.zeros(), b.zeros()])
-
-
 def test_modeset_take_and_columns(box_eigs):
     two = box_eigs.modes.take(2)
     assert two.count == 2
     np.testing.assert_array_equal(two.matrix, box_eigs.modes.matrix[:, :2])
-    assert len(two.columns) == 2
     with pytest.raises(ValueError):
         box_eigs.modes.take(9)
 
 
+def _orthonormal_frame(grid: Grid, raw: np.ndarray) -> ModeSet:
+    return ModeSet(grid, orthonormal_columns(raw, grid.cell_volume))
+
+
 def test_orthonormalize_leaves_orthonormal_frames_alone(box_eigs):
     frame = box_eigs.modes.take(3)
-    out = orthonormalize(frame)
+    out = _orthonormal_frame(frame.grid, frame.matrix)
     assert np.abs(out.matrix - frame.matrix).max() <= 1e-12
 
 
 def test_orthonormalize_discards_scaling(box_eigs):
     frame = box_eigs.modes.take(2)
-    out = orthonormalize(ModeSet(frame.grid, 2.0 * frame.matrix))
+    out = _orthonormal_frame(frame.grid, 2.0 * frame.matrix)
     assert np.abs(out.matrix - frame.matrix).max() <= 1e-12
 
 
 def test_orthonormalize_random_stack_gram_and_span(rng):
     g = Grid(1, (1.0,), (96,), "dirichlet")
     raw = rng.standard_normal((96, 4))
-    out = orthonormalize(ModeSet(g, raw))
+    out = _orthonormal_frame(g, raw)
     assert out.ortho_defect <= 1e-10
     # same subspace: principal angles between spans vanish
     angles = scipy.linalg.subspace_angles(raw, out.matrix)
@@ -78,7 +76,7 @@ def test_orthonormalize_rank_deficient_raises():
     g = Grid(1, (1.0,), (32,), "dirichlet")
     col = np.ones((32, 1))
     with pytest.raises(RankDeficientError):
-        orthonormalize(ModeSet(g, np.hstack([col, col])))
+        _orthonormal_frame(g, np.hstack([col, col]))
 
 
 # --- objective --------------------------------------------------------------
@@ -93,9 +91,9 @@ def test_objective_zero_regularizer_is_eigen_energy(box_H, box_eigs):
 def test_objective_l1_single_mode_analytic(box_H, box_eigs):
     phi1 = box_eigs.modes.take(1)
     val = objective(box_H, L1, 10.0, phi1)
-    exact = mode_energies(box_H, phi1).sum() + l1_norm(phi1.column(0)) / 10.0
+    exact = mode_energies(box_H, phi1).sum() + l1_total(phi1) / 10.0
     assert val == pytest.approx(exact, rel=1e-12)
-    assert val == pytest.approx(box_eigs.eigenvalues[0] + l1_norm(phi1.column(0)) / 10.0, abs=1e-8)
+    assert val == pytest.approx(box_eigs.eigenvalues[0] + l1_total(phi1) / 10.0, abs=1e-8)
     # analytic: pi^2/2 + (1/10) * 2*sqrt(2)/pi
     assert val == pytest.approx(np.pi**2 / 2 + 0.2 * np.sqrt(2) / np.pi, rel=1e-3)
 
@@ -115,7 +113,7 @@ def test_objective_approaches_energy_as_mu_grows(box_H, box_eigs):
 
 def test_objective_grid_mismatch(box_H):
     other = Grid(1, (1.0,), (100,), "dirichlet")
-    frame = orthonormalize(ModeSet(other, np.random.default_rng(0).standard_normal((100, 2))))
+    frame = _orthonormal_frame(other, np.random.default_rng(0).standard_normal((100, 2)))
     with pytest.raises(GridMismatchError):
         objective(box_H, L1, 1.0, frame)
 
@@ -137,7 +135,7 @@ def test_l1_objective_bracket_mu100(box_H, box_eigs):
     cfg = SolverConfig(mu=100.0, max_iters=1200)
     res = solve_cm(box_H, L1, 3, cfg, eigs=box_eigs)
     e0 = box_eigs.eigenvalues[:3].sum()
-    cap = sum(l1_norm(f) for f in box_eigs.modes.take(3).columns) / 100.0
+    cap = l1_total(box_eigs.modes.take(3)) / 100.0
     assert e0 - 1e-8 <= res.objective <= e0 + cap + 1e-8
 
 
@@ -220,7 +218,7 @@ def test_warm_start_config_and_run(box_H, box_eigs):
 
 def test_warm_start_validation(box_H, box_eigs):
     other = Grid(1, (1.0,), (100,), "dirichlet")
-    frame = orthonormalize(ModeSet(other, np.random.default_rng(0).standard_normal((100, 2))))
+    frame = _orthonormal_frame(other, np.random.default_rng(0).standard_normal((100, 2)))
     cfg = SolverConfig(mu=5.0, max_iters=10, starts=(ModeInit(frame),))
     with pytest.raises(GridMismatchError):
         solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
@@ -268,24 +266,28 @@ def test_start_labels_and_winner(box_H, box_eigs):
     assert res.objective == pytest.approx(min(res.start_objectives), abs=1e-10)
 
 
-def test_parallel_starts_match_sequential(box_H, box_eigs, monkeypatch):
+def test_starts_match_solo_runs(box_H, box_eigs):
+    # each start's run is independent of the others: a multi-start solve
+    # reports, per start, exactly what that start gives when run alone
     cfg = SolverConfig(mu=10.0, max_iters=200)
-    sequential = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
-    monkeypatch.setenv("CM_LAB_THREADS", "3")
-    parallel = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
-    np.testing.assert_array_equal(sequential.modes.matrix, parallel.modes.matrix)
-    assert sequential.start_objectives == parallel.start_objectives
+    together = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
+    assert len(cfg.starts) == 3
+    for start, best in zip(cfg.starts, together.start_objectives):
+        solo = solve_cm(box_H, L1, 2, replace(cfg, starts=(start,)), eigs=box_eigs)
+        assert solo.start_objectives == (best,)
+        if start.label == together.winner_start:
+            np.testing.assert_array_equal(solo.modes.matrix, together.modes.matrix)
 
 
 def test_solve_2d_box_bracket():
     g = Grid(2, (1.0, 1.0), (16, 16), "dirichlet")
-    from cmlab import FreeParticle, build_hamiltonian, reference_eigenpairs
+    from cmlab import FreeParticle, HamiltonianOperator, reference_eigenpairs
 
-    H = build_hamiltonian(g, FreeParticle())
+    H = HamiltonianOperator(g, FreeParticle())
     eigs = reference_eigenpairs(H, 3)
     cfg = SolverConfig(mu=50.0, max_iters=800)
     res = solve_cm(H, L1, 3, cfg, eigs=eigs)
     assert res.modes.ortho_defect <= 1e-8
     e0 = eigs.eigenvalues[:3].sum()
-    cap = sum(l1_norm(f) for f in eigs.modes.take(3).columns) / 50.0
+    cap = l1_total(eigs.modes.take(3)) / 50.0
     assert e0 - 1e-8 <= res.objective <= e0 + cap + 1e-8
