@@ -30,7 +30,14 @@ from .hamiltonian import (
     Tabulated,
 )
 from .regularizer import make_regularizer
-from .solver import EigenInit, IndefinitePenaltyError, RandomOrthonormal, SolverConfig, solve_cm
+from .solver import (
+    EigenInit,
+    IndefinitePenaltyError,
+    RandomOrthonormal,
+    ShrinkStepError,
+    SolverConfig,
+    solve_cm,
+)
 
 VERIFY_BOX_POINTS = 256
 VERIFY_N = 2
@@ -410,9 +417,11 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             "winner_start": result.winner_start,
             "start_labels": list(result.start_labels),
             "start_objectives": list(result.start_objectives),
+            "start_iterations": list(result.start_iterations),
+            "start_converged": list(result.start_converged),
             "config": cfg.to_dict(),
         }
-        reports.write_atomic(os.path.join(out, "solve.json"), json.dumps(doc, indent=2) + "\n")
+        reports.write_atomic(os.path.join(out, "solve.json"), reports.json_text(doc))
     print(f"objective = {reports.fmt(result.objective)}")
     print(f"energy = {reports.fmt(energy)}")
     print(f"ortho_defect = {reports.fmt(result.modes.ortho_defect)}")
@@ -503,7 +512,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg)
         return cmd_sweep(cfg)
-    except (ConfigError, IndefinitePenaltyError) as exc:
+    except (ConfigError, IndefinitePenaltyError, ShrinkStepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,7 @@ the operator apply, the solver's shifted linear solve and the eigensolver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,13 +58,16 @@ class MultiWell:
     def values_on(self, grid: Grid) -> np.ndarray:
         if self.depth <= 0 or self.width <= 0:
             raise ValueError("depth and width must be positive")
+        spread = 2.0 * self.width**2
+        if not 0.0 < spread < math.inf:
+            raise ValueError(f"well width {self.width:g} is out of range: 2 * width**2 = {spread:g}")
         coords = grid.coordinates()
         v = np.zeros(grid.node_count)
         for c in self.centers:
             if len(c) != grid.dim:
                 raise ValueError("well center dimension does not match grid")
             d2 = ((coords - np.asarray(c)) ** 2).sum(axis=1)
-            v -= self.depth * np.exp(-d2 / (2.0 * self.width**2))
+            v -= self.depth * np.exp(-d2 / spread)
         return v
 
 

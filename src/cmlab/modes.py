@@ -61,10 +61,13 @@ def orthonormal_columns(matrix: np.ndarray, cell_volume: float) -> np.ndarray:
     """Closest weighted-orthonormal frame to ``matrix`` (polar factor).
 
     Output spans the same subspace and minimizes the weighted Frobenius
-    distance to the input among all orthonormal frames.
+    distance to the input among all orthonormal frames.  ``matrix`` may be a
+    stack (..., node_count, N) of frames, each projected on its own; one
+    rank-deficient frame raises for the whole stack.
     """
     u, s, vt = np.linalg.svd(np.sqrt(cell_volume) * matrix, full_matrices=False)
-    if s[-1] <= 0.0 or (s[0] / s[-1]) ** 2 >= 1e12:
+    # Gram condition (s_max / s_min)^2 >= 1e12, without dividing by s_min = 0
+    if (s[..., 0] >= 1e6 * s[..., -1]).any():
         raise RankDeficientError(
             "mode stack is numerically rank deficient (Gram condition >= 1e12)"
         )

@@ -3,11 +3,12 @@
 Two instances ship: the weighted discrete L1 norm (the interesting one, with
 C the square root of the domain measure ``Grid.volume``) and the zero
 functional (C = 0; turns the solver into a plain variational minimizer).
-Both work on (node_count, N) arrays of node values: ``evaluate_columns``
-gives J per column as ``cell_volume`` times a plain sum, and ``prox_array``
-is the proximal map the splitting solver needs.  The prox is taken with
-respect to the weighted L2 metric, so the node weight cancels and the
-threshold is resolution independent.
+Both work on (node_count, N) arrays of node values, or on stacks
+(..., node_count, N) of them: ``evaluate_columns`` gives J per column as
+``cell_volume`` times a plain sum, and ``prox_array`` is the proximal map the
+splitting solver needs.  The prox is taken with respect to the weighted L2
+metric, so the node weight cancels and the threshold is resolution
+independent.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class L1Regularizer:
 
     def evaluate_columns(self, matrix: np.ndarray, cell_volume: float) -> np.ndarray:
         """Per-column value on raw node values."""
-        return cell_volume * np.abs(matrix).sum(axis=0)
+        return cell_volume * np.abs(matrix).sum(axis=-2)
 
     def prox_array(self, values: np.ndarray, step: float) -> np.ndarray:
         """Nodewise soft threshold at level ``step``."""
@@ -41,7 +42,7 @@ class ZeroRegularizer:
     kind: str = "zero"
 
     def evaluate_columns(self, matrix: np.ndarray, cell_volume: float) -> np.ndarray:
-        return np.zeros(matrix.shape[1])
+        return np.zeros(matrix.shape[:-2] + matrix.shape[-1:])
 
     def prox_array(self, values: np.ndarray, step: float) -> np.ndarray:
         if step <= 0:

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
-
-import numpy as np
 
 from .consistency import SweepReport
 from .eigensolver import EigenSystem
@@ -88,10 +87,20 @@ def sweep_csv(report: SweepReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _clean(value):
-    if isinstance(value, float) and not np.isfinite(value):
+def _finite_or_null(value):
+    """``value`` with every non-finite float inside it replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
+
+
+def json_text(doc: dict) -> str:
+    """Strict JSON text of ``doc``: a non-finite float is written as null, never as NaN."""
+    return json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n"
 
 
 def sweep_json(report: SweepReport, config_echo: dict | None = None) -> str:
@@ -112,7 +121,7 @@ def sweep_json(report: SweepReport, config_echo: dict | None = None) -> str:
                 "energy_gap": r.energy_gap,
                 "nu": list(r.nu),
                 "max_eig_dev": r.max_eig_dev,
-                "procrustes_residual": _clean(r.procrustes_residual),
+                "procrustes_residual": r.procrustes_residual,
                 "ortho_defect": r.ortho_defect,
                 "iterations": r.iterations,
                 "converged": r.converged,
@@ -123,4 +132,4 @@ def sweep_json(report: SweepReport, config_echo: dict | None = None) -> str:
     }
     if config_echo is not None:
         doc["config"] = config_echo
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)

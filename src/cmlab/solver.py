@@ -7,6 +7,13 @@ regularizer (updated by its prox/shrinkage), one carries the orthonormality
 constraint (updated by projection onto the closest orthonormal frame), and
 scaled multipliers couple the blocks with quadratic strength ``penalty``.
 
+All starts of one solve run in lockstep as one block: their iterates sit in
+an (S, N, node_count) stack, one mode per row, and each iteration makes one
+multi-RHS shifted solve, one prox, one stacked polar projection and one
+operator apply for every start still running.  Every reduction stays inside
+one start's slab, so each start's run is bitwise the same alone as in any
+block; a start that converges leaves the block.
+
 The problem is non-convex, so nothing certifies global optimality.  What the
 solver does certify: every returned frame is feasible (orthonormal to 1e-8),
 and because the best feasible iterate across all starts is tracked, including
@@ -17,7 +24,8 @@ consistency experiments lean on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -35,6 +43,10 @@ STREAK_REQUIRED = 3
 
 class IndefinitePenaltyError(ValueError):
     """A fixed penalty too small to make H + penalty I positive definite."""
+
+
+class ShrinkStepError(ValueError):
+    """mu * penalty out of floating-point range: the shrinkage step 1/(mu * penalty) is 0 or inf."""
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,8 @@ class SolverResult:
     winner_start: str
     start_labels: tuple[str, ...]
     start_objectives: tuple[float, ...]
+    start_iterations: tuple[int, ...]
+    start_converged: tuple[bool, ...]
 
 
 def mode_energies(H: HamiltonianOperator, F: ModeSet) -> np.ndarray:
@@ -190,7 +204,8 @@ def solve_cm(
 
     Returns a result even when the iteration cap is hit (``converged`` is
     False then); rank collapse inside the orthonormal projection raises, and
-    so does a fixed penalty that leaves H + penalty I indefinite.
+    so does a fixed penalty that leaves H + penalty I indefinite, and a
+    ``mu * penalty`` whose shrinkage step is not a positive finite number.
     ``eigs`` can carry precomputed reference eigenpairs to avoid a redundant
     eigensolve when the caller already has them.
     """
@@ -220,13 +235,12 @@ def solve_cm(
         if lam_min < 0:
             penalty += 2.0 * (-lam_min)
 
+    _shrink_step(config.mu, penalty)  # fail before the factorization
     shifted_solve = _build_shifted_solver(H, penalty)
     w = H.grid.cell_volume
 
-    runs = []
-    for start in config.starts:
-        x0 = rotation_polish(_start_matrix(start, H, N, eigs), w, J)
-        runs.append(_splitting_run(H, J, config, penalty, shifted_solve, w, x0))
+    x0 = np.stack([rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in config.starts])
+    runs = _splitting_runs(H, J, config, penalty, shifted_solve, w, x0)
     winner = min(range(len(runs)), key=lambda i: runs[i].best_objective)
     run = runs[winner]
 
@@ -240,6 +254,8 @@ def solve_cm(
         winner_start=config.starts[winner].label,
         start_labels=tuple(start.label for start in config.starts),
         start_objectives=tuple(r.best_objective for r in runs),
+        start_iterations=tuple(r.iterations for r in runs),
+        start_converged=tuple(r.converged for r in runs),
     )
 
 
@@ -256,7 +272,7 @@ class _Run:
     best_objective: float
     iterations: int
     converged: bool
-    trace: list = field(default_factory=list)
+    trace: list[tuple[float, float]]
 
 
 def _start_matrix(start: Start, H: HamiltonianOperator, N: int, eigs) -> np.ndarray:
@@ -292,48 +308,98 @@ def _build_shifted_solver(H: HamiltonianOperator, penalty: float):
     return factor.solve
 
 
+def _shrink_step(mu: float, penalty: float) -> float:
+    """The prox step 1/(mu * penalty); raises unless it is a positive finite number."""
+    scale = mu * penalty
+    step = 1.0 / scale if scale > 0.0 else math.inf
+    if not 0.0 < step < math.inf:
+        raise ShrinkStepError(
+            f"mu * penalty = {mu:g} * {penalty:g} is out of floating-point range: the "
+            "shrinkage step 1/(mu * penalty) must be a positive finite number"
+        )
+    return step
+
+
 def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> _Run:
-    """One splitting iteration chain from one start; tracks the best feasible iterate."""
+    """One splitting iteration chain from one (node_count, N) start."""
+    return _splitting_runs(H, J, config, penalty, shifted_solve, w, x0[None])[0]
+
+
+def _splitting_runs(H, J, config, penalty, shifted_solve, w, x0) -> list[_Run]:
+    """Splitting iteration chains from a (S, node_count, N) stack of starts, in lockstep.
+
+    The block holds one (N, node_count) slab per running start, one mode per
+    row; its transpose, a view, is the node_count x (S N) right-hand side of
+    the shifted solve.  Each start keeps its own stop rule, best feasible
+    iterate and trace, and a start that meets the stop rule leaves the block.
+    """
     mu, r = config.mu, penalty
-    F = x0.copy()
-    Q = x0.copy()
-    P = x0.copy()
-    b = np.zeros_like(x0)
-    B = np.zeros_like(x0)
+    shrink_step = _shrink_step(mu, r)
+    S, n, N = x0.shape
+    eye = np.eye(N)
 
-    def feasible_objective(mat):
-        hx = H.apply_array(mat)
-        energy = w * (mat * hx).sum()
-        return float(energy + J.evaluate_columns(mat, w).sum() / mu)
+    def feasible_objectives(rows):
+        # the product is laid out like ``rows``, so each start's energy is a sum
+        # over its own contiguous slab, in the same order whatever else is running
+        hx = H.apply_array(rows.reshape(-1, n).T).T.reshape(rows.shape)
+        energy = w * np.multiply(rows, hx, order="C").sum(axis=(1, 2))
+        return energy + J.evaluate_columns(rows.mT, w).sum(axis=1) / mu
 
-    run = _Run(best_matrix=P.copy(), best_objective=feasible_objective(P), iterations=0, converged=False)
+    P = np.ascontiguousarray(x0.mT)
+    Q = P.copy()
+    b = np.zeros_like(P)
+    B = np.zeros_like(P)
+
+    best_matrix = P.copy()
+    best_objective = feasible_objectives(P)
+    iterations = np.zeros(S, dtype=int)
+    converged = np.zeros(S, dtype=bool)
+    objectives = np.empty((S, config.max_iters))
+    defects = np.empty((S, config.max_iters))
+
+    active = np.arange(S)  # start index of each slab in the block
     prev_P = P
-    prev_obj = run.best_objective
-    streak = 0
-    shrink_step = 1.0 / (mu * r)
+    prev_obj = best_objective.copy()
+    streak = np.zeros(S, dtype=int)
 
     for k in range(1, config.max_iters + 1):
-        F = shifted_solve(0.5 * r * (Q - b + P - B))
+        F = shifted_solve((0.5 * r * (Q - b + P - B)).reshape(-1, n).T).T.reshape(P.shape)
         Q = J.prox_array(F + b, shrink_step)
-        P = orthonormal_columns(F + B, w)
+        P = np.ascontiguousarray(orthonormal_columns((F + B).mT, w).mT)
         b = b + F - Q
         B = B + F - P
 
-        obj = feasible_objective(P)
-        gram = w * (F.T @ F)
-        defect = float(np.abs(gram - np.eye(gram.shape[0])).max())
-        run.trace.append((obj, defect))
-        if obj < run.best_objective:
-            run.best_objective = obj
-            run.best_matrix = P.copy()
+        obj = feasible_objectives(P)
+        gram = w * (F @ F.mT)
+        objectives[active, k - 1] = obj
+        defects[active, k - 1] = np.abs(gram - eye).max(axis=(1, 2))
+        better = obj < best_objective[active]
+        best_objective[active[better]] = obj[better]
+        best_matrix[active[better]] = P[better]
 
-        change = float(np.sqrt(w * ((P - prev_P) ** 2).sum(axis=0)).max())
-        rel_obj = abs(obj - prev_obj) / max(1.0, abs(obj))
-        streak = streak + 1 if change <= config.tol else 0
-        run.iterations = k
-        if streak >= STREAK_REQUIRED and rel_obj <= OBJECTIVE_REL_TOL:
-            run.converged = True
-            break
+        change = np.sqrt(w * ((P - prev_P) ** 2).sum(axis=2)).max(axis=1)
+        rel_obj = np.abs(obj - prev_obj) / np.maximum(1.0, np.abs(obj))
+        streak = np.where(change <= config.tol, streak + 1, 0)
+        iterations[active] = k
+        done = (streak >= STREAK_REQUIRED) & (rel_obj <= OBJECTIVE_REL_TOL)
         prev_P, prev_obj = P, obj
+        if done.any():
+            converged[active[done]] = True
+            keep = ~done
+            if not keep.any():
+                break
+            active = active[keep]
+            Q, P, b, B, prev_P, prev_obj, streak = (
+                a[keep] for a in (Q, P, b, B, prev_P, prev_obj, streak)
+            )
 
-    return run
+    return [
+        _Run(
+            best_matrix=np.ascontiguousarray(best_matrix[s].T),
+            best_objective=float(best_objective[s]),
+            iterations=count,
+            converged=bool(converged[s]),
+            trace=list(zip(objectives[s, :count].tolist(), defects[s, :count].tolist())),
+        )
+        for s, count in enumerate(iterations.tolist())
+    ]

@@ -141,6 +141,26 @@ def test_cmd_solve_l1_bracket(tmp_path):
     assert len(report["localization"]) == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cmd_solve_json_records_each_start(tmp_path):
+    # the eigen start converges while the random start runs into max_iters
+    out = tmp_path / "out"
+    doc = box_config(tmp_path, str(out), mu=10.0)
+    path = write_config(tmp_path, doc)
+    assert main(["solve", path]) == 0
+    report = json.loads((out / "solve.json").read_text(), parse_constant=_reject_constant)
+    assert report["start_labels"] == ["eigen", "random:5"]
+    assert report["start_converged"] == [True, False]
+    assert report["start_iterations"][0] == report["iterations"] < 400
+    assert report["start_iterations"][1] == 400
+    assert len(report["start_objectives"]) == 2
+    keys = list(report)
+    assert keys.index("start_iterations") == keys.index("start_objectives") + 1
+
+
 def test_cmd_solve_requires_mu(tmp_path, capsys):
     doc = box_config(tmp_path, str(tmp_path / "out"), mu_schedule=[5.0, 10.0])
     path = write_config(tmp_path, doc)
@@ -283,6 +303,7 @@ def _edit(doc, path, value):
 
 
 MULTIWELL_BAD_CENTER = {"kind": "multiwell", "centers": [["a"]], "depth": 3.0, "width": 1.5}
+MULTIWELL_TINY_WIDTH = {"kind": "multiwell", "centers": [[0.5]], "depth": 3.0, "width": 1e-300}
 
 # (subcommand, (path, value) edits of configs/reference_sweep.json, extra CLI arguments)
 BAD_INPUT_PROBES = {
@@ -310,9 +331,14 @@ BAD_INPUT_PROBES = {
     "points_float": ("sweep", [(("domain", "points"), [10.7])], []),
     "dim_bool": ("sweep", [(("domain", "dim"), True)], []),
     "tol_inf": ("sweep", [(("solver", "tol"), "inf")], []),
+    "mu_flag_huge": ("solve", [], ["--mu", "1e308"]),
+    "penalty_huge": ("sweep", [(("solver", "penalty"), 1e308)], []),
+    "width_underflow": ("sweep", [(("potential",), MULTIWELL_TINY_WIDTH)], []),
 }
 
 
+# a numpy warning on the way to the error fails the probe
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("probe", sorted(BAD_INPUT_PROBES))
 def test_bad_input_exits_2_without_traceback(probe, tmp_path, capsys):
     command, edits, extra = BAD_INPUT_PROBES[probe]

@@ -1,11 +1,21 @@
 import json
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 
 from cmlab import reference_eigenpairs
-from cmlab.reports import eigs_csv, fmt, modes_csv, sweep_csv, sweep_json, trace_csv, write_atomic
+from cmlab.reports import (
+    eigs_csv,
+    fmt,
+    json_text,
+    modes_csv,
+    sweep_csv,
+    sweep_json,
+    trace_csv,
+    write_atomic,
+)
 
 
 def test_fmt_roundtrips():
@@ -64,6 +74,26 @@ def test_sweep_json_structure(reference_sweep, reference_config):
     assert doc["verdicts"]["monotone_energy"] in ("pass", "fail", "n/a", "degenerate")
     assert len(doc["records"]) == len(reference_sweep.records)
     assert doc["config"]["domain"]["points"] == [512]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_sweep_json_is_strict_json(reference_sweep, reference_config):
+    # a failed alignment stores a NaN residual; the document must still be valid JSON
+    first = replace(reference_sweep.records[0], procrustes_residual=float("nan"), max_eig_dev=float("inf"))
+    report = replace(reference_sweep, records=(first, *reference_sweep.records[1:]))
+    doc = json.loads(sweep_json(report, reference_config.to_dict()), parse_constant=_reject_constant)
+    assert doc["records"][0]["procrustes_residual"] is None
+    assert doc["records"][0]["max_eig_dev"] is None
+    assert doc["records"][1]["procrustes_residual"] == reference_sweep.records[1].procrustes_residual
+
+
+def test_json_text_of_finite_documents_unchanged():
+    doc = {"a": 1.5, "b": [1, 2.25, {"c": -0.0}], "d": (3, "x"), "e": True, "f": None}
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    assert json.loads(json_text({"x": [float("-inf"), 2.0]})) == {"x": [None, 2.0]}
 
 
 def test_write_atomic(tmp_path):

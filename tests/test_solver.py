@@ -3,11 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmlab import (
     EigenInit,
+    FreeParticle,
     Grid,
     GridMismatchError,
+    HamiltonianOperator,
+    HarmonicWell,
     ModeInit,
     ModeSet,
     RandomOrthonormal,
@@ -19,10 +24,20 @@ from cmlab import (
     objective,
     orthonormal_columns,
     procrustes_align,
+    reference_eigenpairs,
     solve_cm,
     warm_started,
 )
-from cmlab.solver import IndefinitePenaltyError
+from cmlab.solver import (
+    IndefinitePenaltyError,
+    ShrinkStepError,
+    _build_shifted_solver,
+    _splitting_run,
+    _splitting_runs,
+    _start_matrix,
+    default_penalty,
+    rotation_polish,
+)
 from conftest import l1_total
 
 L1 = make_regularizer("l1")
@@ -291,3 +306,88 @@ def test_solve_2d_box_bracket():
     e0 = eigs.eigenvalues[:3].sum()
     cap = l1_total(eigs.modes.take(3)) / 50.0
     assert e0 - 1e-8 <= res.objective <= e0 + cap + 1e-8
+
+
+def test_huge_mu_or_penalty_raises_shrink_step_error(box_H, box_eigs):
+    for cfg in (
+        SolverConfig(mu=1e308, max_iters=5),
+        SolverConfig(mu=5.0, penalty=1e308, max_iters=5),
+        SolverConfig(mu=1e-200, penalty=1e-200, max_iters=5, starts=(RandomOrthonormal(1),)),
+    ):
+        with pytest.raises(ShrinkStepError, match="shrinkage step"):
+            solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
+
+
+def test_start_record_eigen_converges_randoms_cap(box_H, box_eigs):
+    cfg = SolverConfig(mu=5.0, max_iters=100)
+    res = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
+    assert res.start_labels == ("eigen", "random:1", "random:2")
+    assert res.start_converged == (True, False, False)
+    assert res.start_iterations[1:] == (100, 100)
+    assert res.start_iterations[0] == res.iterations < 100
+    assert res.winner_start == "eigen"
+    for start, iterations, converged in zip(cfg.starts, res.start_iterations, res.start_converged):
+        solo = solve_cm(box_H, L1, 2, replace(cfg, starts=(start,)), eigs=box_eigs)
+        assert (solo.iterations, solo.converged) == (iterations, converged)
+
+
+# --- lockstep engine: every start of a block runs as it would alone ------------
+
+
+@st.composite
+def _lockstep_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    points = tuple(draw(st.integers(6, 40) if dim == 1 else st.integers(3, 7)) for _ in range(dim))
+    boundary = draw(st.sampled_from(["dirichlet", "periodic"]))
+    grid = Grid(dim, (1.0,) * dim, points, boundary)
+    if draw(st.booleans()):
+        potential = FreeParticle()
+    else:
+        potential = HarmonicWell(omega=draw(st.floats(1.0, 30.0)), center=(0.5,) * dim)
+    N = draw(st.integers(1, min(3, grid.node_count - 1)))
+    start = st.one_of(st.just(EigenInit()), st.integers(0, 3).map(RandomOrthonormal))
+    starts = tuple(draw(st.lists(start, min_size=1, max_size=4)))
+    cfg = SolverConfig(
+        mu=draw(st.floats(0.5, 200.0)),
+        max_iters=draw(st.one_of(st.just(1), st.integers(2, 60))),
+        starts=starts,
+    )
+    J = draw(st.sampled_from([L1, ZERO]))
+    return HamiltonianOperator(grid, potential), J, N, cfg
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_lockstep_cases())
+def test_lockstep_runs_match_solo_runs(case):
+    H, J, N, cfg = case
+    eigs = reference_eigenpairs(H, N)
+    # fixed, so that solve_cm below runs with the same one
+    penalty = default_penalty(cfg.mu, float(eigs.eigenvalues[N - 1])) - 2.0 * min(eigs.eigenvalues[0], 0.0)
+    cfg = replace(cfg, penalty=penalty)
+    solve = _build_shifted_solver(H, penalty)
+    w = H.grid.cell_volume
+    x0 = np.stack([rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in cfg.starts])
+    runs = _splitting_runs(H, J, cfg, penalty, solve, w, x0)
+    assert len(runs) == len(cfg.starts)
+    for run, start in zip(runs, x0):
+        solo = _splitting_run(H, J, cfg, penalty, solve, w, start)
+        assert run.best_objective == solo.best_objective
+        assert run.iterations == solo.iterations
+        assert run.converged == solo.converged
+        np.testing.assert_array_equal(run.best_matrix, solo.best_matrix)
+        assert run.trace == solo.trace
+
+    res = solve_cm(H, J, N, cfg, eigs=eigs)
+    assert res.start_objectives == tuple(run.best_objective for run in runs)
+    assert res.start_iterations == tuple(run.iterations for run in runs)
+    assert res.modes.ortho_defect <= 1e-8
+    if any(isinstance(s, EigenInit) for s in cfg.starts):
+        eigen = objective(H, J, cfg.mu, eigs.modes.take(N))
+        assert res.objective <= eigen + 1e-12 * max(1.0, abs(eigen))
+    again = solve_cm(H, J, N, cfg, eigs=eigs)
+    np.testing.assert_array_equal(again.modes.matrix, res.modes.matrix)
+    assert (again.objective, again.trace, again.start_objectives) == (
+        res.objective,
+        res.trace,
+        res.start_objectives,
+    )
