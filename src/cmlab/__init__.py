@@ -43,6 +43,7 @@ from .solver import (
     mode_energies,
     objective,
     solve_cm,
+    solve_sweep,
     warm_started,
 )
 
@@ -91,6 +92,7 @@ __all__ = [
     "procrustes_align",
     "reference_eigenpairs",
     "solve_cm",
+    "solve_sweep",
     "spectral_gap",
     "warm_started",
 ]

@@ -1,9 +1,9 @@
 """Batch front end: eigensolves, single solves, mu sweeps, property verification.
 
 One JSON config file per experiment, passed as the sole positional argument;
-``--mu`` and ``--seed`` override the corresponding scalar keys.  Exit codes:
-0 success (a non-converged solve still reports), 1 verification failure,
-2 usage or config error.
+``--mu`` (solve only) and ``--seed`` override the corresponding scalar keys.
+Exit codes: 0 success (a non-converged solve still reports), 1 verification
+failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -495,7 +495,7 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("config", help="path to the experiment JSON config")
-        p.add_argument("--mu", type=float, default=None, help="override problem.mu")
+        p.add_argument("--mu", type=float, default=None, help="override problem.mu (solve only)")
         p.add_argument("--seed", type=int, default=None, help="override seed")
 
     v = sub.add_parser("verify", help="run the invariant property suites")
@@ -506,6 +506,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.cases, args.seed)
+        if args.mu is not None and args.command != "solve":
+            raise ConfigError(f"--mu applies to solve only; {args.command} does not take it")
         cfg = load_config(args.config, mu_override=args.mu, seed_override=args.seed)
         if args.command == "eig":
             return cmd_eig(cfg)

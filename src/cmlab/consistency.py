@@ -5,12 +5,14 @@ matrix and its spectrum, alignment of a frame to the eigenfunction frame by
 the best orthogonal rotation, expansion coefficients in the eigenbasis with
 their per-eigenfunction captured masses, the induced energy-gap lower bound,
 and the mu-sweep experiment that records how all of it trends as the
-regularization weight fades.
+regularization weight fades.  The sweep's solves come from
+``solver.solve_sweep``, which runs the starts of every mu that do not depend
+on the previous mu as one lockstep block and then walks the warm-start chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .grid import GridMismatchError
 from .hamiltonian import HamiltonianOperator
 from .modes import ModeSet
 from .regularizer import Regularizer
-from .solver import SolverConfig, mode_energies, solve_cm, warm_started
+from .solver import SolverConfig, mode_energies, solve_sweep
 
 ORTHO_PRECONDITION = 1e-6
 ENERGY_TREND_SLACK = 1e-6
@@ -237,6 +239,10 @@ class SweepRecord:
     iterations: int
     converged: bool
     winner_start: str
+    start_labels: tuple[str, ...]
+    start_objectives: tuple[float, ...]
+    start_iterations: tuple[int, ...]
+    start_converged: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -272,6 +278,9 @@ def mu_sweep(
 ) -> SweepReport:
     """Solve along an ascending mu schedule, warm-starting each step.
 
+    The solves are ``solve_sweep``'s: the starts that do not depend on the
+    previous mu run as one block, then the warm starts run in order.
+
     When the spectral gap above mode N sits below the threshold the sweep
     still runs but is flagged degenerate and the convergence verdicts are
     suppressed: without the gap, mode-level convergence claims are void.
@@ -292,10 +301,7 @@ def mu_sweep(
     phi = eigs.modes.take(N)
 
     records = []
-    previous = None
-    for mu in schedule:
-        cfg = warm_started(replace(config, mu=mu), previous)
-        result = solve_cm(H, J, N, cfg, eigs=eigs)
+    for mu, result in zip(schedule, solve_sweep(H, J, N, schedule, config, eigs=eigs)):
         m = interaction_matrix(H, result.modes)
         nu = nu_spectrum(m)
         energy = float(np.trace(m))
@@ -317,9 +323,12 @@ def mu_sweep(
                 iterations=result.iterations,
                 converged=result.converged,
                 winner_start=result.winner_start,
+                start_labels=result.start_labels,
+                start_objectives=result.start_objectives,
+                start_iterations=result.start_iterations,
+                start_converged=result.start_converged,
             )
         )
-        previous = result.modes
 
     if degenerate:
         verdicts = {

@@ -71,4 +71,6 @@ def orthonormal_columns(matrix: np.ndarray, cell_volume: float) -> np.ndarray:
         raise RankDeficientError(
             "mode stack is numerically rank deficient (Gram condition >= 1e12)"
         )
-    return (u @ vt) / np.sqrt(cell_volume)
+    frame = u @ vt
+    frame /= np.sqrt(cell_volume)
+    return frame

@@ -28,11 +28,18 @@ class L1Regularizer:
         """Per-column value on raw node values."""
         return cell_volume * np.abs(matrix).sum(axis=-2)
 
-    def prox_array(self, values: np.ndarray, step: float) -> np.ndarray:
-        """Nodewise soft threshold at level ``step``."""
-        if step <= 0:
+    def prox_array(self, values: np.ndarray, step) -> np.ndarray:
+        """Nodewise soft threshold at level ``step``.
+
+        ``step`` is a number or an array that broadcasts against ``values``,
+        such as one step per frame of a stack.
+        """
+        if np.any(np.less_equal(step, 0)):
             raise ValueError("prox step must be positive")
-        return np.sign(values) * np.maximum(np.abs(values) - step, 0.0)
+        out = np.abs(values) - step
+        np.maximum(out, 0.0, out=out)
+        out *= np.sign(values)
+        return out
 
 
 @dataclass(frozen=True)
@@ -44,10 +51,11 @@ class ZeroRegularizer:
     def evaluate_columns(self, matrix: np.ndarray, cell_volume: float) -> np.ndarray:
         return np.zeros(matrix.shape[:-2] + matrix.shape[-1:])
 
-    def prox_array(self, values: np.ndarray, step: float) -> np.ndarray:
-        if step <= 0:
+    def prox_array(self, values: np.ndarray, step) -> np.ndarray:
+        """A copy of ``values``: callers may update either one in place."""
+        if np.any(np.less_equal(step, 0)):
             raise ValueError("prox step must be positive")
-        return values
+        return values.copy()
 
 
 Regularizer = L1Regularizer | ZeroRegularizer

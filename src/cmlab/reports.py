@@ -126,6 +126,10 @@ def sweep_json(report: SweepReport, config_echo: dict | None = None) -> str:
                 "iterations": r.iterations,
                 "converged": r.converged,
                 "winner_start": r.winner_start,
+                "start_labels": list(r.start_labels),
+                "start_objectives": list(r.start_objectives),
+                "start_iterations": list(r.start_iterations),
+                "start_converged": list(r.start_converged),
             }
             for r in report.records
         ],

@@ -9,10 +9,14 @@ scaled multipliers couple the blocks with quadratic strength ``penalty``.
 
 All starts of one solve run in lockstep as one block: their iterates sit in
 an (S, N, node_count) stack, one mode per row, and each iteration makes one
-multi-RHS shifted solve, one prox, one stacked polar projection and one
-operator apply for every start still running.  Every reduction stays inside
-one start's slab, so each start's run is bitwise the same alone as in any
-block; a start that converges leaves the block.
+multi-RHS shifted solve per distinct penalty, one prox, one stacked polar
+projection and one operator apply for every start still running.  Each start
+carries its own mu and penalty.  Every reduction stays inside one start's
+slab, so each start's run is bitwise the same alone as in any block; a start
+that converges leaves the block.  A mu sweep (``solve_sweep``) runs the
+configured starts of all its mu values as one such block, then the chain of
+warm starts, each from the previous mu's winner; ``solve_cm`` is its one-mu
+case.
 
 The problem is non-convex, so nothing certifies global optimality.  What the
 solver does certify: every returned frame is feasible (orthonormal to 1e-8),
@@ -207,56 +211,68 @@ def solve_cm(
     so does a fixed penalty that leaves H + penalty I indefinite, and a
     ``mu * penalty`` whose shrinkage step is not a positive finite number.
     ``eigs`` can carry precomputed reference eigenpairs to avoid a redundant
-    eigensolve when the caller already has them.
+    eigensolve when the caller already has them.  This is the one-mu sweep.
+    """
+    return solve_sweep(H, J, N, (config.mu,), config, eigs)[0]
+
+
+def solve_sweep(
+    H: HamiltonianOperator,
+    J: Regularizer,
+    N: int,
+    schedule,
+    config: SolverConfig,
+    eigs: EigenSystem | None = None,
+) -> list[SolverResult]:
+    """One result per mu of ``schedule``, each warm-started from the previous winner.
+
+    The results equal those of the chain ``solve_cm(H, J, N,
+    warm_started(replace(config, mu=mu), previous), eigs)``, where
+    ``previous`` is the modes of the previous mu's result.  Every mu is
+    validated before any factorization.  Then the configured starts of all mu
+    values run as one lockstep block, since none of them depends on another
+    mu; each start is rotation-polished once, as the polish does not depend
+    on mu.  Last, the schedule is walked in order: each warm start runs alone
+    from the previous winner, and each mu's winner is picked as ``solve_cm``
+    picks it.
     """
     n = H.node_count
     if not 1 <= N <= n:
         raise ValueError(f"N must be in [1, {n}], got {N}")
+    configs = [replace(config, mu=mu) for mu in schedule]
+    if not configs:
+        return []
 
     needs_eigs = config.penalty is None or any(isinstance(s, EigenInit) for s in config.starts)
     if needs_eigs and (eigs is None or eigs.count < N):
         eigs = reference_eigenpairs(H, N)
-
-    # the shifted operator H + penalty I must be positive definite: the
-    # quadratic step is a minimization only then, and the factorization
-    # relies on it
     if eigs is None:
         eigs = reference_eigenpairs(H, 1)
-    lam_min = float(eigs.eigenvalues[0])
-    if config.penalty is not None:
-        penalty = config.penalty
-        if penalty + lam_min <= 0:
-            raise IndefinitePenaltyError(
-                f"penalty {penalty:g} leaves H + penalty I indefinite: the lowest "
-                f"eigenvalue of H is {lam_min:.6g}, so the penalty must exceed {-lam_min:.6g}"
-            )
-    else:
-        penalty = default_penalty(config.mu, float(eigs.eigenvalues[N - 1]))
-        if lam_min < 0:
-            penalty += 2.0 * (-lam_min)
-
-    _shrink_step(config.mu, penalty)  # fail before the factorization
-    shifted_solve = _build_shifted_solver(H, penalty)
+    penalties = [_penalty(cfg, N, eigs) for cfg in configs]  # fail before any factorization
+    solvers = {r: _build_shifted_solver(H, r) for r in dict.fromkeys(penalties)}
     w = H.grid.cell_volume
 
-    x0 = np.stack([rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in config.starts])
-    runs = _splitting_runs(H, J, config, penalty, shifted_solve, w, x0)
-    winner = min(range(len(runs)), key=lambda i: runs[i].best_objective)
-    run = runs[winner]
+    polished = [rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in config.starts]
+    S = len(polished)
+    # mu-major: every start at the first mu, then every start at the next one
+    x0 = np.stack(polished * len(configs))
+    mus = np.repeat([cfg.mu for cfg in configs], S)
+    rs = np.repeat(penalties, S)
+    block = _lockstep(H, J, w, x0, mus, rs, solvers, config.max_iters, config.tol)
 
-    modes = ModeSet(H.grid, run.best_matrix)
-    return SolverResult(
-        modes=modes,
-        objective=objective(H, J, config.mu, modes),
-        iterations=run.iterations,
-        converged=run.converged,
-        trace=tuple(run.trace),
-        winner_start=config.starts[winner].label,
-        start_labels=tuple(start.label for start in config.starts),
-        start_objectives=tuple(r.best_objective for r in runs),
-        start_iterations=tuple(r.iterations for r in runs),
-        start_converged=tuple(r.converged for r in runs),
-    )
+    results = []
+    previous = None
+    for i, (cfg, penalty) in enumerate(zip(configs, penalties)):
+        runs = block[i * S : (i + 1) * S]
+        if previous is not None:
+            cfg = warm_started(cfg, previous)
+            warm = rotation_polish(_start_matrix(cfg.starts[-1], H, N, eigs), w, J)
+            runs += _lockstep(
+                H, J, w, warm[None], [cfg.mu], [penalty], solvers, cfg.max_iters, cfg.tol
+            )
+        results.append(_result(H, J, cfg, runs))
+        previous = results[-1].modes
+    return results
 
 
 def warm_started(config: SolverConfig, previous: ModeSet | None) -> SolverConfig:
@@ -272,7 +288,31 @@ class _Run:
     best_objective: float
     iterations: int
     converged: bool
-    trace: list[tuple[float, float]]
+    objectives: np.ndarray  # feasible objective per iteration
+    defects: np.ndarray  # orthonormality defect of F per iteration
+
+    @property
+    def trace(self) -> list[tuple[float, float]]:
+        return list(zip(self.objectives.tolist(), self.defects.tolist()))
+
+
+def _result(H: HamiltonianOperator, J: Regularizer, config: SolverConfig, runs) -> SolverResult:
+    """The result of one solve from its runs, one per start of ``config``."""
+    winner = min(range(len(runs)), key=lambda i: runs[i].best_objective)
+    run = runs[winner]
+    modes = ModeSet(H.grid, run.best_matrix)
+    return SolverResult(
+        modes=modes,
+        objective=objective(H, J, config.mu, modes),
+        iterations=run.iterations,
+        converged=run.converged,
+        trace=tuple(run.trace),
+        winner_start=config.starts[winner].label,
+        start_labels=tuple(start.label for start in config.starts),
+        start_objectives=tuple(r.best_objective for r in runs),
+        start_iterations=tuple(r.iterations for r in runs),
+        start_converged=tuple(r.converged for r in runs),
+    )
 
 
 def _start_matrix(start: Start, H: HamiltonianOperator, N: int, eigs) -> np.ndarray:
@@ -308,6 +348,30 @@ def _build_shifted_solver(H: HamiltonianOperator, penalty: float):
     return factor.solve
 
 
+def _penalty(config: SolverConfig, N: int, eigs: EigenSystem) -> float:
+    """The penalty of a solve at ``config.mu``, validated.
+
+    The shifted operator H + penalty I must be positive definite: the
+    quadratic step is a minimization only then, and the factorization relies
+    on it.  The shrinkage step 1/(mu * penalty) must be a positive finite
+    number.
+    """
+    lam_min = float(eigs.eigenvalues[0])
+    if config.penalty is not None:
+        penalty = config.penalty
+        if penalty + lam_min <= 0:
+            raise IndefinitePenaltyError(
+                f"penalty {penalty:g} leaves H + penalty I indefinite: the lowest "
+                f"eigenvalue of H is {lam_min:.6g}, so the penalty must exceed {-lam_min:.6g}"
+            )
+    else:
+        penalty = default_penalty(config.mu, float(eigs.eigenvalues[N - 1]))
+        if lam_min < 0:
+            penalty += 2.0 * (-lam_min)
+    _shrink_step(config.mu, penalty)
+    return penalty
+
+
 def _shrink_step(mu: float, penalty: float) -> float:
     """The prox step 1/(mu * penalty); raises unless it is a positive finite number."""
     scale = mu * penalty
@@ -326,80 +390,131 @@ def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> _Run:
 
 
 def _splitting_runs(H, J, config, penalty, shifted_solve, w, x0) -> list[_Run]:
+    """Chains from a (S, node_count, N) stack of starts, in lockstep at one mu and penalty."""
+    _shrink_step(config.mu, penalty)
+    S = len(x0)
+    solvers = {penalty: shifted_solve}
+    return _lockstep(
+        H, J, w, x0, [config.mu] * S, [penalty] * S, solvers, config.max_iters, config.tol
+    )
+
+
+def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
     """Splitting iteration chains from a (S, node_count, N) stack of starts, in lockstep.
 
-    The block holds one (N, node_count) slab per running start, one mode per
-    row; its transpose, a view, is the node_count x (S N) right-hand side of
-    the shifted solve.  Each start keeps its own stop rule, best feasible
-    iterate and trace, and a start that meets the stop rule leaves the block.
+    Start s runs at its own ``mu[s]`` and ``penalty[s]`` (sequences of
+    length S); ``solvers`` maps each penalty to the shifted solve of
+    H + penalty I.  The block holds one (N, node_count) slab per running
+    start, one mode per row, ordered by penalty, so the starts that share a
+    penalty form a contiguous slice whose transpose, a view, is the
+    node_count x (slabs N) right-hand side of one shifted solve.  Each start
+    keeps its own stop rule, best feasible iterate and trace, and a start
+    that meets the stop rule leaves the block.  The block arrays are updated
+    in place where that keeps the order of operations, so that few copies of
+    the block are alive at once.
     """
-    mu, r = config.mu, penalty
-    shrink_step = _shrink_step(mu, r)
+    order = np.argsort(penalty, kind="stable")
     S, n, N = x0.shape
     eye = np.eye(N)
+    mu = np.asarray(mu, dtype=float)[order]
+    penalty = np.asarray(penalty, dtype=float)[order]
+    half_r = (0.5 * penalty)[:, None, None]
+    shrink_step = (1.0 / (mu * penalty))[:, None, None]
 
-    def feasible_objectives(rows):
+    def feasible_objectives(rows, mu):
         # the product is laid out like ``rows``, so each start's energy is a sum
         # over its own contiguous slab, in the same order whatever else is running
         hx = H.apply_array(rows.reshape(-1, n).T).T.reshape(rows.shape)
         energy = w * np.multiply(rows, hx, order="C").sum(axis=(1, 2))
         return energy + J.evaluate_columns(rows.mT, w).sum(axis=1) / mu
 
-    P = np.ascontiguousarray(x0.mT)
+    def groups(penalty):
+        # (lo, hi, solve) per run of equal penalties in the sorted block
+        edges = [0, *(np.flatnonzero(penalty[1:] != penalty[:-1]) + 1).tolist(), len(penalty)]
+        return [(lo, hi, solvers[penalty[lo]]) for lo, hi in zip(edges, edges[1:])]
+
+    P = np.ascontiguousarray(x0[order].mT)
     Q = P.copy()
     b = np.zeros_like(P)
     B = np.zeros_like(P)
 
     best_matrix = P.copy()
-    best_objective = feasible_objectives(P)
+    best_objective = feasible_objectives(P, mu)
     iterations = np.zeros(S, dtype=int)
     converged = np.zeros(S, dtype=bool)
-    objectives = np.empty((S, config.max_iters))
-    defects = np.empty((S, config.max_iters))
+    # per-start traces; the columns grow geometrically with the iterations run
+    objectives = np.empty((S, min(max_iters, 1024)))
+    defects = np.empty_like(objectives)
 
-    active = np.arange(S)  # start index of each slab in the block
-    prev_P = P
+    active = np.arange(S)  # block index of each running slab
+    slabs = groups(penalty)
     prev_obj = best_objective.copy()
     streak = np.zeros(S, dtype=int)
 
-    for k in range(1, config.max_iters + 1):
-        F = shifted_solve((0.5 * r * (Q - b + P - B)).reshape(-1, n).T).T.reshape(P.shape)
-        Q = J.prox_array(F + b, shrink_step)
-        P = np.ascontiguousarray(orthonormal_columns((F + B).mT, w).mT)
-        b = b + F - Q
-        B = B + F - P
+    for k in range(1, max_iters + 1):
+        if k > objectives.shape[1]:
+            more = min(max_iters, 2 * (k - 1)) - (k - 1)
+            objectives = np.concatenate((objectives, np.empty((S, more))), axis=1)
+            defects = np.concatenate((defects, np.empty((S, more))), axis=1)
+        # the right-hand side 0.5 r (Q - b + P - B), built in the memory of Q
+        # (which the prox recomputes), then the solution in its place
+        F = Q
+        F -= b
+        F += P
+        F -= B
+        F *= half_r
+        for lo, hi, solve in slabs:
+            F[lo:hi] = solve(F[lo:hi].reshape(-1, n).T).T.reshape(hi - lo, N, n)
+        defects[active, k - 1] = np.abs(w * (F @ F.mT) - eye).max(axis=(1, 2))
+        # the multiplier updates b + F - Q and B + F - P, with b + F and B + F
+        # formed in place as the arguments of the prox and the projection
+        b += F
+        B += F
+        del F  # freed before the prox and the projection allocate
+        Q = J.prox_array(b, shrink_step)
+        b -= Q
+        next_P = np.ascontiguousarray(orthonormal_columns(B.mT, w).mT)
+        moved = next_P - P
+        change = np.sqrt(w * np.square(moved, out=moved).sum(axis=2)).max(axis=1)
+        del moved
+        P = next_P
+        B -= P
 
-        obj = feasible_objectives(P)
-        gram = w * (F @ F.mT)
+        obj = feasible_objectives(P, mu)
         objectives[active, k - 1] = obj
-        defects[active, k - 1] = np.abs(gram - eye).max(axis=(1, 2))
         better = obj < best_objective[active]
         best_objective[active[better]] = obj[better]
         best_matrix[active[better]] = P[better]
 
-        change = np.sqrt(w * ((P - prev_P) ** 2).sum(axis=2)).max(axis=1)
         rel_obj = np.abs(obj - prev_obj) / np.maximum(1.0, np.abs(obj))
-        streak = np.where(change <= config.tol, streak + 1, 0)
+        streak = np.where(change <= tol, streak + 1, 0)
         iterations[active] = k
         done = (streak >= STREAK_REQUIRED) & (rel_obj <= OBJECTIVE_REL_TOL)
-        prev_P, prev_obj = P, obj
         if done.any():
             converged[active[done]] = True
             keep = ~done
             if not keep.any():
                 break
-            active = active[keep]
-            Q, P, b, B, prev_P, prev_obj, streak = (
-                a[keep] for a in (Q, P, b, B, prev_P, prev_obj, streak)
+            # one slab array at a time, so the block is never held twice
+            Q = Q[keep]
+            P = P[keep]
+            b = b[keep]
+            B = B[keep]
+            active, obj, streak, mu, penalty, half_r, shrink_step = (
+                a[keep] for a in (active, obj, streak, mu, penalty, half_r, shrink_step)
             )
+            slabs = groups(penalty)
+        prev_obj = obj
 
-    return [
+    runs = [
         _Run(
             best_matrix=np.ascontiguousarray(best_matrix[s].T),
             best_objective=float(best_objective[s]),
             iterations=count,
             converged=bool(converged[s]),
-            trace=list(zip(objectives[s, :count].tolist(), defects[s, :count].tolist())),
+            objectives=objectives[s, :count],
+            defects=defects[s, :count],
         )
         for s, count in enumerate(iterations.tolist())
     ]
+    return [runs[s] for s in np.argsort(order)]

@@ -203,6 +203,14 @@ def test_cmd_solve_mu_override_changes_result(tmp_path):
     assert report["config"]["problem"]["mu"] == 80.0
 
 
+def test_cmd_solve_huge_iteration_cap(tmp_path, capsys):
+    # the trace buffers follow the iterations run, not the cap
+    doc = box_config(tmp_path, str(tmp_path / "out"), mu=10.0)
+    doc["solver"].update(max_iters=10**12, starts=["eigen"])
+    assert main(["solve", write_config(tmp_path, doc)]) == 0
+    assert "converged = true" in capsys.readouterr().out
+
+
 # --- sweep ------------------------------------------------------------------------
 
 
@@ -220,6 +228,45 @@ def test_cmd_sweep_small_box(tmp_path, capsys):
     # echoed config reparses to the same experiment
     cfg = load_config(path)
     assert parse_config(doc_out["config"]) == cfg
+
+
+def test_cmd_sweep_json_records_each_start(tmp_path):
+    out = tmp_path / "out"
+    doc = box_config(tmp_path, str(out), mu_schedule=[5.0, 20.0])
+    assert main(["sweep", write_config(tmp_path, doc)]) == 0
+    report = json.loads((out / "sweep.json").read_text(), parse_constant=_reject_constant)
+    first, second = report["records"]
+    assert first["start_labels"] == ["eigen", "random:5"]
+    assert second["start_labels"] == ["eigen", "random:5", "warm"]
+    for record in (first, second):
+        count = len(record["start_labels"])
+        assert len(record["start_objectives"]) == len(record["start_iterations"]) == count
+        assert record["start_converged"][0] is True  # the eigen start
+        assert record["iterations"] in record["start_iterations"]
+        assert list(record)[-5:] == [
+            "winner_start",
+            "start_labels",
+            "start_objectives",
+            "start_iterations",
+            "start_converged",
+        ]
+    header = (out / "sweep.csv").read_text().split("\n")[0]
+    assert "start" not in header
+
+
+def test_cmd_sweep_validates_every_mu_before_solving(tmp_path, capsys, monkeypatch):
+    # the last mu makes the shrinkage step underflow: no mu may be solved first
+    from cmlab import solver
+
+    entered = []
+    for name in ("_lockstep", "_build_shifted_solver", "rotation_polish"):
+        monkeypatch.setattr(solver, name, lambda *args, _name=name: entered.append(_name))
+    doc = box_config(tmp_path, str(tmp_path / "out"), mu_schedule=[5.0, 1e308])
+    assert main(["sweep", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mu * penalty" in err
+    assert entered == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_sweep_requires_schedule(tmp_path, capsys):
@@ -334,6 +381,8 @@ BAD_INPUT_PROBES = {
     "mu_flag_huge": ("solve", [], ["--mu", "1e308"]),
     "penalty_huge": ("sweep", [(("solver", "penalty"), 1e308)], []),
     "width_underflow": ("sweep", [(("potential",), MULTIWELL_TINY_WIDTH)], []),
+    "sweep_mu_flag": ("sweep", [], ["--mu", "7"]),
+    "eig_mu_flag": ("eig", [], ["--mu", "7"]),
 }
 
 

@@ -90,6 +90,20 @@ def test_sweep_json_is_strict_json(reference_sweep, reference_config):
     assert doc["records"][1]["procrustes_residual"] == reference_sweep.records[1].procrustes_residual
 
 
+def test_sweep_json_start_records_are_strict_json(reference_sweep, reference_config):
+    # a start that diverges reports a non-finite best objective
+    first = replace(reference_sweep.records[0], start_objectives=(1.5, float("inf"), float("nan")))
+    report = replace(reference_sweep, records=(first, *reference_sweep.records[1:]))
+    doc = json.loads(sweep_json(report, reference_config.to_dict()), parse_constant=_reject_constant)
+    assert doc["records"][0]["start_objectives"] == [1.5, None, None]
+    assert doc["records"][0]["start_labels"] == list(first.start_labels)
+    second = reference_sweep.records[1]
+    assert doc["records"][1]["start_iterations"] == list(second.start_iterations)
+    assert doc["records"][1]["start_converged"] == list(second.start_converged)
+    # sweep.csv stays as it was
+    assert "start" not in sweep_csv(report).split("\n")[0]
+
+
 def test_json_text_of_finite_documents_unchanged():
     doc = {"a": 1.5, "b": [1, 2.25, {"c": -0.0}], "d": (3, "x"), "e": True, "f": None}
     assert json_text(doc) == json.dumps(doc, indent=2) + "\n"

@@ -26,6 +26,7 @@ from cmlab import (
     procrustes_align,
     reference_eigenpairs,
     solve_cm,
+    solve_sweep,
     warm_started,
 )
 from cmlab.solver import (
@@ -391,3 +392,44 @@ def test_lockstep_runs_match_solo_runs(case):
         res.trace,
         res.start_objectives,
     )
+
+
+def test_trace_buffers_grow_past_first_block(small_box_H):
+    # tol so small that no start converges: every run goes to the cap
+    H = small_box_H
+    eigs = reference_eigenpairs(H, 1)
+    cfg = SolverConfig(mu=10.0, max_iters=2100, tol=1e-300, starts=(RandomOrthonormal(4),))
+    res = solve_cm(H, L1, 1, cfg, eigs=eigs)
+    assert res.iterations == len(res.trace) == 2100
+    short = solve_cm(H, L1, 1, replace(cfg, max_iters=1024), eigs=eigs)
+    assert res.trace[:1024] == short.trace
+
+
+# --- sweeps: one block for the starts of every mu, then the warm chain ----------------
+
+
+def test_sweep_of_empty_schedule_is_empty(box_H, box_eigs):
+    assert solve_sweep(box_H, L1, 2, [], SolverConfig(mu=5.0), eigs=box_eigs) == []
+
+
+@st.composite
+def _sweep_cases(draw):
+    H, J, N, cfg = draw(_lockstep_cases())
+    schedule = sorted(draw(st.lists(st.floats(0.5, 200.0), min_size=1, max_size=4, unique=True)))
+    cfg = replace(cfg, mu=schedule[0], penalty=draw(st.one_of(st.none(), st.floats(1.0, 500.0))))
+    return H, J, N, schedule, cfg
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_sweep_cases())
+def test_sweep_matches_solve_cm_chain(case):
+    H, J, N, schedule, cfg = case
+    eigs = reference_eigenpairs(H, N)
+    swept = solve_sweep(H, J, N, schedule, cfg, eigs=eigs)
+    assert len(swept) == len(schedule)
+    previous = None
+    for mu, result in zip(schedule, swept):
+        chained = solve_cm(H, J, N, warm_started(replace(cfg, mu=mu), previous), eigs=eigs)
+        np.testing.assert_array_equal(result.modes.matrix, chained.modes.matrix)
+        assert replace(result, modes=None) == replace(chained, modes=None)
+        previous = chained.modes
