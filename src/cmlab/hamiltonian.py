@@ -112,6 +112,7 @@ class HamiltonianOperator:
         matrix = scipy.sparse.csr_array(lap + scipy.sparse.diags_array(self.potential_values))
         if not np.all(np.isfinite(matrix.data)):
             raise ValueError("operator has non-finite entries (potential or grid spacing)")
+        _check_scale(float(np.abs(matrix.data).max()), grid.cell_volume)
         for part in (matrix.data, matrix.indices, matrix.indptr):
             part.setflags(write=False)
         self.matrix = matrix
@@ -130,6 +131,28 @@ class HamiltonianOperator:
     def materialize_dense(self) -> np.ndarray:
         """Dense copy of ``matrix``: the oracle in tests and the input of full-spectrum solves."""
         return self.matrix.toarray()
+
+
+def _check_scale(largest_entry: float, cell_volume: float) -> None:
+    """Reject a domain whose scale puts the solvers' arithmetic out of floating-point range.
+
+    A unit-norm function has node values up to ``cell_volume**-0.5``, which
+    the operator maps to values up to about ``largest_entry *
+    cell_volume**-0.5``; the eigensolver and the splitting solver square
+    values of that size.  So the square, ``largest_entry**2 / cell_volume``,
+    must be a normal double.  It is compared in logarithms, which cannot
+    overflow; both arguments are finite and positive once the operator's
+    entries are.
+    """
+    finfo = np.finfo(float)
+    exponent = 2.0 * math.log10(largest_entry) - math.log10(cell_volume)
+    if not math.log10(finfo.tiny) <= exponent <= math.log10(finfo.max):
+        raise ValueError(
+            f"domain scale is out of floating-point range: the operator's largest entry "
+            f"{largest_entry:.3g} squared over the cell volume {cell_volume:.3g} is "
+            f"1e{exponent:.0f}, outside the normal double range, so the solvers would "
+            "overflow or underflow"
+        )
 
 
 def _kinetic_1d(n: int, h: float, periodic: bool) -> scipy.sparse.sparray:

@@ -29,17 +29,17 @@ class L1Regularizer:
         return cell_volume * np.abs(matrix).sum(axis=-2)
 
     def prox_array(self, values: np.ndarray, step) -> np.ndarray:
-        """Nodewise soft threshold at level ``step``.
+        """Nodewise soft threshold at level ``step``: sign(v) max(|v| - step, 0).
 
         ``step`` is a number or an array that broadcasts against ``values``,
         such as one step per frame of a stack.
         """
-        if np.any(np.less_equal(step, 0)):
+        if np.less_equal(step, 0).any():
             raise ValueError("prox step must be positive")
-        out = np.abs(values) - step
+        out = np.abs(values)
+        out -= step
         np.maximum(out, 0.0, out=out)
-        out *= np.sign(values)
-        return out
+        return np.copysign(out, values, out=out)
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class ZeroRegularizer:
 
     def prox_array(self, values: np.ndarray, step) -> np.ndarray:
         """A copy of ``values``: callers may update either one in place."""
-        if np.any(np.less_equal(step, 0)):
+        if np.less_equal(step, 0).any():
             raise ValueError("prox step must be positive")
         return values.copy()
 

@@ -10,7 +10,11 @@ scaled multipliers couple the blocks with quadratic strength ``penalty``.
 All starts of one solve run in lockstep as one block: their iterates sit in
 an (S, N, node_count) stack, one mode per row, and each iteration makes one
 multi-RHS shifted solve per distinct penalty, one prox, one stacked polar
-projection and one operator apply for every start still running.  Each start
+projection and one operator apply for every start still running.  The
+projection takes each start's polar factor X G^{-1/2} from its N x N Gram
+matrix G (one stacked eigendecomposition for the block), with a second pass
+for a start whose Gram condition is above 1e3, and returns the block stored
+by rows as it came.  Each start
 carries its own mu and penalty.  Every reduction stays inside one start's
 slab, so each start's run is bitwise the same alone as in any block; a start
 that converges leaves the block.  A mu sweep (``solve_sweep``) runs the
@@ -438,8 +442,13 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
     b = np.zeros_like(P)
     B = np.zeros_like(P)
 
-    best_matrix = P.copy()
-    best_objective = feasible_objectives(P, mu)
+    # each running slab's best feasible iterate, aligned with the block; a
+    # slab's entry moves to ``best_matrix`` (by block index) when it leaves.
+    # P is never written in place, so ``best`` can share its memory.
+    best = P
+    best_obj = feasible_objectives(P, mu)
+    best_matrix = [None] * S
+    best_objective = np.empty(S)
     iterations = np.zeros(S, dtype=int)
     converged = np.zeros(S, dtype=bool)
     # per-start traces; the columns grow geometrically with the iterations run
@@ -448,7 +457,7 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
 
     active = np.arange(S)  # block index of each running slab
     slabs = groups(penalty)
-    prev_obj = best_objective.copy()
+    prev_obj = best_obj
     streak = np.zeros(S, dtype=int)
 
     for k in range(1, max_iters + 1):
@@ -465,7 +474,8 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
         F *= half_r
         for lo, hi, solve in slabs:
             F[lo:hi] = solve(F[lo:hi].reshape(-1, n).T).T.reshape(hi - lo, N, n)
-        defects[active, k - 1] = np.abs(w * (F @ F.mT) - eye).max(axis=(1, 2))
+        gram = np.vecdot(F[:, :, None, :], F[:, None, :, :])  # mode pairs, one dot each
+        defects[active, k - 1] = np.abs(w * gram - eye).max(axis=(1, 2))
         # the multiplier updates b + F - Q and B + F - P, with b + F and B + F
         # formed in place as the arguments of the prox and the projection
         b += F
@@ -473,18 +483,22 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
         del F  # freed before the prox and the projection allocate
         Q = J.prox_array(b, shrink_step)
         b -= Q
+        # the projection of the row-stored B comes back stored by rows: no copy
         next_P = np.ascontiguousarray(orthonormal_columns(B.mT, w).mT)
         moved = next_P - P
-        change = np.sqrt(w * np.square(moved, out=moved).sum(axis=2)).max(axis=1)
+        change = np.sqrt(w * np.vecdot(moved, moved)).max(axis=1)
         del moved
         P = next_P
         B -= P
 
         obj = feasible_objectives(P, mu)
         objectives[active, k - 1] = obj
-        better = obj < best_objective[active]
-        best_objective[active[better]] = obj[better]
-        best_matrix[active[better]] = P[better]
+        better = obj < best_obj
+        if better.all():
+            best, best_obj = P, obj
+        elif better.any():
+            best[better] = P[better]  # an earlier P, which nothing reads any more
+            best_obj = np.where(better, obj, best_obj)
 
         rel_obj = np.abs(obj - prev_obj) / np.maximum(1.0, np.abs(obj))
         streak = np.where(change <= tol, streak + 1, 0)
@@ -492,19 +506,28 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
         done = (streak >= STREAK_REQUIRED) & (rel_obj <= OBJECTIVE_REL_TOL)
         if done.any():
             converged[active[done]] = True
+            for i in np.flatnonzero(done).tolist():
+                best_matrix[active[i]] = best[i]
+            best_objective[active[done]] = best_obj[done]
             keep = ~done
             if not keep.any():
                 break
             # one slab array at a time, so the block is never held twice
+            shared = best is P
             Q = Q[keep]
             P = P[keep]
             b = b[keep]
             B = B[keep]
-            active, obj, streak, mu, penalty, half_r, shrink_step = (
-                a[keep] for a in (active, obj, streak, mu, penalty, half_r, shrink_step)
+            best = P if shared else best[keep]
+            active, obj, best_obj, streak, mu, penalty, half_r, shrink_step = (
+                a[keep] for a in (active, obj, best_obj, streak, mu, penalty, half_r, shrink_step)
             )
             slabs = groups(penalty)
         prev_obj = obj
+    else:  # the cap: the slabs still running leave with their best
+        for i, s in enumerate(active.tolist()):
+            best_matrix[s] = best[i]
+        best_objective[active] = best_obj
 
     runs = [
         _Run(

@@ -381,6 +381,15 @@ BAD_INPUT_PROBES = {
     "mu_flag_huge": ("solve", [], ["--mu", "1e308"]),
     "penalty_huge": ("sweep", [(("solver", "penalty"), 1e308)], []),
     "width_underflow": ("sweep", [(("potential",), MULTIWELL_TINY_WIDTH)], []),
+    # node values of unit-norm functions, squared and scaled by the operator,
+    # leave the double range: overflow for a tiny box, underflow for a huge one
+    "extent_tiny": ("sweep", [(("domain", "extent"), [1e-150])], []),
+    "extent_tiny_solve": (
+        "solve",
+        [(("domain", "extent"), [1e-150]), (("problem", "mu"), 10.0)],
+        [],
+    ),
+    "extent_huge": ("sweep", [(("domain", "extent"), [1e150])], []),
     "sweep_mu_flag": ("sweep", [], ["--mu", "7"]),
     "eig_mu_flag": ("eig", [], ["--mu", "7"]),
 }

@@ -179,3 +179,16 @@ def test_apply_grid_mismatch_raises():
     H = HamiltonianOperator(g, FreeParticle())
     with pytest.raises(GridMismatchError):
         H.apply_array(np.zeros(other.node_count))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_domain_scale_out_of_range_raises():
+    # (largest entry)^2 / cell volume must be a normal double: it overflows in
+    # a tiny box and underflows in a huge one, before anything is computed
+    for extent in ((1e-150,), (1e150,), (1e-62,)):
+        with pytest.raises(ValueError, match="floating-point range"):
+            HamiltonianOperator(Grid(1, extent, (512,), "dirichlet"), FreeParticle())
+    with pytest.raises(ValueError, match="floating-point range"):
+        HamiltonianOperator(Grid(2, (1e-80, 1e-80), (8, 8), "dirichlet"), FreeParticle())
+    for extent in ((1e-50,), (1e50,)):
+        HamiltonianOperator(Grid(1, extent, (512,), "dirichlet"), FreeParticle())

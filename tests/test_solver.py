@@ -95,6 +95,67 @@ def test_orthonormalize_rank_deficient_raises():
         _orthonormal_frame(g, np.hstack([col, col]))
 
 
+def test_orthonormalize_rejects_non_finite_frames(rng):
+    frames = rng.standard_normal((3, 40, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = frames.copy()
+        broken[1, 7, 0] = bad
+        for x in (broken, broken[1], np.ascontiguousarray(broken.mT).mT):
+            with pytest.raises(ValueError, match="non-finite"):
+                orthonormal_columns(x, 0.1)
+
+
+@st.composite
+def _frames(draw):
+    """A frame, or a stack of frames, each with its own singular-value ratio up to 1e5."""
+    n = draw(st.integers(2, 200))
+    N = draw(st.integers(1, min(5, n)))
+    count = draw(st.sampled_from([None, 1, 2, 3, 4]))  # None: one frame, not a stack
+    w = draw(st.floats(1e-3, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames, ratios = [], []
+    for _ in range(count or 1):
+        # half the draws near the second-pass threshold, ratio^2 = 1e3
+        ratio = 10.0 ** draw(st.floats(0.0, 5.0) | st.floats(1.0, 2.0))
+        u, _ = np.linalg.qr(rng.standard_normal((n, N)))
+        v, _ = np.linalg.qr(rng.standard_normal((N, N)))
+        # sqrt(w) X has singular values from 1 to ratio
+        frames.append((u * np.geomspace(1.0, ratio, N)) @ v.T / np.sqrt(w))
+        ratios.append(ratio if N > 1 else 1.0)
+    stack = np.stack(frames)
+    if draw(st.booleans()):
+        stack = np.ascontiguousarray(stack.mT).mT  # one mode per row, as the solver stores them
+    return (stack[0] if count is None else stack), np.array(ratios), w
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_frames())
+def test_orthonormal_columns_is_the_polar_factor(case):
+    x, ratios, w = case
+    out = orthonormal_columns(x, w)
+    frames, outs = (x[None], out[None]) if x.ndim == 2 else (x, out)
+    N = x.shape[-1]
+    for frame, result, ratio in zip(frames, outs, ratios):
+        u, _, vt = np.linalg.svd(np.sqrt(w) * frame, full_matrices=False)
+        # the Gram matrix squares the condition number: the forward error
+        # grows like eps * cond(G) = eps * ratio^2
+        tol = 8 * N * np.finfo(float).eps * ratio**2
+        assert np.abs(np.sqrt(w) * result - u @ vt).max() <= tol
+        assert np.abs(w * (result.T @ result) - np.eye(N)).max() <= 1e-12
+    if x.ndim == 3:
+        for frame, result in zip(x, out):
+            np.testing.assert_array_equal(orthonormal_columns(frame, w), result)
+    broken = frames[0].copy()
+    if N > 1:
+        broken[:, -1] = broken[:, 0]
+    else:
+        broken[:] = 0.0
+    with pytest.raises(RankDeficientError):
+        orthonormal_columns(broken, w)
+    with pytest.raises(RankDeficientError):
+        orthonormal_columns(np.stack([frames[-1], broken]), w)
+
+
 # --- objective --------------------------------------------------------------
 
 
