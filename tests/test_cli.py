@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmlab import reports
 from cmlab.cli import ConfigError, build_operator, load_config, main, parse_config
 from conftest import CONFIG_DIR, config_path, l1_total
 
@@ -64,6 +65,369 @@ def test_parse_validates_schedule(tmp_path, capsys):
 def test_config_round_trip(reference_config):
     echoed = reference_config.to_dict()
     assert parse_config(json.loads(json.dumps(echoed))) == reference_config
+
+
+# configs that exercise the defaults, the key order and a relative tabulated path
+ECHO_CONFIGS = {
+    "harmonic_centered": {
+        "domain": {"dim": 2, "extent": [2.0, 1], "points": [12, 10], "boundary": "periodic"},
+        "potential": {"center": [1, 0.5], "omega": 3, "kind": "harmonic"},
+        "problem": {"regularizer": "zero", "mu": 40, "N": 3},
+        "solver": {"starts": ["random:4", "eigen"], "tol": 1e-9, "penalty": 2},
+        "output": {"trace": True, "dir": "out/h"},
+        "seed": 7,
+    },
+    "harmonic_default_center": {
+        "domain": {"dim": 1, "extent": [3], "points": [64]},
+        "potential": {"kind": "harmonic"},
+        "problem": {"N": 2, "mu": None, "mu_schedule": [1, 2.5]},
+    },
+    "tabulated_relative": {
+        "seed": 5,
+        "output": {"formats": ["json"]},
+        "solver": {"max_iters": 10, "penalty": None, "starts": None},
+        "problem": {"mu": 8, "N": 1},
+        "potential": {"path": "pots/v.csv", "kind": "tabulated"},
+        "domain": {"points": [16], "extent": [1.0], "dim": 1},
+    },
+}
+
+# the config echo of each config, byte for byte; {dir} stands for the config's directory
+GOLDEN_ECHOES = {
+    "box_eig.json": """\
+{
+  "domain": {
+    "dim": 1,
+    "extent": [
+      1.0
+    ],
+    "points": [
+      512
+    ],
+    "boundary": "dirichlet"
+  },
+  "potential": {
+    "kind": "free"
+  },
+  "problem": {
+    "N": 3,
+    "regularizer": "l1",
+    "mu": 100.0
+  },
+  "solver": {
+    "penalty": null,
+    "max_iters": 3000,
+    "tol": 1e-07,
+    "starts": [
+      "eigen",
+      "random:1",
+      "random:2"
+    ]
+  },
+  "output": {
+    "dir": "out/box_eig",
+    "formats": [
+      "csv",
+      "json"
+    ],
+    "trace": false
+  },
+  "seed": 0
+}
+""",
+    "multiwell_solve.json": """\
+{
+  "domain": {
+    "dim": 1,
+    "extent": [
+      40.0
+    ],
+    "points": [
+      400
+    ],
+    "boundary": "dirichlet"
+  },
+  "potential": {
+    "kind": "multiwell",
+    "centers": [
+      [
+        8.0
+      ],
+      [
+        16.0
+      ],
+      [
+        24.0
+      ],
+      [
+        32.0
+      ]
+    ],
+    "depth": 3.0,
+    "width": 1.5
+  },
+  "problem": {
+    "N": 4,
+    "regularizer": "l1",
+    "mu": 10.0
+  },
+  "solver": {
+    "penalty": null,
+    "max_iters": 2000,
+    "tol": 1e-07,
+    "starts": [
+      "eigen",
+      "random:31",
+      "random:32"
+    ]
+  },
+  "output": {
+    "dir": "out/multiwell_solve",
+    "formats": [
+      "csv",
+      "json"
+    ],
+    "trace": true
+  },
+  "seed": 30
+}
+""",
+    "periodic_degenerate.json": """\
+{
+  "domain": {
+    "dim": 1,
+    "extent": [
+      1.0
+    ],
+    "points": [
+      256
+    ],
+    "boundary": "periodic"
+  },
+  "potential": {
+    "kind": "free"
+  },
+  "problem": {
+    "N": 2,
+    "regularizer": "l1",
+    "mu_schedule": [
+      5.0,
+      20.0,
+      80.0
+    ]
+  },
+  "solver": {
+    "penalty": null,
+    "max_iters": 800,
+    "tol": 1e-07,
+    "starts": [
+      "eigen",
+      "random:21"
+    ]
+  },
+  "output": {
+    "dir": "out/periodic_degenerate",
+    "formats": [
+      "csv",
+      "json"
+    ],
+    "trace": false
+  },
+  "seed": 20
+}
+""",
+    "reference_sweep.json": """\
+{
+  "domain": {
+    "dim": 1,
+    "extent": [
+      1.0
+    ],
+    "points": [
+      512
+    ],
+    "boundary": "dirichlet"
+  },
+  "potential": {
+    "kind": "free"
+  },
+  "problem": {
+    "N": 2,
+    "regularizer": "l1",
+    "mu_schedule": [
+      5.0,
+      10.0,
+      20.0,
+      40.0,
+      80.0,
+      160.0
+    ]
+  },
+  "solver": {
+    "penalty": null,
+    "max_iters": 1500,
+    "tol": 1e-07,
+    "starts": [
+      "eigen",
+      "random:11",
+      "random:12"
+    ]
+  },
+  "output": {
+    "dir": "out/reference_sweep",
+    "formats": [
+      "csv",
+      "json"
+    ],
+    "trace": false
+  },
+  "seed": 10
+}
+""",
+    "harmonic_centered": """\
+{
+  "domain": {
+    "dim": 2,
+    "extent": [
+      2.0,
+      1.0
+    ],
+    "points": [
+      12,
+      10
+    ],
+    "boundary": "periodic"
+  },
+  "potential": {
+    "kind": "harmonic",
+    "omega": 3.0,
+    "center": [
+      1.0,
+      0.5
+    ]
+  },
+  "problem": {
+    "N": 3,
+    "regularizer": "zero",
+    "mu": 40.0
+  },
+  "solver": {
+    "penalty": 2.0,
+    "max_iters": 3000,
+    "tol": 1e-09,
+    "starts": [
+      "random:4",
+      "eigen"
+    ]
+  },
+  "output": {
+    "dir": "out/h",
+    "formats": [
+      "csv",
+      "json"
+    ],
+    "trace": true
+  },
+  "seed": 7
+}
+""",
+    "harmonic_default_center": """\
+{
+  "domain": {
+    "dim": 1,
+    "extent": [
+      3.0
+    ],
+    "points": [
+      64
+    ],
+    "boundary": "dirichlet"
+  },
+  "potential": {
+    "kind": "harmonic",
+    "omega": 1.0
+  },
+  "problem": {
+    "N": 2,
+    "regularizer": "l1",
+    "mu_schedule": [
+      1.0,
+      2.5
+    ]
+  },
+  "solver": {
+    "penalty": null,
+    "max_iters": 3000,
+    "tol": 1e-07,
+    "starts": [
+      "eigen",
+      "random:1",
+      "random:2"
+    ]
+  },
+  "output": {
+    "dir": "out",
+    "formats": [
+      "csv",
+      "json"
+    ],
+    "trace": false
+  },
+  "seed": 0
+}
+""",
+    "tabulated_relative": """\
+{
+  "domain": {
+    "dim": 1,
+    "extent": [
+      1.0
+    ],
+    "points": [
+      16
+    ],
+    "boundary": "dirichlet"
+  },
+  "potential": {
+    "kind": "tabulated",
+    "path": "{dir}/pots/v.csv"
+  },
+  "problem": {
+    "N": 1,
+    "regularizer": "l1",
+    "mu": 8.0
+  },
+  "solver": {
+    "penalty": null,
+    "max_iters": 10,
+    "tol": 1e-07,
+    "starts": [
+      "eigen",
+      "random:6",
+      "random:7"
+    ]
+  },
+  "output": {
+    "dir": "out",
+    "formats": [
+      "json"
+    ],
+    "trace": false
+  },
+  "seed": 5
+}
+""",
+}
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ECHOES))
+def test_config_echo_bytes(name, tmp_path):
+    # the echo written into solve.json and sweep.json, byte for byte
+    if name in ECHO_CONFIGS:
+        path = write_config(tmp_path, ECHO_CONFIGS[name])
+    else:
+        path = config_path(name)
+    expected = GOLDEN_ECHOES[name].replace("{dir}", str(tmp_path))
+    assert reports.json_text(load_config(path).to_dict()) == expected
 
 
 def test_missing_file_is_config_error(tmp_path, capsys):
@@ -352,46 +716,58 @@ def _edit(doc, path, value):
 MULTIWELL_BAD_CENTER = {"kind": "multiwell", "centers": [["a"]], "depth": 3.0, "width": 1.5}
 MULTIWELL_TINY_WIDTH = {"kind": "multiwell", "centers": [[0.5]], "depth": 3.0, "width": 1e-300}
 
-# (subcommand, (path, value) edits of configs/reference_sweep.json, extra CLI arguments)
+# (subcommand, (path, value) edits of configs/reference_sweep.json, extra CLI arguments,
+#  a substring of the error line that names what is wrong)
 BAD_INPUT_PROBES = {
-    "points_string": ("sweep", [(("domain", "points"), ["a"])], []),
-    "extent_string": ("sweep", [(("domain", "extent"), ["x"])], []),
-    "center_string": ("sweep", [(("potential",), MULTIWELL_BAD_CENTER)], []),
-    "random_start_negative": ("sweep", [(("solver", "starts"), ["random:-1"])], []),
-    "seed_negative": ("sweep", [(("solver", "starts"), DELETE), (("seed",), -9)], []),
-    "seed_flag_negative": ("sweep", [(("solver", "starts"), DELETE)], ["--seed", "-9"]),
-    "mu_schedule_nan": ("sweep", [(("problem", "mu_schedule"), ["nan"])], []),
-    "mu_schedule_inf": ("sweep", [(("problem", "mu_schedule"), [5, "inf"])], []),
+    "points_string": ("sweep", [(("domain", "points"), ["a"])], [], "domain.points"),
+    "extent_string": ("sweep", [(("domain", "extent"), ["x"])], [], "domain.extent"),
+    "center_string": (
+        "sweep", [(("potential",), MULTIWELL_BAD_CENTER)], [], "potential.centers"
+    ),
+    "random_start_negative": (
+        "sweep", [(("solver", "starts"), ["random:-1"])], [], "random:-1"
+    ),
+    "seed_negative": ("sweep", [(("solver", "starts"), DELETE), (("seed",), -9)], [], "seed"),
+    "seed_flag_negative": ("sweep", [(("solver", "starts"), DELETE)], ["--seed", "-9"], "seed"),
+    "mu_schedule_nan": (
+        "sweep", [(("problem", "mu_schedule"), ["nan"])], [], "problem.mu_schedule"
+    ),
+    "mu_schedule_inf": (
+        "sweep", [(("problem", "mu_schedule"), [5, "inf"])], [], "problem.mu_schedule"
+    ),
     "sweep_n_plus_one_over_nodes": (
         "sweep",
         [(("domain", "points"), [3]), (("problem", "N"), 3)],
         [],
+        "N + 1",
     ),
     "solve_n_over_nodes": (
         "solve",
         [(("domain", "points"), [64]), (("problem", "N"), 65), (("problem", "mu"), 10.0)],
         [],
+        "problem.N",
     ),
-    "max_iters_bool": ("sweep", [(("solver", "max_iters"), True)], []),
-    "max_iters_float": ("sweep", [(("solver", "max_iters"), 2.7)], []),
-    "n_float": ("sweep", [(("problem", "N"), 2.5)], []),
-    "points_float": ("sweep", [(("domain", "points"), [10.7])], []),
-    "dim_bool": ("sweep", [(("domain", "dim"), True)], []),
-    "tol_inf": ("sweep", [(("solver", "tol"), "inf")], []),
-    "mu_flag_huge": ("solve", [], ["--mu", "1e308"]),
-    "penalty_huge": ("sweep", [(("solver", "penalty"), 1e308)], []),
-    "width_underflow": ("sweep", [(("potential",), MULTIWELL_TINY_WIDTH)], []),
+    "max_iters_bool": ("sweep", [(("solver", "max_iters"), True)], [], "solver.max_iters"),
+    "max_iters_float": ("sweep", [(("solver", "max_iters"), 2.7)], [], "solver.max_iters"),
+    "n_float": ("sweep", [(("problem", "N"), 2.5)], [], "problem.N"),
+    "points_float": ("sweep", [(("domain", "points"), [10.7])], [], "domain.points"),
+    "dim_bool": ("sweep", [(("domain", "dim"), True)], [], "domain.dim"),
+    "tol_inf": ("sweep", [(("solver", "tol"), "inf")], [], "solver.tol"),
+    "mu_flag_huge": ("solve", [], ["--mu", "1e308"], "mu * penalty"),
+    "penalty_huge": ("sweep", [(("solver", "penalty"), 1e308)], [], "mu * penalty"),
+    "width_underflow": ("sweep", [(("potential",), MULTIWELL_TINY_WIDTH)], [], "width"),
     # node values of unit-norm functions, squared and scaled by the operator,
     # leave the double range: overflow for a tiny box, underflow for a huge one
-    "extent_tiny": ("sweep", [(("domain", "extent"), [1e-150])], []),
+    "extent_tiny": ("sweep", [(("domain", "extent"), [1e-150])], [], "domain scale"),
     "extent_tiny_solve": (
         "solve",
         [(("domain", "extent"), [1e-150]), (("problem", "mu"), 10.0)],
         [],
+        "domain scale",
     ),
-    "extent_huge": ("sweep", [(("domain", "extent"), [1e150])], []),
-    "sweep_mu_flag": ("sweep", [], ["--mu", "7"]),
-    "eig_mu_flag": ("eig", [], ["--mu", "7"]),
+    "extent_huge": ("sweep", [(("domain", "extent"), [1e150])], [], "domain scale"),
+    "sweep_mu_flag": ("sweep", [], ["--mu", "7"], "--mu"),
+    "eig_mu_flag": ("eig", [], ["--mu", "7"], "--mu"),
 }
 
 
@@ -399,7 +775,7 @@ BAD_INPUT_PROBES = {
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("probe", sorted(BAD_INPUT_PROBES))
 def test_bad_input_exits_2_without_traceback(probe, tmp_path, capsys):
-    command, edits, extra = BAD_INPUT_PROBES[probe]
+    command, edits, extra, names = BAD_INPUT_PROBES[probe]
     with open(config_path("reference_sweep.json")) as fh:
         doc = json.load(fh)
     doc["output"]["dir"] = str(tmp_path / "out")
@@ -408,6 +784,7 @@ def test_bad_input_exits_2_without_traceback(probe, tmp_path, capsys):
     assert main([command, write_config(tmp_path, doc), *extra]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert names in err.splitlines()[0]
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
