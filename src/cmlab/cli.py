@@ -29,6 +29,7 @@ from .hamiltonian import (
     Potential,
     Tabulated,
 )
+from .modes import RankDeficientError
 from .regularizer import make_regularizer
 from .solver import (
     EigenInit,
@@ -47,96 +48,19 @@ class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    kind: str
-    omega: float | None = None
-    center: tuple[float, ...] | None = None
-    centers: tuple[tuple[float, ...], ...] | None = None
-    depth: float | None = None
-    width: float | None = None
-    path: str | None = None
+REQUIRED = object()  # default of a key that must be given
+OMITTED = object()  # default of a key that is left out of the echo when not given
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated, fully normalized experiment description."""
+def _int(minimum: int):
+    """Reader of a JSON integer (not a bool, not a float) at least ``minimum``."""
 
-    dim: int
-    extent: tuple[float, ...]
-    points: tuple[int, ...]
-    boundary: str
-    potential: PotentialSpec
-    N: int
-    regularizer: str
-    mu: float | None
-    mu_schedule: tuple[float, ...] | None
-    penalty: float | None
-    max_iters: int
-    tol: float
-    starts: tuple[str, ...]
-    out_dir: str
-    formats: tuple[str, ...]
-    trace: bool
-    seed: int
+    def read(value, where: str) -> int:
+        if type(value) is not int or value < minimum:
+            raise ConfigError(f"{where} must be an integer >= {minimum}")
+        return value
 
-    def to_dict(self) -> dict:
-        potential = {"kind": self.potential.kind}
-        for key, value in asdict(self.potential).items():
-            if key != "kind" and value is not None:
-                potential[key] = list(value) if isinstance(value, tuple) else value
-        if self.potential.centers is not None:
-            potential["centers"] = [list(c) for c in self.potential.centers]
-        problem: dict = {"N": self.N, "regularizer": self.regularizer}
-        if self.mu is not None:
-            problem["mu"] = self.mu
-        if self.mu_schedule is not None:
-            problem["mu_schedule"] = list(self.mu_schedule)
-        return {
-            "domain": {
-                "dim": self.dim,
-                "extent": list(self.extent),
-                "points": list(self.points),
-                "boundary": self.boundary,
-            },
-            "potential": potential,
-            "problem": problem,
-            "solver": {
-                "penalty": self.penalty,
-                "max_iters": self.max_iters,
-                "tol": self.tol,
-                "starts": list(self.starts),
-            },
-            "output": {
-                "dir": self.out_dir,
-                "formats": list(self.formats),
-                "trace": self.trace,
-            },
-            "seed": self.seed,
-        }
-
-
-def _block(raw: dict, name: str, required: bool = True) -> dict:
-    if name not in raw:
-        if required:
-            raise ConfigError(f"missing block: {name}")
-        return {}
-    value = raw.pop(name)
-    if not isinstance(value, dict):
-        raise ConfigError(f"block {name!r} must be an object")
-    return dict(value)
-
-
-def _reject_unknown(block: dict, name: str) -> None:
-    if block:
-        raise ConfigError(f"unknown key(s) in {name}: {', '.join(sorted(block))}")
-
-
-def _int(value, where: str, minimum: int) -> int:
-    """A JSON integer: not a bool, not a float, at least ``minimum``."""
-    if type(value) is not int or value < minimum:
-        raise ConfigError(f"{where} must be an integer >= {minimum}")
-    return value
+    return read
 
 
 def _float(value, where: str) -> float:
@@ -157,153 +81,176 @@ def _pos_float(value, where: str) -> float:
     return out
 
 
-def _point(value, dim: int, where: str) -> tuple[float, ...]:
+def _point(value, where: str) -> list[float]:
+    """Coordinates, one number standing for a 1D point; the potential checks the length."""
     if isinstance(value, (int, float)):
         value = [value]
-    if not isinstance(value, (list, tuple)) or len(value) != dim:
-        raise ConfigError(f"{where} must have {dim} coordinate(s)")
-    return tuple(_float(v, where) for v in value)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of coordinates")
+    return [_float(v, where) for v in value]
 
 
-def _parse_potential(block: dict, dim: int) -> PotentialSpec:
-    kind = block.pop("kind", None)
-    if kind is None:
-        raise ConfigError("potential.kind is required")
-    if kind == "free":
-        spec = PotentialSpec(kind="free")
-    elif kind == "harmonic":
-        omega = _pos_float(block.pop("omega", 1.0), "potential.omega")
-        center = block.pop("center", None)
-        if center is not None:
-            center = _point(center, dim, "potential.center")
-        spec = PotentialSpec(kind="harmonic", omega=omega, center=center)
-    elif kind == "multiwell":
-        centers = block.pop("centers", None)
-        if not isinstance(centers, (list, tuple)) or not centers:
-            raise ConfigError("potential.centers must be a non-empty list")
-        centers = tuple(_point(c, dim, "potential.centers[]") for c in centers)
-        depth = _pos_float(block.pop("depth", None), "potential.depth")
-        width = _pos_float(block.pop("width", None), "potential.width")
-        spec = PotentialSpec(kind="multiwell", centers=centers, depth=depth, width=width)
-    elif kind == "tabulated":
-        path = block.pop("path", None)
-        if not isinstance(path, str):
-            raise ConfigError("potential.path is required for a tabulated potential")
-        spec = PotentialSpec(kind="tabulated", path=path)
-    else:
-        raise ConfigError(f"unknown potential kind {kind!r}")
-    _reject_unknown(block, "potential")
-    return spec
+def _start(value, where: str) -> str:
+    if value != "eigen" and not (isinstance(value, str) and re.fullmatch("random:[0-9]+", value)):
+        raise ConfigError(
+            f"bad start spec {value!r} in {where}; "
+            "expected 'eigen' or 'random:<seed>' with seed >= 0"
+        )
+    return value
 
 
-def _parse_starts(value, seed: int) -> tuple[str, ...]:
-    if value is None:
-        return ("eigen", f"random:{seed + 1}", f"random:{seed + 2}")
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError("solver.starts must be a non-empty list")
-    for item in value:
-        if item != "eigen" and not (isinstance(item, str) and re.fullmatch("random:[0-9]+", item)):
-            raise ConfigError(
-                f"bad start spec {item!r}; expected 'eigen' or 'random:<seed>' with seed >= 0"
-            )
-    return tuple(value)
+def _typed(kind: type, noun: str):
+    def read(value, where: str):
+        if type(value) is not kind:
+            raise ConfigError(f"{where} must be {noun}")
+        return value
+
+    return read
+
+
+def _one_of(*options):
+    """Reader of one of ``options``, compared by type and value (so True is not 1)."""
+
+    def read(value, where: str):
+        if not any(type(value) is type(o) and value == o for o in options):
+            raise ConfigError(f"{where} must be {' or '.join(repr(o) for o in options)}")
+        return value
+
+    return read
+
+
+def _list(item):
+    """Reader of a non-empty JSON list whose entries ``item`` reads."""
+
+    def read(value, where: str) -> list:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{where} must be a non-empty list")
+        return [item(v, f"{where}[]") for v in value]
+
+    return read
+
+
+def _walk(value, where: str, table: dict) -> dict:
+    """Read a JSON object by ``table`` (``key -> (reader, default)``) into its echo.
+
+    The echo lists the keys in table order.  A key that is not given takes
+    its default, which is read like a given value, except that ``REQUIRED``
+    is an error, ``OMITTED`` leaves the key out and None is echoed as null.
+    Where the default is None or ``OMITTED``, a given null counts as not
+    given.  Keys outside the table are an error.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where or 'config root'} must be an object")
+    rest = dict(value)
+    echo = {}
+    for key, (reader, default) in table.items():
+        name = f"{where}.{key}" if where else key
+        given = rest.pop(key, default)
+        if given is None and default in (None, OMITTED):
+            given = default  # a null stands for "not given" where the default allows it
+        if given is REQUIRED:
+            raise ConfigError(f"{name} is required")
+        if given is not OMITTED:
+            echo[key] = None if given is None and default is None else reader(given, name)
+    if rest:
+        raise ConfigError(f"unknown key(s) in {where or 'config'}: {', '.join(sorted(rest))}")
+    return echo
+
+
+def _block(table: dict):
+    return lambda value, where: _walk(value, where, table)
+
+
+# the table of each potential kind; ``kind`` itself comes first in the echo
+POTENTIALS = {
+    "free": {},
+    "harmonic": {"omega": (_pos_float, 1.0), "center": (_point, OMITTED)},
+    "multiwell": {
+        "centers": (_list(_point), REQUIRED),
+        "depth": (_pos_float, REQUIRED),
+        "width": (_pos_float, REQUIRED),
+    },
+    "tabulated": {"path": (_typed(str, "a string"), REQUIRED)},
+}
+
+
+def _potential(value, where: str) -> dict:
+    """The potential block: its ``kind`` picks the table the other keys are read by."""
+    kind = value.get("kind") if isinstance(value, dict) else None
+    table = POTENTIALS.get(kind, {}) if isinstance(kind, str) else {}
+    return _walk(value, where, {"kind": (_one_of(*POTENTIALS), REQUIRED), **table})
+
+
+DOMAIN = {
+    "dim": (_one_of(1, 2), REQUIRED),
+    "extent": (_list(_pos_float), REQUIRED),
+    "points": (_list(_int(2)), REQUIRED),
+    "boundary": (_one_of("dirichlet", "periodic"), "dirichlet"),
+}
+PROBLEM = {
+    "N": (_int(1), REQUIRED),
+    "regularizer": (_one_of("l1", "zero"), "l1"),
+    "mu": (_pos_float, OMITTED),
+    "mu_schedule": (_list(_pos_float), OMITTED),
+}
+SOLVER = {
+    "penalty": (_pos_float, None),  # null: the solver's default penalty
+    "max_iters": (_int(1), 3000),
+    "tol": (_pos_float, 1e-7),
+    "starts": (_list(_start), None),  # null: eigen and two random starts drawn from the seed
+}
+OUTPUT = {
+    "dir": (_typed(str, "a string"), "out"),
+    "formats": (_list(_one_of("csv", "json")), ["csv", "json"]),
+    "trace": (_typed(bool, "a boolean"), False),
+}
+CONFIG = {
+    "domain": (_block(DOMAIN), REQUIRED),
+    "potential": (_potential, REQUIRED),
+    "problem": (_block(PROBLEM), REQUIRED),
+    "solver": (_block(SOLVER), {}),
+    "output": (_block(OUTPUT), {}),
+    "seed": (_int(0), 0),
+}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated, fully normalized experiment description: one dict per block of ``CONFIG``."""
+
+    domain: dict
+    potential: dict
+    problem: dict
+    solver: dict
+    output: dict
+    seed: int
+
+    def to_dict(self) -> dict:
+        """The config echo written into ``solve.json`` and ``sweep.json``."""
+        return asdict(self)
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    raw = dict(raw)
-
-    domain = _block(raw, "domain")
-    dim = domain.pop("dim", None)
-    if type(dim) is not int or dim not in (1, 2):
-        raise ConfigError("domain.dim must be 1 or 2")
-    extent = domain.pop("extent", None)
-    points = domain.pop("points", None)
-    if not isinstance(extent, (list, tuple)) or len(extent) != dim:
-        raise ConfigError(f"domain.extent must list {dim} side length(s)")
-    if not isinstance(points, (list, tuple)) or len(points) != dim:
-        raise ConfigError(f"domain.points must list {dim} node count(s)")
-    extent = tuple(_pos_float(e, "domain.extent[]") for e in extent)
-    points = tuple(_int(p, "domain.points[]", 2) for p in points)
-    boundary = domain.pop("boundary", "dirichlet")
-    if boundary not in ("dirichlet", "periodic"):
-        raise ConfigError("domain.boundary must be 'dirichlet' or 'periodic'")
-    _reject_unknown(domain, "domain")
-
-    potential = _parse_potential(_block(raw, "potential"), dim)
-    if potential.path is not None and not os.path.isabs(potential.path):
-        potential = PotentialSpec(
-            kind="tabulated", path=os.path.abspath(os.path.join(base_dir, potential.path))
-        )
-
-    problem = _block(raw, "problem")
-    n_modes = _int(problem.pop("N", None), "problem.N", 1)
-    nodes = math.prod(points)
-    if n_modes > nodes:
-        raise ConfigError(f"problem.N = {n_modes} exceeds the {nodes} grid nodes")
-    reg = problem.pop("regularizer", "l1")
-    if reg not in ("l1", "zero"):
-        raise ConfigError("problem.regularizer must be 'l1' or 'zero'")
-    mu = problem.pop("mu", None)
-    if mu is not None:
-        mu = _pos_float(mu, "problem.mu")
-    schedule = problem.pop("mu_schedule", None)
-    if schedule is not None:
-        if not isinstance(schedule, (list, tuple)) or not schedule:
-            raise ConfigError("problem.mu_schedule must be a non-empty list")
-        schedule = tuple(_pos_float(m, "problem.mu_schedule[]") for m in schedule)
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise ConfigError("problem.mu_schedule must be strictly ascending")
-    _reject_unknown(problem, "problem")
-
-    seed = _int(raw.pop("seed", 0), "seed", 0)
-
-    solver = _block(raw, "solver", required=False)
-    penalty = solver.pop("penalty", None)
-    if penalty is not None:
-        penalty = _pos_float(penalty, "solver.penalty")
-    max_iters = _int(solver.pop("max_iters", 3000), "solver.max_iters", 1)
-    tol = _pos_float(solver.pop("tol", 1e-7), "solver.tol")
-    starts = _parse_starts(solver.pop("starts", None), seed)
-    _reject_unknown(solver, "solver")
-
-    output = _block(raw, "output", required=False)
-    out_dir = output.pop("dir", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError("output.dir must be a string")
-    formats = output.pop("formats", ["csv", "json"])
-    if not isinstance(formats, (list, tuple)) or not formats:
-        raise ConfigError("output.formats must be a non-empty list")
-    for f in formats:
-        if f not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {f!r}")
-    trace = output.pop("trace", False)
-    if not isinstance(trace, bool):
-        raise ConfigError("output.trace must be a boolean")
-    _reject_unknown(output, "output")
-
-    _reject_unknown(raw, "config")
-
-    return ExperimentConfig(
-        dim=dim,
-        extent=extent,
-        points=points,
-        boundary=boundary,
-        potential=potential,
-        N=n_modes,
-        regularizer=reg,
-        mu=mu,
-        mu_schedule=schedule,
-        penalty=penalty,
-        max_iters=max_iters,
-        tol=tol,
-        starts=starts,
-        out_dir=out_dir,
-        formats=tuple(formats),
-        trace=trace,
-        seed=seed,
-    )
+    """Read ``raw`` by ``CONFIG``, then apply the rules that tie keys together."""
+    cfg = _walk(raw, "", CONFIG)
+    domain, problem = cfg["domain"], cfg["problem"]
+    dim = domain["dim"]
+    for key in ("extent", "points"):
+        if len(domain[key]) != dim:
+            raise ConfigError(f"domain.{key} must list {dim} value(s), one per axis")
+    nodes = math.prod(domain["points"])
+    if problem["N"] > nodes:
+        raise ConfigError(f"problem.N = {problem['N']} exceeds the {nodes} grid nodes")
+    schedule = problem.get("mu_schedule", [])
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ConfigError("problem.mu_schedule must be strictly ascending")
+    solver, potential = cfg["solver"], cfg["potential"]
+    if solver["starts"] is None:
+        seed = cfg["seed"]
+        solver["starts"] = ["eigen", f"random:{seed + 1}", f"random:{seed + 2}"]
+    if "path" in potential:
+        potential["path"] = os.path.abspath(os.path.join(base_dir, potential["path"]))
+    return ExperimentConfig(**cfg)
 
 
 def load_config(path: str, mu_override: float | None = None, seed_override: int | None = None):
@@ -325,38 +272,30 @@ def load_config(path: str, mu_override: float | None = None, seed_override: int 
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def build_grid(cfg: ExperimentConfig) -> Grid:
-    try:
-        return Grid(cfg.dim, cfg.extent, cfg.points, cfg.boundary)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def build_potential(cfg: ExperimentConfig, grid: Grid) -> Potential:
-    p = cfg.potential
-    if p.kind == "free":
+def build_potential(spec: dict) -> Potential:
+    """The potential of a parsed ``potential`` block; the potential checks its own sizes."""
+    kind = spec["kind"]
+    if kind == "free":
         return FreeParticle()
-    if p.kind == "harmonic":
-        return HarmonicWell(omega=p.omega, center=p.center)
-    if p.kind == "multiwell":
-        return MultiWell(centers=p.centers, depth=p.depth, width=p.width)
+    if kind == "harmonic":
+        center = spec.get("center")
+        return HarmonicWell(spec["omega"], None if center is None else tuple(center))
+    if kind == "multiwell":
+        return MultiWell(tuple(map(tuple, spec["centers"])), spec["depth"], spec["width"])
     try:
-        values = np.loadtxt(p.path, dtype=float, ndmin=1)
+        values = np.loadtxt(spec["path"], dtype=float, ndmin=1)
     except OSError as exc:
         raise ConfigError(f"cannot read tabulated potential: {exc}")
     if values.ndim != 1:
         raise ConfigError("tabulated potential CSV must hold a single column")
-    if values.size != grid.node_count:
-        raise ConfigError(
-            f"tabulated potential has {values.size} values, grid has {grid.node_count} nodes"
-        )
     return Tabulated(tuple(float(v) for v in values))
 
 
 def build_operator(cfg: ExperimentConfig) -> HamiltonianOperator:
-    grid = build_grid(cfg)
+    d = cfg.domain
     try:
-        return HamiltonianOperator(grid, build_potential(cfg, grid))
+        grid = Grid(d["dim"], d["extent"], d["points"], d["boundary"])
+        return HamiltonianOperator(grid, build_potential(cfg.potential))
     except ValueError as exc:
         raise ConfigError(str(exc))
     except ArithmeticError as exc:
@@ -364,49 +303,50 @@ def build_operator(cfg: ExperimentConfig) -> HamiltonianOperator:
 
 
 def build_solver_config(cfg: ExperimentConfig, mu: float) -> SolverConfig:
-    starts = []
-    for spec in cfg.starts:
-        if spec == "eigen":
-            starts.append(EigenInit())
-        else:
-            starts.append(RandomOrthonormal(int(spec.split(":", 1)[1])))
+    s = cfg.solver
+    starts = tuple(
+        EigenInit() if spec == "eigen" else RandomOrthonormal(int(spec.split(":", 1)[1]))
+        for spec in s["starts"]
+    )
     return SolverConfig(
-        mu=mu, penalty=cfg.penalty, max_iters=cfg.max_iters, tol=cfg.tol, starts=tuple(starts)
+        mu=mu, penalty=s["penalty"], max_iters=s["max_iters"], tol=s["tol"], starts=starts
     )
 
 
 def cmd_eig(cfg: ExperimentConfig) -> int:
     H = build_operator(cfg)
-    count = min(cfg.N + 1, H.node_count)
+    N = cfg.problem["N"]
+    count = min(N + 1, H.node_count)
     eigs = reference_eigenpairs(H, count)
-    out = cfg.out_dir
-    if "csv" in cfg.formats:
+    out = cfg.output["dir"]
+    if "csv" in cfg.output["formats"]:
         reports.write_atomic(os.path.join(out, "eigs.csv"), reports.eigs_csv(eigs))
         reports.write_atomic(os.path.join(out, "eigenmodes.csv"), reports.modes_csv(eigs.modes))
     for i in range(count):
         print(f"lambda_{i + 1} = {reports.fmt(eigs.eigenvalues[i])}")
-    if count >= cfg.N + 1:
-        gap = spectral_gap(eigs, cfg.N)
+    if count >= N + 1:
+        gap = spectral_gap(eigs, N)
         print(f"spectral_gap = {reports.fmt(gap)}")
-        if gap < consistency.default_gap_threshold(eigs, cfg.N):
+        if gap < consistency.default_gap_threshold(eigs, N):
             print("GAP_DEGENERATE")
     return 0
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
-    if cfg.mu is None:
+    problem, output = cfg.problem, cfg.output
+    if "mu" not in problem:
         raise ConfigError("problem.mu is required for solve")
     H = build_operator(cfg)
-    J = make_regularizer(cfg.regularizer)
-    result = solve_cm(H, J, cfg.N, build_solver_config(cfg, cfg.mu))
+    J = make_regularizer(problem["regularizer"])
+    result = solve_cm(H, J, problem["N"], build_solver_config(cfg, problem["mu"]))
     widths = consistency.localization(result.modes)
     energy = float(np.trace(consistency.interaction_matrix(H, result.modes)))
-    out = cfg.out_dir
-    if "csv" in cfg.formats:
+    out = output["dir"]
+    if "csv" in output["formats"]:
         reports.write_atomic(os.path.join(out, "modes.csv"), reports.modes_csv(result.modes))
-        if cfg.trace:
+        if output["trace"]:
             reports.write_atomic(os.path.join(out, "trace.csv"), reports.trace_csv(result.trace))
-    if "json" in cfg.formats:
+    if "json" in output["formats"]:
         doc = {
             "objective": result.objective,
             "energy": energy,
@@ -430,19 +370,20 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    if cfg.mu_schedule is None:
+    problem, output = cfg.problem, cfg.output
+    if "mu_schedule" not in problem:
         raise ConfigError("problem.mu_schedule is required for sweep")
-    nodes = math.prod(cfg.points)
-    if cfg.N + 1 > nodes:
-        raise ConfigError(f"sweep needs N + 1 = {cfg.N + 1} eigenpairs, the grid has {nodes} nodes")
+    N, schedule = problem["N"], problem["mu_schedule"]
+    nodes = math.prod(cfg.domain["points"])
+    if N + 1 > nodes:
+        raise ConfigError(f"sweep needs N + 1 = {N + 1} eigenpairs, the grid has {nodes} nodes")
     H = build_operator(cfg)
-    J = make_regularizer(cfg.regularizer)
-    solver_cfg = build_solver_config(cfg, cfg.mu_schedule[0])
-    report = consistency.mu_sweep(H, J, cfg.N, cfg.mu_schedule, solver_cfg)
-    out = cfg.out_dir
-    if "csv" in cfg.formats:
+    J = make_regularizer(problem["regularizer"])
+    report = consistency.mu_sweep(H, J, N, schedule, build_solver_config(cfg, schedule[0]))
+    out = output["dir"]
+    if "csv" in output["formats"]:
         reports.write_atomic(os.path.join(out, "sweep.csv"), reports.sweep_csv(report))
-    if "json" in cfg.formats:
+    if "json" in output["formats"]:
         reports.write_atomic(
             os.path.join(out, "sweep.json"), reports.sweep_json(report, cfg.to_dict())
         )
@@ -514,7 +455,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg)
         return cmd_sweep(cfg)
-    except (ConfigError, IndefinitePenaltyError, ShrinkStepError) as exc:
+    except (ConfigError, IndefinitePenaltyError, RankDeficientError, ShrinkStepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -254,8 +254,8 @@ class SweepReport:
     spectral_gap: float
     gap_threshold: float
     degenerate: bool
-    records: tuple[SweepRecord, ...]
     verdicts: dict[str, str]
+    records: tuple[SweepRecord, ...]
 
 
 def _trend_verdict(values, slack: float) -> str:
@@ -353,6 +353,6 @@ def mu_sweep(
         spectral_gap=gap,
         gap_threshold=threshold,
         degenerate=degenerate,
-        records=tuple(records),
         verdicts=verdicts,
+        records=tuple(records),
     )

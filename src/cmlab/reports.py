@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import asdict
 
 from .consistency import SweepReport
 from .eigensolver import EigenSystem
@@ -104,36 +105,8 @@ def json_text(doc: dict) -> str:
 
 
 def sweep_json(report: SweepReport, config_echo: dict | None = None) -> str:
-    doc = {
-        "N": report.N,
-        "mu_schedule": list(report.mu_schedule),
-        "eigenvalues": list(report.eigenvalues),
-        "E0": report.E0,
-        "spectral_gap": report.spectral_gap,
-        "gap_threshold": report.gap_threshold,
-        "degenerate": report.degenerate,
-        "verdicts": dict(report.verdicts),
-        "records": [
-            {
-                "mu": r.mu,
-                "E": r.E,
-                "E0": r.E0,
-                "energy_gap": r.energy_gap,
-                "nu": list(r.nu),
-                "max_eig_dev": r.max_eig_dev,
-                "procrustes_residual": r.procrustes_residual,
-                "ortho_defect": r.ortho_defect,
-                "iterations": r.iterations,
-                "converged": r.converged,
-                "winner_start": r.winner_start,
-                "start_labels": list(r.start_labels),
-                "start_objectives": list(r.start_objectives),
-                "start_iterations": list(r.start_iterations),
-                "start_converged": list(r.start_converged),
-            }
-            for r in report.records
-        ],
-    }
+    """The sweep report, its records and verdicts in field order, then the config echo."""
+    doc = asdict(report)
     if config_echo is not None:
         doc["config"] = config_echo
     return json_text(doc)

@@ -85,9 +85,10 @@ def reference_sweep(reference_config):
     """The repo's own acceptance run: the shipped sweep config, run in process."""
     cfg = reference_config
     H = build_operator(cfg)
-    J = make_regularizer(cfg.regularizer)
-    solver_cfg = build_solver_config(cfg, cfg.mu_schedule[0])
-    return mu_sweep(H, J, cfg.N, cfg.mu_schedule, solver_cfg)
+    problem = cfg.problem
+    J = make_regularizer(problem["regularizer"])
+    solver_cfg = build_solver_config(cfg, problem["mu_schedule"][0])
+    return mu_sweep(H, J, problem["N"], problem["mu_schedule"], solver_cfg)
 
 
 @pytest.fixture()

@@ -694,7 +694,7 @@ def test_cmd_verify_deterministic(capsys):
 def test_shipped_configs_parse():
     for name in SHIPPED_CONFIGS:
         cfg = load_config(config_path(name))
-        assert cfg.N >= 1
+        assert cfg.problem["N"] >= 1
 
 
 # --- bad input: exit 2 with a message, never a traceback --------------------------------
@@ -766,6 +766,8 @@ BAD_INPUT_PROBES = {
         "domain scale",
     ),
     "extent_huge": ("sweep", [(("domain", "extent"), [1e150])], [], "domain scale"),
+    # in range, but the default penalty's shrink step zeroes Q and B + F cancels to rank deficiency
+    "extent_collapse": ("sweep", [(("domain", "extent"), [1e20])], [], "rank deficient"),
     "sweep_mu_flag": ("sweep", [], ["--mu", "7"], "--mu"),
     "eig_mu_flag": ("eig", [], ["--mu", "7"], "--mu"),
 }
