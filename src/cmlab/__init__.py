@@ -35,16 +35,12 @@ from .hamiltonian import (
 from .modes import ModeSet, RankDeficientError, orthonormal_columns
 from .regularizer import L1Regularizer, Regularizer, ZeroRegularizer, make_regularizer
 from .solver import (
-    EigenInit,
-    ModeInit,
-    RandomOrthonormal,
     SolverConfig,
     SolverResult,
     mode_energies,
     objective,
     solve_cm,
     solve_sweep,
-    warm_started,
 )
 
 __version__ = "0.1.0"
@@ -53,7 +49,6 @@ __all__ = [
     "AlignmentError",
     "CoeffMatrix",
     "DIRICHLET",
-    "EigenInit",
     "EigenSystem",
     "EigensolverError",
     "FreeParticle",
@@ -62,12 +57,10 @@ __all__ = [
     "HamiltonianOperator",
     "HarmonicWell",
     "L1Regularizer",
-    "ModeInit",
     "ModeSet",
     "MultiWell",
     "PERIODIC",
     "Potential",
-    "RandomOrthonormal",
     "RankDeficientError",
     "Regularizer",
     "SolverConfig",
@@ -94,5 +87,4 @@ __all__ = [
     "solve_cm",
     "solve_sweep",
     "spectral_gap",
-    "warm_started",
 ]

@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import asdict, dataclass
 
@@ -32,11 +31,10 @@ from .hamiltonian import (
 from .modes import RankDeficientError
 from .regularizer import make_regularizer
 from .solver import (
-    EigenInit,
     IndefinitePenaltyError,
-    RandomOrthonormal,
     ShrinkStepError,
     SolverConfig,
+    check_start,
     solve_cm,
 )
 
@@ -91,11 +89,11 @@ def _point(value, where: str) -> list[float]:
 
 
 def _start(value, where: str) -> str:
-    if value != "eigen" and not (isinstance(value, str) and re.fullmatch("random:[0-9]+", value)):
-        raise ConfigError(
-            f"bad start spec {value!r} in {where}; "
-            "expected 'eigen' or 'random:<seed>' with seed >= 0"
-        )
+    """A start name, read by the solver's own check of the start syntax."""
+    try:
+        check_start(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}")
     return value
 
 
@@ -195,8 +193,8 @@ PROBLEM = {
 }
 SOLVER = {
     "penalty": (_pos_float, None),  # null: the solver's default penalty
-    "max_iters": (_int(1), 3000),
-    "tol": (_pos_float, 1e-7),
+    "max_iters": (_int(1), SolverConfig.max_iters),
+    "tol": (_pos_float, SolverConfig.tol),
     "starts": (_list(_start), None),  # null: eigen and two random starts drawn from the seed
 }
 OUTPUT = {
@@ -303,14 +301,16 @@ def build_operator(cfg: ExperimentConfig) -> HamiltonianOperator:
 
 
 def build_solver_config(cfg: ExperimentConfig, mu: float) -> SolverConfig:
-    s = cfg.solver
-    starts = tuple(
-        EigenInit() if spec == "eigen" else RandomOrthonormal(int(spec.split(":", 1)[1]))
-        for spec in s["starts"]
-    )
-    return SolverConfig(
-        mu=mu, penalty=s["penalty"], max_iters=s["max_iters"], tol=s["tol"], starts=starts
-    )
+    return SolverConfig(mu=mu, **cfg.solver)
+
+
+def _write(cfg: ExperimentConfig, name: str, text: str) -> None:
+    """Write one output file into ``output.dir``; a failure is a config error."""
+    out = cfg.output["dir"]
+    try:
+        reports.write_atomic(os.path.join(out, name), text)
+    except OSError as exc:
+        raise ConfigError(f"output.dir {out!r}: cannot write {name}: {exc}")
 
 
 def cmd_eig(cfg: ExperimentConfig) -> int:
@@ -318,10 +318,9 @@ def cmd_eig(cfg: ExperimentConfig) -> int:
     N = cfg.problem["N"]
     count = min(N + 1, H.node_count)
     eigs = reference_eigenpairs(H, count)
-    out = cfg.output["dir"]
     if "csv" in cfg.output["formats"]:
-        reports.write_atomic(os.path.join(out, "eigs.csv"), reports.eigs_csv(eigs))
-        reports.write_atomic(os.path.join(out, "eigenmodes.csv"), reports.modes_csv(eigs.modes))
+        _write(cfg, "eigs.csv", reports.eigs_csv(eigs))
+        _write(cfg, "eigenmodes.csv", reports.modes_csv(eigs.modes))
     for i in range(count):
         print(f"lambda_{i + 1} = {reports.fmt(eigs.eigenvalues[i])}")
     if count >= N + 1:
@@ -341,11 +340,10 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     result = solve_cm(H, J, problem["N"], build_solver_config(cfg, problem["mu"]))
     widths = consistency.localization(result.modes)
     energy = float(np.trace(consistency.interaction_matrix(H, result.modes)))
-    out = output["dir"]
     if "csv" in output["formats"]:
-        reports.write_atomic(os.path.join(out, "modes.csv"), reports.modes_csv(result.modes))
+        _write(cfg, "modes.csv", reports.modes_csv(result.modes))
         if output["trace"]:
-            reports.write_atomic(os.path.join(out, "trace.csv"), reports.trace_csv(result.trace))
+            _write(cfg, "trace.csv", reports.trace_csv(result.trace))
     if "json" in output["formats"]:
         doc = {
             "objective": result.objective,
@@ -361,7 +359,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             "start_converged": list(result.start_converged),
             "config": cfg.to_dict(),
         }
-        reports.write_atomic(os.path.join(out, "solve.json"), reports.json_text(doc))
+        _write(cfg, "solve.json", reports.json_text(doc))
     print(f"objective = {reports.fmt(result.objective)}")
     print(f"energy = {reports.fmt(energy)}")
     print(f"ortho_defect = {reports.fmt(result.modes.ortho_defect)}")
@@ -380,13 +378,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     H = build_operator(cfg)
     J = make_regularizer(problem["regularizer"])
     report = consistency.mu_sweep(H, J, N, schedule, build_solver_config(cfg, schedule[0]))
-    out = output["dir"]
     if "csv" in output["formats"]:
-        reports.write_atomic(os.path.join(out, "sweep.csv"), reports.sweep_csv(report))
+        _write(cfg, "sweep.csv", reports.sweep_csv(report))
     if "json" in output["formats"]:
-        reports.write_atomic(
-            os.path.join(out, "sweep.json"), reports.sweep_json(report, cfg.to_dict())
-        )
+        _write(cfg, "sweep.json", reports.sweep_json(report, cfg.to_dict()))
     if report.degenerate:
         print("DEGENERATE")
     else:

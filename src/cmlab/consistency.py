@@ -27,6 +27,8 @@ ORTHO_PRECONDITION = 1e-6
 ENERGY_TREND_SLACK = 1e-6
 RESIDUAL_TREND_SLACK = 1e-4
 COLUMN_MASS_TOL = 1e-10
+COLUMN_MASS_MAX_ROWS = 8
+COLUMN_MASS_MAX_COLS = 64
 
 
 class AlignmentError(RuntimeError):
@@ -161,7 +163,7 @@ def column_mass_lemma_check(rows: int, cols: int, seed: int) -> float:
     return float((a**2).sum(axis=0).max())
 
 
-def column_mass_suite(cases: int, seed: int, max_rows: int = 8, max_cols: int = 64):
+def column_mass_suite(cases: int, seed: int):
     """Seeded sweep of column-mass draws; returns (max_mass, violating_seeds)."""
     if cases < 1:
         raise ValueError("cases must be at least 1")
@@ -170,8 +172,8 @@ def column_mass_suite(cases: int, seed: int, max_rows: int = 8, max_cols: int = 
     for i in range(cases):
         case_seed = seed + i
         rng = np.random.default_rng(case_seed)
-        rows = int(rng.integers(1, max_rows + 1))
-        cols = int(rng.integers(rows, max_cols + 1))
+        rows = int(rng.integers(1, COLUMN_MASS_MAX_ROWS + 1))
+        cols = int(rng.integers(rows, COLUMN_MASS_MAX_COLS + 1))
         mass = column_mass_lemma_check(rows, cols, case_seed)
         worst = max(worst, mass)
         if mass > 1.0 + COLUMN_MASS_TOL:
@@ -179,18 +181,17 @@ def column_mass_suite(cases: int, seed: int, max_rows: int = 8, max_cols: int = 
     return worst, violations
 
 
-def gap_bound_suite(H: HamiltonianOperator, N: int, cases: int, seed: int, depth: int | None = None):
+def gap_bound_suite(H: HamiltonianOperator, N: int, cases: int, seed: int):
     """Check the gap lower bound against |E(F) - E0| on random orthonormal frames.
 
-    Frames are drawn inside the span of the first ``depth`` (default 4N)
-    eigenfunctions, where the bound must sit below the energy excess up to
-    roundoff.  Returns (max_slack, violating_seeds) with slack defined as
-    bound - |E(F) - E0| (positive slack is a violation).
+    Frames are drawn inside the span of the first 4N eigenfunctions, where
+    the bound must sit below the energy excess up to roundoff.  Returns
+    (max_slack, violating_seeds) with slack defined as bound - |E(F) - E0|
+    (positive slack is a violation).
     """
     if cases < 1:
         raise ValueError("cases must be at least 1")
-    K = depth if depth is not None else 4 * N
-    K = max(K, N + 1)
+    K = 4 * N
     eigs = reference_eigenpairs(H, K)
     basis = eigs.modes.matrix[:, :K]
     e0 = float(eigs.eigenvalues[:N].sum())
@@ -274,16 +275,16 @@ def mu_sweep(
     N: int,
     mu_schedule,
     config: SolverConfig,
-    gap_threshold: float | None = None,
 ) -> SweepReport:
     """Solve along an ascending mu schedule, warm-starting each step.
 
     The solves are ``solve_sweep``'s: the starts that do not depend on the
     previous mu run as one block, then the warm starts run in order.
 
-    When the spectral gap above mode N sits below the threshold the sweep
-    still runs but is flagged degenerate and the convergence verdicts are
-    suppressed: without the gap, mode-level convergence claims are void.
+    When the spectral gap above mode N sits below ``default_gap_threshold``,
+    the sweep still runs but is flagged degenerate and the convergence
+    verdicts are suppressed: without the gap, mode-level convergence claims
+    are void.
     """
     schedule = tuple(float(m) for m in mu_schedule)
     if not schedule:
@@ -295,7 +296,7 @@ def mu_sweep(
 
     eigs = reference_eigenpairs(H, N + 1)
     gap = spectral_gap(eigs, N)
-    threshold = default_gap_threshold(eigs, N) if gap_threshold is None else gap_threshold
+    threshold = default_gap_threshold(eigs, N)
     degenerate = gap < threshold
     e0 = float(eigs.eigenvalues[:N].sum())
     phi = eigs.modes.take(N)

@@ -33,6 +33,7 @@ consistency experiments lean on.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +48,7 @@ from .regularizer import Regularizer, ZeroRegularizer
 
 OBJECTIVE_REL_TOL = 1e-10
 STREAK_REQUIRED = 3
+POLISH_SWEEPS = 30
 
 
 class IndefinitePenaltyError(ValueError):
@@ -57,36 +59,17 @@ class ShrinkStepError(ValueError):
     """mu * penalty out of floating-point range: the shrinkage step 1/(mu * penalty) is 0 or inf."""
 
 
-@dataclass(frozen=True)
-class EigenInit:
-    """Start from the first N reference eigenfunctions."""
-
-    label: str = "eigen"
+RANDOM_START = re.compile("random:([0-9]+)")
 
 
-@dataclass(frozen=True)
-class RandomOrthonormal:
-    """Start from a seeded random orthonormal frame."""
-
-    seed: int
-
-    @property
-    def label(self) -> str:
-        return f"random:{self.seed}"
-
-
-@dataclass(frozen=True)
-class ModeInit:
-    """Start from an existing frame (warm start along a sweep)."""
-
-    modes: ModeSet
-
-    @property
-    def label(self) -> str:
-        return "warm"
-
-
-Start = EigenInit | RandomOrthonormal | ModeInit
+def check_start(start) -> None:
+    """Raise unless ``start`` is ``"eigen"``, ``"random:<seed>"`` or a warm-start ``ModeSet``."""
+    if isinstance(start, ModeSet):
+        return
+    if not (isinstance(start, str) and (start == "eigen" or RANDOM_START.fullmatch(start))):
+        raise ValueError(
+            f"bad start spec {start!r}; expected 'eigen' or 'random:<seed>' with seed >= 0"
+        )
 
 
 @dataclass(frozen=True)
@@ -96,14 +79,17 @@ class SolverConfig:
     ``penalty`` is the quadratic coupling strength of the splitting; ``None``
     picks 10 * (1/mu + lambda_N estimate).  ``tol`` bounds the per-mode L2
     change between successive feasible iterates; convergence additionally
-    requires the relative objective change to settle below 1e-10.
+    requires the relative objective change to settle below 1e-10.  Each
+    start is ``"eigen"`` (the first N reference eigenfunctions),
+    ``"random:<seed>"`` (a seeded random orthonormal frame) or a ``ModeSet``
+    (a warm start from that frame, labelled ``"warm"``).
     """
 
     mu: float
     penalty: float | None = None
     max_iters: int = 3000
     tol: float = 1e-7
-    starts: tuple[Start, ...] = (EigenInit(), RandomOrthonormal(1), RandomOrthonormal(2))
+    starts: tuple[str | ModeSet, ...] = ("eigen", "random:1", "random:2")
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -114,9 +100,11 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        object.__setattr__(self, "starts", tuple(self.starts))
         if not self.starts:
             raise ValueError("need at least one start")
-        object.__setattr__(self, "starts", tuple(self.starts))
+        for start in self.starts:
+            check_start(start)
 
 
 @dataclass(frozen=True)
@@ -155,14 +143,15 @@ def default_penalty(mu: float, lambda_top: float) -> float:
     return max(r, 1e-6)
 
 
-def rotation_polish(matrix: np.ndarray, w: float, J: Regularizer, sweeps: int = 30) -> np.ndarray:
+def rotation_polish(matrix: np.ndarray, w: float, J: Regularizer) -> np.ndarray:
     """Rotate a frame within its own span to minimize the regularizer sum.
 
     In-span rotations leave every Rayleigh quotient sum invariant, so this
     never increases the objective; it jump-starts the splitting iteration at
     the well-localized rotation instead of leaving that (energy-neutral,
     hence weakly forced) direction to the slow shrinkage dynamics.
-    Pairwise Givens sweeps: coarse angle grid plus golden-section refinement.
+    Up to ``POLISH_SWEEPS`` pairwise Givens sweeps: coarse angle grid plus
+    golden-section refinement.
     """
     if matrix.shape[1] < 2 or isinstance(J, ZeroRegularizer):
         return matrix
@@ -175,7 +164,7 @@ def rotation_polish(matrix: np.ndarray, w: float, J: Regularizer, sweeps: int = 
         rotated = pair @ np.array([[c, -s], [s, c]])
         return float(J.evaluate_columns(rotated, w).sum())
 
-    for _ in range(sweeps):
+    for _ in range(POLISH_SWEEPS):
         improved = False
         for i in range(x.shape[1]):
             for j in range(i + 1, x.shape[1]):
@@ -230,15 +219,15 @@ def solve_sweep(
 ) -> list[SolverResult]:
     """One result per mu of ``schedule``, each warm-started from the previous winner.
 
-    The results equal those of the chain ``solve_cm(H, J, N,
-    warm_started(replace(config, mu=mu), previous), eigs)``, where
-    ``previous`` is the modes of the previous mu's result.  Every mu is
-    validated before any factorization.  Then the configured starts of all mu
-    values run as one lockstep block, since none of them depends on another
-    mu; each start is rotation-polished once, as the polish does not depend
-    on mu.  Last, the schedule is walked in order: each warm start runs alone
-    from the previous winner, and each mu's winner is picked as ``solve_cm``
-    picks it.
+    The results equal those of the chain ``solve_cm(H, J, N, replace(config,
+    mu=mu, starts=config.starts + (previous,)), eigs)``, where ``previous``
+    is the modes of the previous mu's result (no warm start at the first
+    mu).  Every mu is validated before any factorization.  Then the
+    configured starts of all mu values run as one lockstep block, since none
+    of them depends on another mu; each start is rotation-polished once, as
+    the polish does not depend on mu.  Last, the schedule is walked in order:
+    each warm start runs alone from the previous winner, and each mu's winner
+    is picked as ``solve_cm`` picks it.
     """
     n = H.node_count
     if not 1 <= N <= n:
@@ -247,7 +236,7 @@ def solve_sweep(
     if not configs:
         return []
 
-    needs_eigs = config.penalty is None or any(isinstance(s, EigenInit) for s in config.starts)
+    needs_eigs = config.penalty is None or "eigen" in config.starts
     if needs_eigs and (eigs is None or eigs.count < N):
         eigs = reference_eigenpairs(H, N)
     if eigs is None:
@@ -265,25 +254,17 @@ def solve_sweep(
     block = _lockstep(H, J, w, x0, mus, rs, solvers, config.max_iters, config.tol)
 
     results = []
-    previous = None
     for i, (cfg, penalty) in enumerate(zip(configs, penalties)):
         runs = block[i * S : (i + 1) * S]
-        if previous is not None:
-            cfg = warm_started(cfg, previous)
-            warm = rotation_polish(_start_matrix(cfg.starts[-1], H, N, eigs), w, J)
+        starts = config.starts
+        if results:
+            starts += (results[-1].modes,)
+            warm = rotation_polish(_start_matrix(starts[-1], H, N, eigs), w, J)
             runs += _lockstep(
                 H, J, w, warm[None], [cfg.mu], [penalty], solvers, cfg.max_iters, cfg.tol
             )
-        results.append(_result(H, J, cfg, runs))
-        previous = results[-1].modes
+        results.append(_result(H.grid, starts, runs))
     return results
-
-
-def warm_started(config: SolverConfig, previous: ModeSet | None) -> SolverConfig:
-    """Config with the previous solution appended as an extra start."""
-    if previous is None:
-        return config
-    return replace(config, starts=config.starts + (ModeInit(previous),))
 
 
 @dataclass
@@ -300,39 +281,38 @@ class _Run:
         return list(zip(self.objectives.tolist(), self.defects.tolist()))
 
 
-def _result(H: HamiltonianOperator, J: Regularizer, config: SolverConfig, runs) -> SolverResult:
-    """The result of one solve from its runs, one per start of ``config``."""
+def _result(grid, starts, runs) -> SolverResult:
+    """The result of one solve from its runs, one per start; a frame start is ``"warm"``."""
     winner = min(range(len(runs)), key=lambda i: runs[i].best_objective)
     run = runs[winner]
-    modes = ModeSet(H.grid, run.best_matrix)
+    labels = tuple("warm" if isinstance(start, ModeSet) else start for start in starts)
     return SolverResult(
-        modes=modes,
-        objective=objective(H, J, config.mu, modes),
+        modes=ModeSet(grid, run.best_matrix),
+        objective=run.best_objective,
         iterations=run.iterations,
         converged=run.converged,
         trace=tuple(run.trace),
-        winner_start=config.starts[winner].label,
-        start_labels=tuple(start.label for start in config.starts),
+        winner_start=labels[winner],
+        start_labels=labels,
         start_objectives=tuple(r.best_objective for r in runs),
         start_iterations=tuple(r.iterations for r in runs),
         start_converged=tuple(r.converged for r in runs),
     )
 
 
-def _start_matrix(start: Start, H: HamiltonianOperator, N: int, eigs) -> np.ndarray:
-    if isinstance(start, EigenInit):
-        return eigs.modes.matrix[:, :N].copy()
-    if isinstance(start, RandomOrthonormal):
-        rng = np.random.default_rng(start.seed)
-        raw = rng.standard_normal((H.node_count, N))
-        return orthonormal_columns(raw, H.grid.cell_volume)
-    if isinstance(start, ModeInit):
-        if start.modes.grid != H.grid:
+def _start_matrix(start: str | ModeSet, H: HamiltonianOperator, N: int, eigs) -> np.ndarray:
+    """The (node_count, N) frame of a start that ``check_start`` accepts."""
+    if isinstance(start, ModeSet):
+        if start.grid != H.grid:
             raise GridMismatchError("warm-start modes live on a different grid")
-        if start.modes.count != N:
+        if start.count != N:
             raise ValueError("warm-start mode count does not match N")
-        return orthonormal_columns(start.modes.matrix, H.grid.cell_volume)
-    raise TypeError(f"unknown start type {type(start).__name__}")
+        return orthonormal_columns(start.matrix, H.grid.cell_volume)
+    if start == "eigen":
+        return eigs.modes.matrix[:, :N].copy()
+    rng = np.random.default_rng(int(RANDOM_START.fullmatch(start)[1]))
+    raw = rng.standard_normal((H.node_count, N))
+    return orthonormal_columns(raw, H.grid.cell_volume)
 
 
 def _build_shifted_solver(H: HamiltonianOperator, penalty: float):
@@ -390,25 +370,19 @@ def _shrink_step(mu: float, penalty: float) -> float:
 
 def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> _Run:
     """One splitting iteration chain from one (node_count, N) start."""
-    return _splitting_runs(H, J, config, penalty, shifted_solve, w, x0[None])[0]
-
-
-def _splitting_runs(H, J, config, penalty, shifted_solve, w, x0) -> list[_Run]:
-    """Chains from a (S, node_count, N) stack of starts, in lockstep at one mu and penalty."""
     _shrink_step(config.mu, penalty)
-    S = len(x0)
     solvers = {penalty: shifted_solve}
     return _lockstep(
-        H, J, w, x0, [config.mu] * S, [penalty] * S, solvers, config.max_iters, config.tol
-    )
+        H, J, w, x0[None], [config.mu], [penalty], solvers, config.max_iters, config.tol
+    )[0]
 
 
 def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
     """Splitting iteration chains from a (S, node_count, N) stack of starts, in lockstep.
 
-    Start s runs at its own ``mu[s]`` and ``penalty[s]`` (sequences of
-    length S); ``solvers`` maps each penalty to the shifted solve of
-    H + penalty I.  The block holds one (N, node_count) slab per running
+    The start at index s runs at its own ``mu[s]`` and ``penalty[s]``
+    (sequences of length S); ``solvers`` maps each penalty to the shifted
+    solve of H + penalty I.  The block holds one (N, node_count) slab per running
     start, one mode per row, ordered by penalty, so the starts that share a
     penalty form a contiguous slice whose transpose, a view, is the
     node_count x (slabs N) right-hand side of one shifted solve.  Each start

@@ -459,6 +459,20 @@ def test_cmd_eig_box_oracle(tmp_path, capsys):
     assert (out / "eigenmodes.csv").exists()
 
 
+def test_cmd_eig_unwritable_output_dir_is_usage_error(tmp_path, capsys):
+    # a directory under a regular file cannot be made: exit 2 after the eigensolve, naming the key
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with open(config_path("box_eig.json")) as fh:
+        doc = json.load(fh)
+    doc["output"]["dir"] = str(blocker / "sub")
+    assert main(["eig", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "output.dir" in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
 def test_cmd_eig_degenerate_warning(tmp_path, capsys):
     doc = {
         "domain": {"dim": 1, "extent": [1.0], "points": [128], "boundary": "periodic"},

@@ -7,15 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab import (
-    EigenInit,
     FreeParticle,
     Grid,
     GridMismatchError,
     HamiltonianOperator,
     HarmonicWell,
-    ModeInit,
     ModeSet,
-    RandomOrthonormal,
     RankDeficientError,
     SolverConfig,
     localization,
@@ -27,14 +24,13 @@ from cmlab import (
     reference_eigenpairs,
     solve_cm,
     solve_sweep,
-    warm_started,
 )
 from cmlab.solver import (
     IndefinitePenaltyError,
     ShrinkStepError,
     _build_shifted_solver,
+    _lockstep,
     _splitting_run,
-    _splitting_runs,
     _start_matrix,
     default_penalty,
     rotation_polish,
@@ -249,7 +245,7 @@ def test_solver_is_deterministic(box_H, box_eigs):
 
 
 def test_non_convergence_reported_not_raised(box_H, box_eigs):
-    cfg = SolverConfig(mu=5.0, max_iters=1, starts=(RandomOrthonormal(3),))
+    cfg = SolverConfig(mu=5.0, max_iters=1, starts=("random:3",))
     res = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
     assert not res.converged
     assert res.iterations == 1
@@ -257,7 +253,7 @@ def test_non_convergence_reported_not_raised(box_H, box_eigs):
 
 
 def test_trace_records_objective_and_defect(box_H, box_eigs):
-    cfg = SolverConfig(mu=10.0, max_iters=50, starts=(EigenInit(),))
+    cfg = SolverConfig(mu=10.0, max_iters=50, starts=("eigen",))
     res = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
     assert len(res.trace) == res.iterations
     objs = [t[0] for t in res.trace]
@@ -284,11 +280,11 @@ def test_multiwell_modes_localize(multiwell_H, multiwell_eigs):
 
 
 def test_warm_start_config_and_run(box_H, box_eigs):
-    cfg = SolverConfig(mu=10.0, max_iters=800, starts=(EigenInit(),))
+    cfg = SolverConfig(mu=10.0, max_iters=800, starts=("eigen",))
     first = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
-    warm_cfg = warm_started(SolverConfig(mu=20.0, max_iters=800, starts=(EigenInit(),)), first.modes)
-    assert any(isinstance(s, ModeInit) for s in warm_cfg.starts)
+    warm_cfg = SolverConfig(mu=20.0, max_iters=800, starts=("eigen", first.modes))
     second = solve_cm(box_H, L1, 2, warm_cfg, eigs=box_eigs)
+    assert second.start_labels == ("eigen", "warm")
     assert second.converged
     assert second.objective <= objective(box_H, L1, 20.0, first.modes) + 1e-8
 
@@ -296,7 +292,7 @@ def test_warm_start_config_and_run(box_H, box_eigs):
 def test_warm_start_validation(box_H, box_eigs):
     other = Grid(1, (1.0,), (100,), "dirichlet")
     frame = _orthonormal_frame(other, np.random.default_rng(0).standard_normal((100, 2)))
-    cfg = SolverConfig(mu=5.0, max_iters=10, starts=(ModeInit(frame),))
+    cfg = SolverConfig(mu=5.0, max_iters=10, starts=(frame,))
     with pytest.raises(GridMismatchError):
         solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
 
@@ -304,7 +300,7 @@ def test_warm_start_validation(box_H, box_eigs):
 def test_rank_collapse_raises(box_H, box_eigs):
     col = np.ones((512, 1))
     bad = ModeSet(box_H.grid, np.hstack([col, col]))
-    cfg = SolverConfig(mu=5.0, max_iters=10, starts=(ModeInit(bad),))
+    cfg = SolverConfig(mu=5.0, max_iters=10, starts=(bad,))
     with pytest.raises(RankDeficientError):
         solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
 
@@ -320,17 +316,25 @@ def test_solver_config_validation():
         SolverConfig(mu=1.0, tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(mu=1.0, starts=())
+    # the one statement of the start syntax: the config parser reports the same text
+    for start in ("random:-1", "warm", 3, "random:", "eigen "):
+        for starts in ((start,), ("eigen", start)):
+            with pytest.raises(ValueError) as info:
+                SolverConfig(mu=1.0, starts=starts)
+            assert str(info.value) == (
+                f"bad start spec {start!r}; expected 'eigen' or 'random:<seed>' with seed >= 0"
+            )
 
 
 def test_indefinite_penalty_raises(multiwell_H, multiwell_eigs):
     lam_min = float(multiwell_eigs.eigenvalues[0])
     assert lam_min < -0.1
     # with reference eigenpairs at hand, and with none (a one-pair eigensolve)
-    for starts, eigs in (((EigenInit(),), multiwell_eigs), ((RandomOrthonormal(1),), None)):
+    for starts, eigs in ((("eigen",), multiwell_eigs), (("random:1",), None)):
         cfg = SolverConfig(mu=10.0, penalty=0.1, max_iters=5, starts=starts)
         with pytest.raises(IndefinitePenaltyError, match="indefinite"):
             solve_cm(multiwell_H, L1, 4, cfg, eigs=eigs)
-    cfg = SolverConfig(mu=10.0, penalty=0.5 - lam_min, max_iters=5, starts=(RandomOrthonormal(1),))
+    cfg = SolverConfig(mu=10.0, penalty=0.5 - lam_min, max_iters=5, starts=("random:1",))
     assert solve_cm(multiwell_H, L1, 4, cfg).modes.ortho_defect <= 1e-8
 
 
@@ -352,7 +356,7 @@ def test_starts_match_solo_runs(box_H, box_eigs):
     for start, best in zip(cfg.starts, together.start_objectives):
         solo = solve_cm(box_H, L1, 2, replace(cfg, starts=(start,)), eigs=box_eigs)
         assert solo.start_objectives == (best,)
-        if start.label == together.winner_start:
+        if start == together.winner_start:
             np.testing.assert_array_equal(solo.modes.matrix, together.modes.matrix)
 
 
@@ -374,7 +378,7 @@ def test_huge_mu_or_penalty_raises_shrink_step_error(box_H, box_eigs):
     for cfg in (
         SolverConfig(mu=1e308, max_iters=5),
         SolverConfig(mu=5.0, penalty=1e308, max_iters=5),
-        SolverConfig(mu=1e-200, penalty=1e-200, max_iters=5, starts=(RandomOrthonormal(1),)),
+        SolverConfig(mu=1e-200, penalty=1e-200, max_iters=5, starts=("random:1",)),
     ):
         with pytest.raises(ShrinkStepError, match="shrinkage step"):
             solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
@@ -407,7 +411,7 @@ def _lockstep_cases(draw):
     else:
         potential = HarmonicWell(omega=draw(st.floats(1.0, 30.0)), center=(0.5,) * dim)
     N = draw(st.integers(1, min(3, grid.node_count - 1)))
-    start = st.one_of(st.just(EigenInit()), st.integers(0, 3).map(RandomOrthonormal))
+    start = st.one_of(st.just("eigen"), st.integers(0, 3).map("random:{}".format))
     starts = tuple(draw(st.lists(start, min_size=1, max_size=4)))
     cfg = SolverConfig(
         mu=draw(st.floats(0.5, 200.0)),
@@ -429,7 +433,8 @@ def test_lockstep_runs_match_solo_runs(case):
     solve = _build_shifted_solver(H, penalty)
     w = H.grid.cell_volume
     x0 = np.stack([rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in cfg.starts])
-    runs = _splitting_runs(H, J, cfg, penalty, solve, w, x0)
+    S = len(x0)
+    runs = _lockstep(H, J, w, x0, [cfg.mu] * S, [penalty] * S, {penalty: solve}, cfg.max_iters, cfg.tol)
     assert len(runs) == len(cfg.starts)
     for run, start in zip(runs, x0):
         solo = _splitting_run(H, J, cfg, penalty, solve, w, start)
@@ -442,8 +447,9 @@ def test_lockstep_runs_match_solo_runs(case):
     res = solve_cm(H, J, N, cfg, eigs=eigs)
     assert res.start_objectives == tuple(run.best_objective for run in runs)
     assert res.start_iterations == tuple(run.iterations for run in runs)
+    assert res.objective == min(res.start_objectives)
     assert res.modes.ortho_defect <= 1e-8
-    if any(isinstance(s, EigenInit) for s in cfg.starts):
+    if "eigen" in cfg.starts:
         eigen = objective(H, J, cfg.mu, eigs.modes.take(N))
         assert res.objective <= eigen + 1e-12 * max(1.0, abs(eigen))
     again = solve_cm(H, J, N, cfg, eigs=eigs)
@@ -459,7 +465,7 @@ def test_trace_buffers_grow_past_first_block(small_box_H):
     # tol so small that no start converges: every run goes to the cap
     H = small_box_H
     eigs = reference_eigenpairs(H, 1)
-    cfg = SolverConfig(mu=10.0, max_iters=2100, tol=1e-300, starts=(RandomOrthonormal(4),))
+    cfg = SolverConfig(mu=10.0, max_iters=2100, tol=1e-300, starts=("random:4",))
     res = solve_cm(H, L1, 1, cfg, eigs=eigs)
     assert res.iterations == len(res.trace) == 2100
     short = solve_cm(H, L1, 1, replace(cfg, max_iters=1024), eigs=eigs)
@@ -490,7 +496,8 @@ def test_sweep_matches_solve_cm_chain(case):
     assert len(swept) == len(schedule)
     previous = None
     for mu, result in zip(schedule, swept):
-        chained = solve_cm(H, J, N, warm_started(replace(cfg, mu=mu), previous), eigs=eigs)
+        starts = cfg.starts if previous is None else cfg.starts + (previous,)
+        chained = solve_cm(H, J, N, replace(cfg, mu=mu, starts=starts), eigs=eigs)
         np.testing.assert_array_equal(result.modes.matrix, chained.modes.matrix)
         assert replace(result, modes=None) == replace(chained, modes=None)
         previous = chained.modes
