@@ -149,45 +149,47 @@ def rotation_polish(matrix: np.ndarray, w: float, J: Regularizer) -> np.ndarray:
     In-span rotations leave every Rayleigh quotient sum invariant, so this
     never increases the objective; it jump-starts the splitting iteration at
     the well-localized rotation instead of leaving that (energy-neutral,
-    hence weakly forced) direction to the slow shrinkage dynamics.
-    Up to ``POLISH_SWEEPS`` pairwise Givens sweeps: coarse angle grid plus
-    golden-section refinement.
+    hence weakly forced) direction to the slow shrinkage dynamics.  Up to
+    ``POLISH_SWEEPS`` greedy sweeps of pairwise Givens rotations: the L1 sum
+    of a turned pair is concave in the angle between the breakpoints where one
+    of its rows turns onto an axis, so its exact minimum is at one of them
+    (``_pair_angle``), and the pair turns there if that saves over 1e-13.
     """
     if matrix.shape[1] < 2 or isinstance(J, ZeroRegularizer):
         return matrix
     x = matrix.copy()
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    coarse = np.linspace(0.0, np.pi / 2, 61)[:-1]
-
-    def pair_cost(pair, theta):
-        c, s = np.cos(theta), np.sin(theta)
-        rotated = pair @ np.array([[c, -s], [s, c]])
-        return float(J.evaluate_columns(rotated, w).sum())
-
     for _ in range(POLISH_SWEEPS):
         improved = False
         for i in range(x.shape[1]):
             for j in range(i + 1, x.shape[1]):
-                pair = x[:, [i, j]]
-                costs = [pair_cost(pair, t) for t in coarse]
-                k = int(np.argmin(costs))
-                lo = coarse[k] - np.pi / 120
-                hi = coarse[k] + np.pi / 120
-                for _ in range(40):
-                    m1 = hi - golden * (hi - lo)
-                    m2 = lo + golden * (hi - lo)
-                    if pair_cost(pair, m1) <= pair_cost(pair, m2):
-                        hi = m2
-                    else:
-                        lo = m1
-                theta = 0.5 * (lo + hi)
-                if pair_cost(pair, theta) < costs[0] - 1e-13:
+                theta, cost = _pair_angle(x[:, i], x[:, j])
+                if w * cost < w * (np.abs(x[:, i]).sum() + np.abs(x[:, j]).sum()) - 1e-13:
                     c, s = np.cos(theta), np.sin(theta)
-                    x[:, [i, j]] = pair @ np.array([[c, -s], [s, c]])
+                    x[:, [i, j]] = x[:, [i, j]] @ np.array([[c, -s], [s, c]])
                     improved = True
         if not improved:
             break
     return x
+
+
+def _pair_angle(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The angle t in [0, pi/2] minimizing sum_i |x_i'| + |y_i'|, and that minimum.
+
+    The pair turned by t is x' = cos(t) x + sin(t) y, y' = cos(t) y - sin(t) x.
+    With (x_i, y_i) = r_i (cos a_i, sin a_i), its sum is sum_i r_i (|cos(a_i - t)|
+    + |sin(a_i - t)|): period pi/2, and concave between the breakpoints b_i = a_i
+    mod pi/2 (one cos + sin arc each), so the minimum lies at a breakpoint.  With
+    the b_i sorted, z_i = r_i e^{i b_i}, Z their sum and L_k = z_1 + ... + z_k, the
+    sum at t = b_k is Re(e^{-i b_k} Z) + Im(e^{-i b_k} (Z - 2 L_k)).
+    """
+    b = np.arctan2(y, x) % (np.pi / 2)
+    order = np.argsort(b)
+    b = b[order]
+    z = np.hypot(x, y)[order] * np.exp(1j * b)
+    total, turn = z.sum(), np.exp(-1j * b)
+    costs = (turn * total).real + (turn * (total - 2.0 * np.cumsum(z))).imag
+    k = int(np.argmin(costs))
+    return float(b[k]), float(costs[k])
 
 
 def solve_cm(
@@ -383,19 +385,19 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
     The start at index s runs at its own ``mu[s]`` and ``penalty[s]``
     (sequences of length S); ``solvers`` maps each penalty to the shifted
     solve of H + penalty I.  The block holds one (N, node_count) slab per running
-    start, one mode per row, ordered by penalty, so the starts that share a
-    penalty form a contiguous slice whose transpose, a view, is the
-    node_count x (slabs N) right-hand side of one shifted solve.  Each start
+    start, one mode per row, in the order of ``x0``; a run of adjacent starts
+    that share a penalty is a contiguous slice whose transpose, a view, is the
+    node_count x (slabs N) right-hand side of one shifted solve (the mu-major
+    block of ``solve_sweep`` keeps equal penalties adjacent).  Each start
     keeps its own stop rule, best feasible iterate and trace, and a start
     that meets the stop rule leaves the block.  The block arrays are updated
     in place where that keeps the order of operations, so that few copies of
     the block are alive at once.
     """
-    order = np.argsort(penalty, kind="stable")
     S, n, N = x0.shape
     eye = np.eye(N)
-    mu = np.asarray(mu, dtype=float)[order]
-    penalty = np.asarray(penalty, dtype=float)[order]
+    mu = np.asarray(mu, dtype=float)
+    penalty = np.asarray(penalty, dtype=float)
     half_r = (0.5 * penalty)[:, None, None]
     shrink_step = (1.0 / (mu * penalty))[:, None, None]
 
@@ -407,11 +409,11 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
         return energy + J.evaluate_columns(rows.mT, w).sum(axis=1) / mu
 
     def groups(penalty):
-        # (lo, hi, solve) per run of equal penalties in the sorted block
+        # (lo, hi, solve) per run of adjacent equal penalties in the block
         edges = [0, *(np.flatnonzero(penalty[1:] != penalty[:-1]) + 1).tolist(), len(penalty)]
         return [(lo, hi, solvers[penalty[lo]]) for lo, hi in zip(edges, edges[1:])]
 
-    P = np.ascontiguousarray(x0[order].mT)
+    P = np.array(x0.mT, order="C")  # a copy: ``best`` starts out in its memory
     Q = P.copy()
     b = np.zeros_like(P)
     B = np.zeros_like(P)
@@ -503,7 +505,7 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
             best_matrix[s] = best[i]
         best_objective[active] = best_obj
 
-    runs = [
+    return [
         _Run(
             best_matrix=np.ascontiguousarray(best_matrix[s].T),
             best_objective=float(best_objective[s]),
@@ -514,4 +516,3 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
         )
         for s, count in enumerate(iterations.tolist())
     ]
-    return [runs[s] for s in np.argsort(order)]

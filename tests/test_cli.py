@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlab import reports
+from cmlab import make_regularizer, objective, reference_eigenpairs, reports
 from cmlab.cli import ConfigError, build_operator, load_config, main, parse_config
 from conftest import CONFIG_DIR, config_path, l1_total
 
@@ -587,6 +587,39 @@ def test_cmd_solve_huge_iteration_cap(tmp_path, capsys):
     doc["solver"].update(max_iters=10**12, starts=["eigen"])
     assert main(["solve", write_config(tmp_path, doc)]) == 0
     assert "converged = true" in capsys.readouterr().out
+
+
+# N equal to the node count: the accepted edge of the tiny-grid checks, where
+# the frame spans the whole space and only the L1 term tells frames apart
+FULL_SPAN_BOXES = {
+    "dirichlet_1d": ({"dim": 1, "extent": [1.0], "points": [2], "boundary": "dirichlet"}, 2),
+    "periodic_1d": ({"dim": 1, "extent": [1.0], "points": [2], "boundary": "periodic"}, 2),
+    "dirichlet_2d": (
+        {"dim": 2, "extent": [1.0, 1.0], "points": [2, 2], "boundary": "dirichlet"},
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SPAN_BOXES))
+def test_cmd_solve_n_equal_to_node_count(name, tmp_path):
+    domain, N = FULL_SPAN_BOXES[name]
+    out = tmp_path / "out"
+    doc = {
+        "domain": domain,
+        "potential": {"kind": "free"},
+        "problem": {"N": N, "regularizer": "l1", "mu": 10.0},
+        "solver": {"max_iters": 200, "starts": ["eigen", "random:1"]},
+        "output": {"dir": str(out), "formats": ["json"]},
+    }
+    assert main(["solve", write_config(tmp_path, doc)]) == 0
+    report = json.loads((out / "solve.json").read_text(), parse_constant=_reject_constant)
+    assert report["ortho_defect"] <= 1e-8
+    H = build_operator(parse_config(doc))
+    eigen = reference_eigenpairs(H, N).modes
+    bound = objective(H, make_regularizer("l1"), 10.0, eigen)
+    # slack for rounding only: the report and ``objective`` sum in different orders
+    assert report["objective"] <= bound + 1e-12 * abs(bound)
 
 
 # --- sweep ------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from cmlab.solver import (
     ShrinkStepError,
     _build_shifted_solver,
     _lockstep,
+    _pair_angle,
     _splitting_run,
     _start_matrix,
     default_penalty,
@@ -189,6 +190,86 @@ def test_objective_grid_mismatch(box_H):
     frame = _orthonormal_frame(other, np.random.default_rng(0).standard_normal((100, 2)))
     with pytest.raises(GridMismatchError):
         objective(box_H, L1, 1.0, frame)
+
+
+# --- rotation polish ----------------------------------------------------------
+
+
+def _turned_l1(x, y, theta):
+    """sum_i |x_i'| + |y_i'| of the pair (x, y) turned by ``theta``, rotated directly."""
+    c, s = np.cos(theta), np.sin(theta)
+    return float(np.abs(c * x + s * y).sum() + np.abs(c * y - s * x).sum())
+
+
+# the 60 angles of the grid search that the closed form replaced
+GRID_ANGLES = np.linspace(0.0, np.pi / 2, 61)[:-1]
+
+
+@st.composite
+def _pairs(draw):
+    """A column pair with zero rows, rows of tied angle mod pi/2 and rows at the pi/2 wrap."""
+    kind = st.sampled_from(["free", "zero", "axis", "wrap", "tie"])
+    kinds = draw(st.lists(kind, min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angles = []
+    for kind in kinds:
+        quarter = rng.integers(-2, 3) * np.pi / 2
+        if kind == "axis":
+            angles.append(quarter)
+        elif kind == "wrap":  # just either side of an axis: a breakpoint near 0 or near pi/2
+            angles.append(quarter + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17, -6))
+        elif kind == "tie" and angles:  # an earlier row's breakpoint, in any quadrant
+            angles.append(angles[rng.integers(len(angles))] + quarter)
+        else:
+            angles.append(rng.uniform(-np.pi, np.pi))
+    radii = rng.exponential(size=len(kinds)) * [kind != "zero" for kind in kinds]
+    return radii * np.cos(angles), radii * np.sin(angles)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_pairs())
+def test_exact_pair_angle_never_loses_to_the_angle_grid(pair):
+    x, y = pair
+    theta, cost = _pair_angle(x, y)
+    assert 0.0 <= theta <= np.pi / 2
+    exact = _turned_l1(x, y, theta)
+    assert cost == pytest.approx(exact, rel=1e-12, abs=1e-12)
+    for t in GRID_ANGLES:
+        assert exact <= _turned_l1(x, y, t) * (1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 80),
+    N=st.integers(2, 5),
+    w=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    localized=st.booleans(),
+)
+def test_rotation_polish_lowers_l1_within_the_span(n, N, w, seed, localized):
+    N = min(N, n)
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, N))
+    if localized:  # a near-sparse frame mixed by a random rotation: much to recover
+        raw = np.eye(n, N) + 1e-3 * raw
+        raw = raw @ np.linalg.qr(rng.standard_normal((N, N)))[0]
+    frame = orthonormal_columns(raw, w)
+    before = frame.copy()
+    out = rotation_polish(frame, w, L1)
+    np.testing.assert_array_equal(frame, before)
+    assert L1.evaluate_columns(out, w).sum() <= L1.evaluate_columns(frame, w).sum()
+    assert np.abs(w * (out.T @ out) - np.eye(N)).max() <= 1e-12
+    assert scipy.linalg.subspace_angles(frame, out).max() <= 1e-10
+    np.testing.assert_array_equal(rotation_polish(frame, w, ZERO), frame)
+    np.testing.assert_array_equal(rotation_polish(frame[:, :1], w, L1), frame[:, :1])
+
+
+def test_rotation_polish_localizes_box_eigenfunctions(box_H, box_eigs):
+    w = box_H.grid.cell_volume
+    frame = box_eigs.modes.matrix[:, :4]
+    out = rotation_polish(frame, w, L1)
+    assert L1.evaluate_columns(out, w).sum() < 0.9 * L1.evaluate_columns(frame, w).sum()
+    assert scipy.linalg.subspace_angles(frame, out).max() <= 1e-10
 
 
 # --- solve_cm ---------------------------------------------------------------
