@@ -24,14 +24,7 @@ from .consistency import (
 )
 from .eigensolver import EigenSystem, EigensolverError, reference_eigenpairs, spectral_gap
 from .grid import DIRICHLET, PERIODIC, Grid, GridMismatchError
-from .hamiltonian import (
-    FreeParticle,
-    HamiltonianOperator,
-    HarmonicWell,
-    MultiWell,
-    Potential,
-    Tabulated,
-)
+from .hamiltonian import HamiltonianOperator, harmonic_well, multiwell
 from .modes import ModeSet, RankDeficientError, orthonormal_columns
 from .regularizer import L1Regularizer, Regularizer, ZeroRegularizer, make_regularizer
 from .solver import (
@@ -51,34 +44,31 @@ __all__ = [
     "DIRICHLET",
     "EigenSystem",
     "EigensolverError",
-    "FreeParticle",
     "Grid",
     "GridMismatchError",
     "HamiltonianOperator",
-    "HarmonicWell",
     "L1Regularizer",
     "ModeSet",
-    "MultiWell",
     "PERIODIC",
-    "Potential",
     "RankDeficientError",
     "Regularizer",
     "SolverConfig",
     "SolverResult",
     "SweepRecord",
     "SweepReport",
-    "Tabulated",
     "ZeroRegularizer",
     "coefficients",
     "column_mass_lemma_check",
     "column_mass_suite",
     "gap_bound_suite",
     "gap_lower_bound",
+    "harmonic_well",
     "interaction_matrix",
     "localization",
     "make_regularizer",
     "mode_energies",
     "mu_sweep",
+    "multiwell",
     "nu_spectrum",
     "objective",
     "orthonormal_columns",

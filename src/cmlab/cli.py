@@ -13,21 +13,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+import warnings
 
 import numpy as np
 
 from . import consistency, reports
 from .eigensolver import reference_eigenpairs, spectral_gap
 from .grid import Grid
-from .hamiltonian import (
-    FreeParticle,
-    HamiltonianOperator,
-    HarmonicWell,
-    MultiWell,
-    Potential,
-    Tabulated,
-)
+from .hamiltonian import HamiltonianOperator, harmonic_well, multiwell
 from .modes import RankDeficientError
 from .regularizer import make_regularizer
 from .solver import (
@@ -212,24 +205,12 @@ CONFIG = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated, fully normalized experiment description: one dict per block of ``CONFIG``."""
+def parse_config(raw: dict, base_dir: str = ".") -> dict:
+    """Read ``raw`` by ``CONFIG``, then apply the rules that tie keys together.
 
-    domain: dict
-    potential: dict
-    problem: dict
-    solver: dict
-    output: dict
-    seed: int
-
-    def to_dict(self) -> dict:
-        """The config echo written into ``solve.json`` and ``sweep.json``."""
-        return asdict(self)
-
-
-def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
-    """Read ``raw`` by ``CONFIG``, then apply the rules that tie keys together."""
+    The result, one dict per block of ``CONFIG``, is fully normalized and is
+    also the config echo written into ``solve.json`` and ``sweep.json``.
+    """
     cfg = _walk(raw, "", CONFIG)
     domain, problem = cfg["domain"], cfg["problem"]
     dim = domain["dim"]
@@ -248,10 +229,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         solver["starts"] = ["eigen", f"random:{seed + 1}", f"random:{seed + 2}"]
     if "path" in potential:
         potential["path"] = os.path.abspath(os.path.join(base_dir, potential["path"]))
-    return ExperimentConfig(**cfg)
+    return cfg
 
 
-def load_config(path: str, mu_override: float | None = None, seed_override: int | None = None):
+def load_config(path: str, mu_override: float | None = None, seed_override: int | None = None) -> dict:
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -270,55 +251,64 @@ def load_config(path: str, mu_override: float | None = None, seed_override: int 
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def build_potential(spec: dict) -> Potential:
-    """The potential of a parsed ``potential`` block; the potential checks its own sizes."""
-    kind = spec["kind"]
-    if kind == "free":
-        return FreeParticle()
-    if kind == "harmonic":
-        center = spec.get("center")
-        return HarmonicWell(spec["omega"], None if center is None else tuple(center))
-    if kind == "multiwell":
-        return MultiWell(tuple(map(tuple, spec["centers"])), spec["depth"], spec["width"])
+def _load_column(path: str, count: int) -> np.ndarray:
+    """The node values in a text file: ``count`` lines, one number each."""
+    need = f"path {path} must hold one number per line, one line for each of the grid's {count} nodes"
     try:
-        values = np.loadtxt(spec["path"], dtype=float, ndmin=1)
-    except OSError as exc:
-        raise ConfigError(f"cannot read tabulated potential: {exc}")
-    if values.ndim != 1:
-        raise ConfigError("tabulated potential CSV must hold a single column")
-    return Tabulated(tuple(float(v) for v in values))
+        with warnings.catch_warnings(action="ignore", category=UserWarning):  # no numbers: named below
+            values = np.loadtxt(path, dtype=float, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{need}: {exc}")
+    if values.shape != (count,):
+        raise ValueError(f"{need}; it holds an array of shape {values.shape}")
+    return values
 
 
-def build_operator(cfg: ExperimentConfig) -> HamiltonianOperator:
-    d = cfg.domain
+# kind -> node values of V (None for V = 0), called with the grid and the
+# block's other keys; an error begins with the key it is about
+POTENTIAL_VALUES = {
+    "free": lambda grid: None,
+    "harmonic": harmonic_well,
+    "multiwell": multiwell,
+    "tabulated": lambda grid, path: _load_column(path, grid.node_count),
+}
+
+
+def build_operator(cfg: dict) -> HamiltonianOperator:
+    d, potential = cfg["domain"], dict(cfg["potential"])
+    values_of = POTENTIAL_VALUES[potential.pop("kind")]
+    grid = Grid(d["dim"], d["extent"], d["points"], d["boundary"])  # the parser checked these
     try:
-        grid = Grid(d["dim"], d["extent"], d["points"], d["boundary"])
-        return HamiltonianOperator(grid, build_potential(cfg.potential))
+        values = values_of(grid, **potential)
+    except ValueError as exc:
+        raise ConfigError(f"potential.{exc}")
+    try:
+        return HamiltonianOperator(grid, values)
     except ValueError as exc:
         raise ConfigError(str(exc))
     except ArithmeticError as exc:
         raise ConfigError(f"domain or potential is out of floating-point range: {exc}")
 
 
-def build_solver_config(cfg: ExperimentConfig, mu: float) -> SolverConfig:
-    return SolverConfig(mu=mu, **cfg.solver)
+def build_solver_config(cfg: dict, mu: float) -> SolverConfig:
+    return SolverConfig(mu=mu, **cfg["solver"])
 
 
-def _write(cfg: ExperimentConfig, name: str, text: str) -> None:
+def _write(cfg: dict, name: str, text: str) -> None:
     """Write one output file into ``output.dir``; a failure is a config error."""
-    out = cfg.output["dir"]
+    out = cfg["output"]["dir"]
     try:
         reports.write_atomic(os.path.join(out, name), text)
     except OSError as exc:
         raise ConfigError(f"output.dir {out!r}: cannot write {name}: {exc}")
 
 
-def cmd_eig(cfg: ExperimentConfig) -> int:
+def cmd_eig(cfg: dict) -> int:
     H = build_operator(cfg)
-    N = cfg.problem["N"]
+    N = cfg["problem"]["N"]
     count = min(N + 1, H.node_count)
     eigs = reference_eigenpairs(H, count)
-    if "csv" in cfg.output["formats"]:
+    if "csv" in cfg["output"]["formats"]:
         _write(cfg, "eigs.csv", reports.eigs_csv(eigs))
         _write(cfg, "eigenmodes.csv", reports.modes_csv(eigs.modes))
     for i in range(count):
@@ -331,8 +321,8 @@ def cmd_eig(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_solve(cfg: ExperimentConfig) -> int:
-    problem, output = cfg.problem, cfg.output
+def cmd_solve(cfg: dict) -> int:
+    problem, output = cfg["problem"], cfg["output"]
     if "mu" not in problem:
         raise ConfigError("problem.mu is required for solve")
     H = build_operator(cfg)
@@ -357,7 +347,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             "start_objectives": list(result.start_objectives),
             "start_iterations": list(result.start_iterations),
             "start_converged": list(result.start_converged),
-            "config": cfg.to_dict(),
+            "config": cfg,
         }
         _write(cfg, "solve.json", reports.json_text(doc))
     print(f"objective = {reports.fmt(result.objective)}")
@@ -367,12 +357,12 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> int:
-    problem, output = cfg.problem, cfg.output
+def cmd_sweep(cfg: dict) -> int:
+    problem, output = cfg["problem"], cfg["output"]
     if "mu_schedule" not in problem:
         raise ConfigError("problem.mu_schedule is required for sweep")
     N, schedule = problem["N"], problem["mu_schedule"]
-    nodes = math.prod(cfg.domain["points"])
+    nodes = math.prod(cfg["domain"]["points"])
     if N + 1 > nodes:
         raise ConfigError(f"sweep needs N + 1 = {N + 1} eigenpairs, the grid has {nodes} nodes")
     H = build_operator(cfg)
@@ -381,7 +371,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     if "csv" in output["formats"]:
         _write(cfg, "sweep.csv", reports.sweep_csv(report))
     if "json" in output["formats"]:
-        _write(cfg, "sweep.json", reports.sweep_json(report, cfg.to_dict()))
+        _write(cfg, "sweep.json", reports.sweep_json(report, cfg))
     if report.degenerate:
         print("DEGENERATE")
     else:
@@ -402,7 +392,7 @@ def cmd_verify(cases: int, seed: int) -> int:
     print(f"column_mass: {cases} draws, max mass = {reports.fmt(worst_mass)} (limit 1 + 1e-10)")
 
     grid = Grid(1, (1.0,), (VERIFY_BOX_POINTS,), "dirichlet")
-    H = HamiltonianOperator(grid, FreeParticle())
+    H = HamiltonianOperator(grid)
     frame_cases = max(1, cases // 10)
     max_slack, bound_violations = consistency.gap_bound_suite(H, VERIFY_N, frame_cases, seed)
     print(

@@ -3,12 +3,13 @@
 The Laplacian is the second-order central stencil (3-point in 1D, 5-point
 in 2D).  The operator is assembled once as a sparse CSR matrix, which backs
 the operator apply, the solver's shifted linear solve and the eigensolver.
+V enters only through its node values (None for V = 0); ``harmonic_well`` and
+``multiwell`` compute them, and each of their errors begins with the parameter it is about.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -16,92 +17,65 @@ import scipy.sparse
 from .grid import PERIODIC, Grid, GridMismatchError
 
 
-@dataclass(frozen=True)
-class FreeParticle:
-    """V = 0 everywhere."""
-
-    def values_on(self, grid: Grid) -> np.ndarray:
-        return np.zeros(grid.node_count)
-
-
-@dataclass(frozen=True)
-class HarmonicWell:
+def harmonic_well(grid: Grid, omega: float, center=None) -> np.ndarray:
     """V(x) = 1/2 * omega^2 * |x - center|^2, centered at the box midpoint by default."""
-
-    omega: float = 1.0
-    center: tuple[float, ...] | None = None
-
-    def values_on(self, grid: Grid) -> np.ndarray:
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        center = self.center
-        if center is None:
-            center = tuple(e / 2 for e in grid.extent)
-        if len(center) != grid.dim:
-            raise ValueError("center dimension does not match grid")
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    if center is None:
+        center = tuple(e / 2 for e in grid.extent)
+    if len(center) != grid.dim:
+        raise ValueError("center dimension does not match grid")
+    with np.errstate(over="ignore", invalid="ignore"):  # np.float64 overflows to inf, named below
         d2 = ((grid.coordinates() - np.asarray(center)) ** 2).sum(axis=1)
-        return 0.5 * self.omega**2 * d2
+        values = 0.5 * np.float64(omega) ** 2 * d2
+    for name, part in (("center", d2), ("omega", values)):
+        if not np.all(np.isfinite(part)):
+            raise ValueError(f"{name} puts 1/2 omega^2 |x - center|^2 out of floating-point range")
+    return values
 
 
-@dataclass(frozen=True)
-class MultiWell:
+def multiwell(grid: Grid, centers, depth: float, width: float) -> np.ndarray:
     """Negative Gaussian bumps of equal depth and width at the given centers.
 
     V(x) = -depth * sum_c exp(-|x - c|^2 / (2 width^2)).  Spatially separated
     wells give the localized low-energy structure the sparse modes latch onto.
+    A well too far out for |x - c|^2 to be a double adds its exp(-inf) = 0.
     """
-
-    centers: tuple[tuple[float, ...], ...]
-    depth: float
-    width: float
-
-    def values_on(self, grid: Grid) -> np.ndarray:
-        if self.depth <= 0 or self.width <= 0:
-            raise ValueError("depth and width must be positive")
-        spread = 2.0 * self.width**2
+    if depth <= 0 or width <= 0:
+        raise ValueError("depth and width must be positive")
+    coords = grid.coordinates()
+    v = np.zeros(grid.node_count)
+    with np.errstate(over="ignore"):  # as in harmonic_well
+        spread = 2.0 * np.float64(width) ** 2
         if not 0.0 < spread < math.inf:
-            raise ValueError(f"well width {self.width:g} is out of range: 2 * width**2 = {spread:g}")
-        coords = grid.coordinates()
-        v = np.zeros(grid.node_count)
-        for c in self.centers:
+            raise ValueError(f"width {width:g} is out of range: 2 * width**2 = {spread:g}")
+        for c in centers:
             if len(c) != grid.dim:
-                raise ValueError("well center dimension does not match grid")
+                raise ValueError("centers must each have one coordinate per grid axis")
             d2 = ((coords - np.asarray(c)) ** 2).sum(axis=1)
-            v -= self.depth * np.exp(-d2 / spread)
-        return v
-
-
-@dataclass(frozen=True)
-class Tabulated:
-    """Potential given by one value per node (e.g. loaded from a CSV column)."""
-
-    values: tuple[float, ...]
-
-    def values_on(self, grid: Grid) -> np.ndarray:
-        v = np.asarray(self.values, dtype=float)
-        if v.size != grid.node_count:
-            raise ValueError(
-                f"tabulated potential has {v.size} values, grid has {grid.node_count} nodes"
-            )
-        return v
-
-
-Potential = FreeParticle | HarmonicWell | MultiWell | Tabulated
+            v -= depth * np.exp(-d2 / spread)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"depth {depth:g} puts the sum of the wells out of floating-point range")
+    return v
 
 
 class HamiltonianOperator:
-    """Symmetric operator -1/2 Laplacian + V on one grid.
+    """Symmetric operator -1/2 Laplacian + V on one grid, V given by its node values.
 
     The operator is assembled once, at construction, as a read-only CSR
     matrix (``matrix``); applying it is a sparse matrix product, which is
     reentrant.
     """
 
-    def __init__(self, grid: Grid, potential: Potential):
+    def __init__(self, grid: Grid, potential: np.ndarray | None = None):
         self.grid = grid
-        self.potential = potential
-        self.potential_values = potential.values_on(grid)
-        self.potential_values.setflags(write=False)
+        n = grid.node_count
+        # a copy, so that freezing it leaves the caller's array alone
+        values = np.zeros(n) if potential is None else np.array(potential, dtype=float)
+        if values.shape != (n,):
+            raise ValueError(f"potential has shape {values.shape}; the grid has {n} nodes")
+        values.setflags(write=False)
+        self.potential_values = values
         periodic = grid.boundary == PERIODIC
         kinetic = [_kinetic_1d(n, h, periodic) for n, h in zip(grid.shape, grid.spacing)]
         if grid.dim == 1:

@@ -480,8 +480,9 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
         streak = np.where(change <= tol, streak + 1, 0)
         iterations[active] = k
         done = (streak >= STREAK_REQUIRED) & (rel_obj <= OBJECTIVE_REL_TOL)
-        if done.any():
+        if done.any() or k == max_iters:
             converged[active[done]] = True
+            done |= k == max_iters  # the cap: every slab still running leaves with its best
             for i in np.flatnonzero(done).tolist():
                 best_matrix[active[i]] = best[i]
             best_objective[active[done]] = best_obj[done]
@@ -500,10 +501,6 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
             )
             slabs = groups(penalty)
         prev_obj = obj
-    else:  # the cap: the slabs still running leave with their best
-        for i, s in enumerate(active.tolist()):
-            best_matrix[s] = best[i]
-        best_objective[active] = best_obj
 
     return [
         _Run(

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from cmlab import (
-    FreeParticle,
     Grid,
     HamiltonianOperator,
     L1Regularizer,
     ModeSet,
-    MultiWell,
     make_regularizer,
     mu_sweep,
+    multiwell,
     reference_eigenpairs,
 )
 from cmlab.cli import build_operator, build_solver_config, load_config
@@ -35,7 +34,7 @@ def box_grid():
 
 @pytest.fixture(scope="session")
 def box_H(box_grid):
-    return HamiltonianOperator(box_grid, FreeParticle())
+    return HamiltonianOperator(box_grid)
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +44,7 @@ def box_eigs(box_H):
 
 @pytest.fixture(scope="session")
 def small_box_H():
-    return HamiltonianOperator(Grid(1, (1.0,), (64,), "dirichlet"), FreeParticle())
+    return HamiltonianOperator(Grid(1, (1.0,), (64,), "dirichlet"))
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +54,7 @@ def small_box_full_eigs(small_box_H):
 
 @pytest.fixture(scope="session")
 def periodic_H():
-    return HamiltonianOperator(Grid(1, (1.0,), (256,), "periodic"), FreeParticle())
+    return HamiltonianOperator(Grid(1, (1.0,), (256,), "periodic"))
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +65,7 @@ def periodic_eigs(periodic_H):
 @pytest.fixture(scope="session")
 def multiwell_H():
     grid = Grid(1, (40.0,), (400,), "dirichlet")
-    wells = MultiWell(centers=((8.0,), (16.0,), (24.0,), (32.0,)), depth=3.0, width=1.5)
+    wells = multiwell(grid, centers=((8.0,), (16.0,), (24.0,), (32.0,)), depth=3.0, width=1.5)
     return HamiltonianOperator(grid, wells)
 
 
@@ -85,7 +84,7 @@ def reference_sweep(reference_config):
     """The repo's own acceptance run: the shipped sweep config, run in process."""
     cfg = reference_config
     H = build_operator(cfg)
-    problem = cfg.problem
+    problem = cfg["problem"]
     J = make_regularizer(problem["regularizer"])
     solver_cfg = build_solver_config(cfg, problem["mu_schedule"][0])
     return mu_sweep(H, J, problem["N"], problem["mu_schedule"], solver_cfg)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from cmlab import (
-    FreeParticle,
     Grid,
     HamiltonianOperator,
     SolverConfig,
@@ -33,7 +32,7 @@ def _verdict(num: int, ok: bool, name: str) -> None:
 
 def test_criterion_01_eigensolver_oracle():
     t0 = time.perf_counter()
-    H = HamiltonianOperator(Grid(1, (1.0,), (512,), "dirichlet"), FreeParticle())
+    H = HamiltonianOperator(Grid(1, (1.0,), (512,), "dirichlet"))
     eigs = reference_eigenpairs(H, 3)
     elapsed = time.perf_counter() - t0
     analytic = np.array([np.pi**2 / 2, 2 * np.pi**2, 9 * np.pi**2 / 2])

@@ -63,8 +63,7 @@ def test_parse_validates_schedule(tmp_path, capsys):
 
 
 def test_config_round_trip(reference_config):
-    echoed = reference_config.to_dict()
-    assert parse_config(json.loads(json.dumps(echoed))) == reference_config
+    assert parse_config(json.loads(json.dumps(reference_config))) == reference_config
 
 
 # configs that exercise the defaults, the key order and a relative tabulated path
@@ -427,7 +426,7 @@ def test_config_echo_bytes(name, tmp_path):
     else:
         path = config_path(name)
     expected = GOLDEN_ECHOES[name].replace("{dir}", str(tmp_path))
-    assert reports.json_text(load_config(path).to_dict()) == expected
+    assert reports.json_text(load_config(path)) == expected
 
 
 def test_missing_file_is_config_error(tmp_path, capsys):
@@ -509,9 +508,9 @@ def test_cmd_solve_l1_bracket(tmp_path):
     assert main(["solve", path]) == 0
     with open(out / "solve.json") as fh:
         report = json.load(fh)
-    from cmlab import FreeParticle, Grid, HamiltonianOperator, reference_eigenpairs
+    from cmlab import Grid, HamiltonianOperator, reference_eigenpairs
 
-    eigs = reference_eigenpairs(HamiltonianOperator(Grid(1, (1.0,), (128,)), FreeParticle()), 2)
+    eigs = reference_eigenpairs(HamiltonianOperator(Grid(1, (1.0,), (128,))), 2)
     e0 = eigs.eigenvalues[:2].sum()
     cap = l1_total(eigs.modes) / 100.0
     assert e0 - 1e-8 <= report["objective"] <= e0 + cap + 1e-8
@@ -741,7 +740,7 @@ def test_cmd_verify_deterministic(capsys):
 def test_shipped_configs_parse():
     for name in SHIPPED_CONFIGS:
         cfg = load_config(config_path(name))
-        assert cfg.problem["N"] >= 1
+        assert cfg["problem"]["N"] >= 1
 
 
 # --- bad input: exit 2 with a message, never a traceback --------------------------------
@@ -762,6 +761,12 @@ def _edit(doc, path, value):
 
 MULTIWELL_BAD_CENTER = {"kind": "multiwell", "centers": [["a"]], "depth": 3.0, "width": 1.5}
 MULTIWELL_TINY_WIDTH = {"kind": "multiwell", "centers": [[0.5]], "depth": 3.0, "width": 1e-300}
+MULTIWELL_HUGE_WIDTH = {"kind": "multiwell", "centers": [[0.5]], "depth": 3.0, "width": 1e200}
+MULTIWELL_DEEP_PAIR = {"kind": "multiwell", "centers": [[0.5], [0.5]], "depth": 1e308, "width": 0.1}
+TABULATED = {"kind": "tabulated", "path": "v.csv"}
+
+# the text of the tabulated potential file a probe writes next to its config
+PROBE_FILES = {"tabulated_empty": "", "tabulated_comma": "1,2\n"}
 
 # (subcommand, (path, value) edits of configs/reference_sweep.json, extra CLI arguments,
 #  a substring of the error line that names what is wrong)
@@ -803,6 +808,16 @@ BAD_INPUT_PROBES = {
     "mu_flag_huge": ("solve", [], ["--mu", "1e308"], "mu * penalty"),
     "penalty_huge": ("sweep", [(("solver", "penalty"), 1e308)], [], "mu * penalty"),
     "width_underflow": ("sweep", [(("potential",), MULTIWELL_TINY_WIDTH)], [], "width"),
+    "width_overflow": ("sweep", [(("potential",), MULTIWELL_HUGE_WIDTH)], [], "potential.width"),
+    "depth_sum_overflow": ("sweep", [(("potential",), MULTIWELL_DEEP_PAIR)], [], "potential.depth"),
+    "omega_overflow": (
+        "sweep", [(("potential",), {"kind": "harmonic", "omega": 1e200})], [], "potential.omega"
+    ),
+    "center_overflow": (
+        "sweep", [(("potential",), {"kind": "harmonic", "center": [1e308]})], [], "potential.center"
+    ),
+    "tabulated_empty": ("sweep", [(("potential",), TABULATED)], [], "potential.path"),
+    "tabulated_comma": ("sweep", [(("potential",), TABULATED)], [], "potential.path"),
     # node values of unit-norm functions, squared and scaled by the operator,
     # leave the double range: overflow for a tiny box, underflow for a huge one
     "extent_tiny": ("sweep", [(("domain", "extent"), [1e-150])], [], "domain scale"),
@@ -820,11 +835,13 @@ BAD_INPUT_PROBES = {
 }
 
 
-# a numpy warning on the way to the error fails the probe
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# a Python warning on the way to the error fails the probe
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("probe", sorted(BAD_INPUT_PROBES))
 def test_bad_input_exits_2_without_traceback(probe, tmp_path, capsys):
     command, edits, extra, names = BAD_INPUT_PROBES[probe]
+    if probe in PROBE_FILES:
+        (tmp_path / "v.csv").write_text(PROBE_FILES[probe])
     with open(config_path("reference_sweep.json")) as fh:
         doc = json.load(fh)
     doc["output"]["dir"] = str(tmp_path / "out")

@@ -3,10 +3,9 @@ import pytest
 import scipy.linalg
 
 from cmlab import (
-    FreeParticle,
     Grid,
     HamiltonianOperator,
-    HarmonicWell,
+    harmonic_well,
     mode_energies,
     orthonormal_columns,
     reference_eigenpairs,
@@ -26,14 +25,14 @@ def test_box_spectrum_matches_analytic(box_eigs, box_grid):
 
 def test_harmonic_spectrum_matches_analytic():
     g = Grid(1, (16.0,), (1024,), "dirichlet")
-    H = HamiltonianOperator(g, HarmonicWell(omega=1.0))
+    H = HamiltonianOperator(g, harmonic_well(g, omega=1.0))
     eigs = reference_eigenpairs(H, 4)
     np.testing.assert_allclose(eigs.eigenvalues, [0.5, 1.5, 2.5, 3.5], rtol=1e-2)
 
 
 def test_full_spectrum_trace_identity():
     g = Grid(1, (1.0,), (8,), "dirichlet")
-    H = HamiltonianOperator(g, HarmonicWell(omega=3.0))
+    H = HamiltonianOperator(g, harmonic_well(g, omega=3.0))
     eigs = reference_eigenpairs(H, 8)
     trace = float(np.trace(H.materialize_dense()))
     assert eigs.eigenvalues.sum() == pytest.approx(trace, rel=1e-10)
@@ -84,7 +83,7 @@ def test_variational_floor_random_frames(box_H, box_eigs, rng):
 
 def test_shift_invert_matches_dense():
     g = Grid(1, (1.0,), (300,), "dirichlet")
-    H = HamiltonianOperator(g, FreeParticle())
+    H = HamiltonianOperator(g)
     dense_vals = scipy.linalg.eigh(H.materialize_dense(), eigvals_only=True)[:3]
     eigs = reference_eigenpairs(H, 3)
     np.testing.assert_allclose(eigs.eigenvalues, dense_vals, rtol=1e-8)
@@ -105,7 +104,7 @@ def test_shift_invert_matches_dense():
 def test_shift_invert_degenerate_spans_match_dense(grid, count, rng):
     # inside a degenerate eigenspace the basis is arbitrary: compare the
     # spectral projectors Phi Phi^T w, not the eigenvectors
-    H = HamiltonianOperator(grid, FreeParticle())
+    H = HamiltonianOperator(grid)
     dense_vals, dense_vecs = scipy.linalg.eigh(H.materialize_dense())
     eigs = reference_eigenpairs(H, count)
     np.testing.assert_allclose(eigs.eigenvalues, dense_vals[:count], rtol=1e-8, atol=1e-8)
@@ -129,7 +128,7 @@ TINY_SHAPES = [(n,) for n in range(2, 12)] + [(a, b) for a in range(2, 6) for b 
 @pytest.mark.parametrize("shape", TINY_SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_tiny_grids_every_count_matches_eigvalsh(shape, boundary):
     g = Grid(len(shape), (1.0,) * len(shape), shape, boundary)
-    H = HamiltonianOperator(g, FreeParticle())
+    H = HamiltonianOperator(g)
     exact = np.linalg.eigvalsh(H.materialize_dense())
     for count in range(1, g.node_count + 1):
         eigs = reference_eigenpairs(H, count)

@@ -69,7 +69,7 @@ def test_sweep_csv_header_and_rows(reference_sweep):
 
 
 def test_sweep_json_structure(reference_sweep, reference_config):
-    doc = json.loads(sweep_json(reference_sweep, reference_config.to_dict()))
+    doc = json.loads(sweep_json(reference_sweep, reference_config))
     assert doc["N"] == 2
     assert doc["verdicts"]["monotone_energy"] in ("pass", "fail", "n/a", "degenerate")
     assert len(doc["records"]) == len(reference_sweep.records)
@@ -84,7 +84,7 @@ def test_sweep_json_is_strict_json(reference_sweep, reference_config):
     # a failed alignment stores a NaN residual; the document must still be valid JSON
     first = replace(reference_sweep.records[0], procrustes_residual=float("nan"), max_eig_dev=float("inf"))
     report = replace(reference_sweep, records=(first, *reference_sweep.records[1:]))
-    doc = json.loads(sweep_json(report, reference_config.to_dict()), parse_constant=_reject_constant)
+    doc = json.loads(sweep_json(report, reference_config), parse_constant=_reject_constant)
     assert doc["records"][0]["procrustes_residual"] is None
     assert doc["records"][0]["max_eig_dev"] is None
     assert doc["records"][1]["procrustes_residual"] == reference_sweep.records[1].procrustes_residual
@@ -94,7 +94,7 @@ def test_sweep_json_start_records_are_strict_json(reference_sweep, reference_con
     # a start that diverges reports a non-finite best objective
     first = replace(reference_sweep.records[0], start_objectives=(1.5, float("inf"), float("nan")))
     report = replace(reference_sweep, records=(first, *reference_sweep.records[1:]))
-    doc = json.loads(sweep_json(report, reference_config.to_dict()), parse_constant=_reject_constant)
+    doc = json.loads(sweep_json(report, reference_config), parse_constant=_reject_constant)
     assert doc["records"][0]["start_objectives"] == [1.5, None, None]
     assert doc["records"][0]["start_labels"] == list(first.start_labels)
     second = reference_sweep.records[1]

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab import (
-    FreeParticle,
     Grid,
     GridMismatchError,
     HamiltonianOperator,
-    HarmonicWell,
     ModeSet,
     RankDeficientError,
     SolverConfig,
+    harmonic_well,
     localization,
     make_regularizer,
     mode_energies,
@@ -443,9 +442,7 @@ def test_starts_match_solo_runs(box_H, box_eigs):
 
 def test_solve_2d_box_bracket():
     g = Grid(2, (1.0, 1.0), (16, 16), "dirichlet")
-    from cmlab import FreeParticle, HamiltonianOperator, reference_eigenpairs
-
-    H = HamiltonianOperator(g, FreeParticle())
+    H = HamiltonianOperator(g)
     eigs = reference_eigenpairs(H, 3)
     cfg = SolverConfig(mu=50.0, max_iters=800)
     res = solve_cm(H, L1, 3, cfg, eigs=eigs)
@@ -488,9 +485,9 @@ def _lockstep_cases(draw):
     boundary = draw(st.sampled_from(["dirichlet", "periodic"]))
     grid = Grid(dim, (1.0,) * dim, points, boundary)
     if draw(st.booleans()):
-        potential = FreeParticle()
+        potential = None
     else:
-        potential = HarmonicWell(omega=draw(st.floats(1.0, 30.0)), center=(0.5,) * dim)
+        potential = harmonic_well(grid, omega=draw(st.floats(1.0, 30.0)), center=(0.5,) * dim)
     N = draw(st.integers(1, min(3, grid.node_count - 1)))
     start = st.one_of(st.just("eigen"), st.integers(0, 3).map("random:{}".format))
     starts = tuple(draw(st.lists(start, min_size=1, max_size=4)))
