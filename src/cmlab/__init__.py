@@ -9,8 +9,6 @@ regularization weight fades.
 from .consistency import (
     AlignmentError,
     CoeffMatrix,
-    SweepRecord,
-    SweepReport,
     coefficients,
     column_mass_lemma_check,
     column_mass_suite,
@@ -54,8 +52,6 @@ __all__ = [
     "Regularizer",
     "SolverConfig",
     "SolverResult",
-    "SweepRecord",
-    "SweepReport",
     "ZeroRegularizer",
     "coefficients",
     "column_mass_lemma_check",

@@ -20,7 +20,7 @@ import numpy as np
 from . import consistency, reports
 from .eigensolver import reference_eigenpairs, spectral_gap
 from .grid import Grid
-from .hamiltonian import HamiltonianOperator, harmonic_well, multiwell
+from .hamiltonian import HamiltonianOperator, harmonic_well, multiwell, within_scale
 from .modes import RankDeficientError
 from .regularizer import make_regularizer
 from .solver import (
@@ -29,6 +29,7 @@ from .solver import (
     SolverConfig,
     check_start,
     solve_cm,
+    start_fields,
 )
 
 VERIFY_BOX_POINTS = 256
@@ -251,8 +252,9 @@ def load_config(path: str, mu_override: float | None = None, seed_override: int 
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _load_column(path: str, count: int) -> np.ndarray:
-    """The node values in a text file: ``count`` lines, one number each."""
+def _load_column(grid: Grid, path: str) -> np.ndarray:
+    """The node values in a text file: one line for each node of ``grid``, one number each."""
+    count = grid.node_count
     need = f"path {path} must hold one number per line, one line for each of the grid's {count} nodes"
     try:
         with warnings.catch_warnings(action="ignore", category=UserWarning):  # no numbers: named below
@@ -261,6 +263,8 @@ def _load_column(path: str, count: int) -> np.ndarray:
         raise ValueError(f"{need}: {exc}")
     if values.shape != (count,):
         raise ValueError(f"{need}; it holds an array of shape {values.shape}")
+    if not within_scale(values, grid.cell_volume):
+        raise ValueError(f"path {path} holds a value that is not finite or too large for the solvers")
     return values
 
 
@@ -270,7 +274,7 @@ POTENTIAL_VALUES = {
     "free": lambda grid: None,
     "harmonic": harmonic_well,
     "multiwell": multiwell,
-    "tabulated": lambda grid, path: _load_column(path, grid.node_count),
+    "tabulated": _load_column,
 }
 
 
@@ -340,13 +344,7 @@ def cmd_solve(cfg: dict) -> int:
             "energy": energy,
             "ortho_defect": result.modes.ortho_defect,
             "localization": [float(v) for v in widths],
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "winner_start": result.winner_start,
-            "start_labels": list(result.start_labels),
-            "start_objectives": list(result.start_objectives),
-            "start_iterations": list(result.start_iterations),
-            "start_converged": list(result.start_converged),
+            **start_fields(result),
             "config": cfg,
         }
         _write(cfg, "solve.json", reports.json_text(doc))
@@ -371,13 +369,12 @@ def cmd_sweep(cfg: dict) -> int:
     if "csv" in output["formats"]:
         _write(cfg, "sweep.csv", reports.sweep_csv(report))
     if "json" in output["formats"]:
-        _write(cfg, "sweep.json", reports.sweep_json(report, cfg))
-    if report.degenerate:
+        _write(cfg, "sweep.json", reports.json_text({**report, "config": cfg}))
+    if report["degenerate"]:
         print("DEGENERATE")
     else:
-        print(f"MONOTONE_ENERGY: {report.verdicts['monotone_energy']}")
-        print(f"EIG_CONVERGENCE: {report.verdicts['eig_convergence']}")
-        print(f"L2_CONVERGENCE: {report.verdicts['l2_convergence']}")
+        for name, verdict in report["verdicts"].items():
+            print(f"{name.upper()}: {verdict}")
     return 0
 
 

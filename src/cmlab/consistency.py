@@ -5,7 +5,8 @@ matrix and its spectrum, alignment of a frame to the eigenfunction frame by
 the best orthogonal rotation, expansion coefficients in the eigenbasis with
 their per-eigenfunction captured masses, the induced energy-gap lower bound,
 and the mu-sweep experiment that records how all of it trends as the
-regularization weight fades.  The sweep's solves come from
+regularization weight fades; the sweep's report is the ``sweep.json``
+document itself, a plain dict.  The sweep's solves come from
 ``solver.solve_sweep``, which runs the starts of every mu that do not depend
 on the previous mu as one lockstep block and then walks the warm-start chain.
 """
@@ -21,7 +22,7 @@ from .grid import GridMismatchError
 from .hamiltonian import HamiltonianOperator
 from .modes import ModeSet
 from .regularizer import Regularizer
-from .solver import SolverConfig, mode_energies, solve_sweep
+from .solver import SolverConfig, mode_energies, solve_sweep, start_fields
 
 ORTHO_PRECONDITION = 1e-6
 ENERGY_TREND_SLACK = 1e-6
@@ -225,42 +226,8 @@ def default_gap_threshold(eigs: EigenSystem, N: int) -> float:
     return 1e-6 * abs(float(eigs.eigenvalues[N])) + 1e-8
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Everything measured at one value of mu."""
-
-    mu: float
-    E: float
-    E0: float
-    energy_gap: float
-    nu: tuple[float, ...]
-    max_eig_dev: float
-    procrustes_residual: float
-    ortho_defect: float
-    iterations: int
-    converged: bool
-    winner_start: str
-    start_labels: tuple[str, ...]
-    start_objectives: tuple[float, ...]
-    start_iterations: tuple[int, ...]
-    start_converged: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    N: int
-    mu_schedule: tuple[float, ...]
-    eigenvalues: tuple[float, ...]
-    E0: float
-    spectral_gap: float
-    gap_threshold: float
-    degenerate: bool
-    verdicts: dict[str, str]
-    records: tuple[SweepRecord, ...]
-
-
-def _trend_verdict(values, slack: float) -> str:
-    vals = [v for v in values]
+def _trend_verdict(records: list[dict], key: str, slack: float) -> str:
+    vals = [r[key] for r in records]
     if len(vals) < 2:
         return "n/a"
     if any(not np.isfinite(v) for v in vals):
@@ -275,8 +242,11 @@ def mu_sweep(
     N: int,
     mu_schedule,
     config: SolverConfig,
-) -> SweepReport:
+) -> dict:
     """Solve along an ascending mu schedule, warm-starting each step.
+
+    Returns the ``sweep.json`` document less its config echo; each record
+    holds its mu's measures followed by the solve's ``start_fields``.
 
     The solves are ``solve_sweep``'s: the starts that do not depend on the
     previous mu run as one block, then the warm starts run in order.
@@ -312,48 +282,35 @@ def mu_sweep(
         except AlignmentError:
             residual = float("nan")
         records.append(
-            SweepRecord(
-                mu=mu,
-                E=energy,
-                E0=e0,
-                energy_gap=energy - e0,
-                nu=tuple(float(v) for v in nu),
-                max_eig_dev=dev,
-                procrustes_residual=residual,
-                ortho_defect=result.modes.ortho_defect,
-                iterations=result.iterations,
-                converged=result.converged,
-                winner_start=result.winner_start,
-                start_labels=result.start_labels,
-                start_objectives=result.start_objectives,
-                start_iterations=result.start_iterations,
-                start_converged=result.start_converged,
-            )
+            {
+                "mu": mu,
+                "E": energy,
+                "E0": e0,
+                "energy_gap": energy - e0,
+                "nu": [float(v) for v in nu],
+                "max_eig_dev": dev,
+                "procrustes_residual": residual,
+                "ortho_defect": result.modes.ortho_defect,
+                **start_fields(result),
+            }
         )
 
+    verdicts = {
+        "monotone_energy": _trend_verdict(records, "energy_gap", ENERGY_TREND_SLACK),
+        "eig_convergence": _trend_verdict(records, "max_eig_dev", RESIDUAL_TREND_SLACK),
+        "l2_convergence": _trend_verdict(records, "procrustes_residual", RESIDUAL_TREND_SLACK),
+    }
     if degenerate:
-        verdicts = {
-            "monotone_energy": "degenerate",
-            "eig_convergence": "degenerate",
-            "l2_convergence": "degenerate",
-        }
-    else:
-        verdicts = {
-            "monotone_energy": _trend_verdict([r.energy_gap for r in records], ENERGY_TREND_SLACK),
-            "eig_convergence": _trend_verdict([r.max_eig_dev for r in records], RESIDUAL_TREND_SLACK),
-            "l2_convergence": _trend_verdict(
-                [r.procrustes_residual for r in records], RESIDUAL_TREND_SLACK
-            ),
-        }
+        verdicts = dict.fromkeys(verdicts, "degenerate")
 
-    return SweepReport(
-        N=N,
-        mu_schedule=schedule,
-        eigenvalues=tuple(float(v) for v in eigs.eigenvalues),
-        E0=e0,
-        spectral_gap=gap,
-        gap_threshold=threshold,
-        degenerate=degenerate,
-        verdicts=verdicts,
-        records=tuple(records),
-    )
+    return {
+        "N": N,
+        "mu_schedule": list(schedule),
+        "eigenvalues": [float(v) for v in eigs.eigenvalues],
+        "E0": e0,
+        "spectral_gap": gap,
+        "gap_threshold": threshold,
+        "degenerate": degenerate,
+        "verdicts": verdicts,
+        "records": records,
+    }

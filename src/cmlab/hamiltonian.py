@@ -28,9 +28,9 @@ def harmonic_well(grid: Grid, omega: float, center=None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # np.float64 overflows to inf, named below
         d2 = ((grid.coordinates() - np.asarray(center)) ** 2).sum(axis=1)
         values = 0.5 * np.float64(omega) ** 2 * d2
-    for name, part in (("center", d2), ("omega", values)):
-        if not np.all(np.isfinite(part)):
-            raise ValueError(f"{name} puts 1/2 omega^2 |x - center|^2 out of floating-point range")
+    if not within_scale(values, grid.cell_volume):
+        name = "center" if not within_scale(d2, grid.cell_volume) else "omega"
+        raise ValueError(f"{name} puts 1/2 omega^2 |x - center|^2 out of floating-point range")
     return values
 
 
@@ -54,7 +54,7 @@ def multiwell(grid: Grid, centers, depth: float, width: float) -> np.ndarray:
                 raise ValueError("centers must each have one coordinate per grid axis")
             d2 = ((coords - np.asarray(c)) ** 2).sum(axis=1)
             v -= depth * np.exp(-d2 / spread)
-    if not np.all(np.isfinite(v)):
+    if not within_scale(v, grid.cell_volume):
         raise ValueError(f"depth {depth:g} puts the sum of the wells out of floating-point range")
     return v
 
@@ -127,6 +127,19 @@ def _check_scale(largest_entry: float, cell_volume: float) -> None:
             f"1e{exponent:.0f}, outside the normal double range, so the solvers would "
             "overflow or underflow"
         )
+
+
+def within_scale(values: np.ndarray, cell_volume: float) -> bool:
+    """Whether node values of V are finite and below ``_check_scale``'s upper bound.
+
+    Each potential checks its values by this bound, so that a potential too
+    large for the solvers is named by its key, not blamed on the domain.
+    """
+    largest = float(np.abs(values).max())
+    return largest == 0.0 or (  # a NaN or an inf fails ``isfinite``
+        math.isfinite(largest)
+        and 2.0 * math.log10(largest) - math.log10(cell_volume) <= math.log10(np.finfo(float).max)
+    )
 
 
 def _kinetic_1d(n: int, h: float, periodic: bool) -> scipy.sparse.sparray:

@@ -6,9 +6,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict
 
-from .consistency import SweepReport
 from .eigensolver import EigenSystem
 from .modes import ModeSet
 
@@ -71,19 +69,20 @@ def trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_csv(report: SweepReport) -> str:
-    nu_cols = ",".join(f"nu_{i + 1}" for i in range(report.N))
+def sweep_csv(report: dict) -> str:
+    """One row per record of a ``mu_sweep`` report: its measures, then the winner's stop state."""
+    nu_cols = ",".join(f"nu_{i + 1}" for i in range(report["N"]))
     header = (
         f"mu,E,E0,energy_gap,{nu_cols},max_eig_dev,procrustes_residual,"
         "ortho_defect,iterations,converged"
     )
     lines = [header]
-    for r in report.records:
-        nu = ",".join(fmt(v) for v in r.nu)
+    for r in report["records"]:
+        nu = ",".join(fmt(v) for v in r["nu"])
         lines.append(
-            f"{fmt(r.mu)},{fmt(r.E)},{fmt(r.E0)},{fmt(r.energy_gap)},{nu},"
-            f"{fmt(r.max_eig_dev)},{fmt(r.procrustes_residual)},{fmt(r.ortho_defect)},"
-            f"{r.iterations},{'true' if r.converged else 'false'}"
+            f"{fmt(r['mu'])},{fmt(r['E'])},{fmt(r['E0'])},{fmt(r['energy_gap'])},{nu},"
+            f"{fmt(r['max_eig_dev'])},{fmt(r['procrustes_residual'])},{fmt(r['ortho_defect'])},"
+            f"{r['iterations']},{'true' if r['converged'] else 'false'}"
         )
     return "\n".join(lines) + "\n"
 
@@ -102,11 +101,3 @@ def _finite_or_null(value):
 def json_text(doc: dict) -> str:
     """Strict JSON text of ``doc``: a non-finite float is written as null, never as NaN."""
     return json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n"
-
-
-def sweep_json(report: SweepReport, config_echo: dict | None = None) -> str:
-    """The sweep report, its records and verdicts in field order, then the config echo."""
-    doc = asdict(report)
-    if config_echo is not None:
-        doc["config"] = config_echo
-    return json_text(doc)

@@ -121,6 +121,19 @@ class SolverResult:
     start_converged: tuple[bool, ...]
 
 
+def start_fields(result: SolverResult) -> dict:
+    """The per-start keys of ``solve.json`` and of each ``sweep.json`` record, in report order."""
+    return {
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "winner_start": result.winner_start,
+        "start_labels": list(result.start_labels),
+        "start_objectives": list(result.start_objectives),
+        "start_iterations": list(result.start_iterations),
+        "start_converged": list(result.start_converged),
+    }
+
+
 def mode_energies(H: HamiltonianOperator, F: ModeSet) -> np.ndarray:
     """Per-mode Rayleigh quotients <f_i, H f_i> (not normalized)."""
     if F.grid != H.grid:

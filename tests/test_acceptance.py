@@ -41,18 +41,18 @@ def test_criterion_01_eigensolver_oracle():
 
 
 def test_criterion_02_energy_floor(reference_sweep):
-    ok = all(r.energy_gap >= -1e-8 for r in reference_sweep.records)
+    ok = all(r["energy_gap"] >= -1e-8 for r in reference_sweep["records"])
     _verdict(2, ok, "E(mu) - E0 >= -1e-8 at every mu")
 
 
 def test_criterion_03_l1_cap(reference_sweep, box_eigs):
     cap_total = l1_total(box_eigs.modes.take(2))
-    ok = all(r.energy_gap <= cap_total / r.mu + 1e-8 for r in reference_sweep.records)
+    ok = all(r["energy_gap"] <= cap_total / r["mu"] + 1e-8 for r in reference_sweep["records"])
     _verdict(3, ok, "E(mu) - E0 <= (1/mu) sum ||phi_i||_1 + 1e-8 at every mu")
 
 
 def test_criterion_04_energy_convergence(reference_sweep):
-    gaps = [r.energy_gap for r in reference_sweep.records]
+    gaps = [r["energy_gap"] for r in reference_sweep["records"]]
     monotone = all(b <= a + 1e-6 for a, b in zip(gaps, gaps[1:]))
     ratio = gaps[-1] / gaps[0]
     ok = monotone and ratio <= 0.2
@@ -60,21 +60,22 @@ def test_criterion_04_energy_convergence(reference_sweep):
 
 
 def test_criterion_05_eigenvalue_convergence(reference_sweep):
-    recs = reference_sweep.records
-    lam_n = reference_sweep.eigenvalues[reference_sweep.N - 1]
-    trace_ok = all(abs(sum(r.nu) - r.E) <= 1e-10 for r in recs)
+    recs = reference_sweep["records"]
+    lam_n = reference_sweep["eigenvalues"][reference_sweep["N"] - 1]
+    trace_ok = all(abs(sum(r["nu"]) - r["E"]) <= 1e-10 for r in recs)
     ok = (
-        recs[-1].max_eig_dev <= 0.05 * lam_n
-        and recs[-1].max_eig_dev < recs[0].max_eig_dev
+        recs[-1]["max_eig_dev"] <= 0.05 * lam_n
+        and recs[-1]["max_eig_dev"] < recs[0]["max_eig_dev"]
         and trace_ok
     )
-    _verdict(5, ok, f"max_eig_dev(160) = {recs[-1].max_eig_dev:.2e}, trace identity <= 1e-10")
+    _verdict(5, ok, f"max_eig_dev(160) = {recs[-1]['max_eig_dev']:.2e}, trace identity <= 1e-10")
 
 
 def test_criterion_06_l2_convergence(reference_sweep):
-    recs = reference_sweep.records
-    ok = recs[-1].procrustes_residual <= 0.15 and recs[-1].procrustes_residual < recs[0].procrustes_residual
-    _verdict(6, ok, f"procrustes_residual(160) = {recs[-1].procrustes_residual:.2e} <= 0.15")
+    recs = reference_sweep["records"]
+    last = recs[-1]["procrustes_residual"]
+    ok = last <= 0.15 and last < recs[0]["procrustes_residual"]
+    _verdict(6, ok, f"procrustes_residual(160) = {last:.2e} <= 0.15")
 
 
 def test_criterion_07_column_mass_property():
@@ -114,7 +115,7 @@ def test_criterion_10_unregularized_identity(box_H):
     cfg = SolverConfig(mu=5.0, max_iters=400)
     report = mu_sweep(box_H, make_regularizer("zero"), 2, (5.0, 10.0, 20.0, 40.0, 80.0, 160.0), cfg)
     ok = all(
-        abs(r.energy_gap) <= 1e-8 and r.procrustes_residual <= 1e-6 for r in report.records
+        abs(r["energy_gap"]) <= 1e-8 and r["procrustes_residual"] <= 1e-6 for r in report["records"]
     )
     _verdict(10, ok, "zero-regularizer sweep reproduces the eigenfunctions")
 

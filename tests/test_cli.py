@@ -522,6 +522,19 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+# the per-start keys of a solve, in the order both solve.json and each
+# sweep.json record list them
+START_KEYS = [
+    "iterations",
+    "converged",
+    "winner_start",
+    "start_labels",
+    "start_objectives",
+    "start_iterations",
+    "start_converged",
+]
+
+
 def test_cmd_solve_json_records_each_start(tmp_path):
     # the eigen start converges while the random start runs into max_iters
     out = tmp_path / "out"
@@ -534,8 +547,14 @@ def test_cmd_solve_json_records_each_start(tmp_path):
     assert report["start_iterations"][0] == report["iterations"] < 400
     assert report["start_iterations"][1] == 400
     assert len(report["start_objectives"]) == 2
-    keys = list(report)
-    assert keys.index("start_iterations") == keys.index("start_objectives") + 1
+    assert list(report) == [
+        "objective",
+        "energy",
+        "ortho_defect",
+        "localization",
+        *START_KEYS,
+        "config",
+    ]
 
 
 def test_cmd_solve_requires_mu(tmp_path, capsys):
@@ -653,13 +672,29 @@ def test_cmd_sweep_json_records_each_start(tmp_path):
         assert len(record["start_objectives"]) == len(record["start_iterations"]) == count
         assert record["start_converged"][0] is True  # the eigen start
         assert record["iterations"] in record["start_iterations"]
-        assert list(record)[-5:] == [
-            "winner_start",
-            "start_labels",
-            "start_objectives",
-            "start_iterations",
-            "start_converged",
+        assert list(record) == [
+            "mu",
+            "E",
+            "E0",
+            "energy_gap",
+            "nu",
+            "max_eig_dev",
+            "procrustes_residual",
+            "ortho_defect",
+            *START_KEYS,
         ]
+    assert list(report) == [
+        "N",
+        "mu_schedule",
+        "eigenvalues",
+        "E0",
+        "spectral_gap",
+        "gap_threshold",
+        "degenerate",
+        "verdicts",
+        "records",
+        "config",
+    ]
     header = (out / "sweep.csv").read_text().split("\n")[0]
     assert "start" not in header
 
@@ -763,10 +798,12 @@ MULTIWELL_BAD_CENTER = {"kind": "multiwell", "centers": [["a"]], "depth": 3.0, "
 MULTIWELL_TINY_WIDTH = {"kind": "multiwell", "centers": [[0.5]], "depth": 3.0, "width": 1e-300}
 MULTIWELL_HUGE_WIDTH = {"kind": "multiwell", "centers": [[0.5]], "depth": 3.0, "width": 1e200}
 MULTIWELL_DEEP_PAIR = {"kind": "multiwell", "centers": [[0.5], [0.5]], "depth": 1e308, "width": 0.1}
+MULTIWELL_DEEP = {"kind": "multiwell", "centers": [[0.5]], "depth": 1e200, "width": 0.1}
 TABULATED = {"kind": "tabulated", "path": "v.csv"}
+POINTS_64 = (("domain", "points"), [64])
 
 # the text of the tabulated potential file a probe writes next to its config
-PROBE_FILES = {"tabulated_empty": "", "tabulated_comma": "1,2\n"}
+PROBE_FILES = {"tabulated_empty": "", "tabulated_comma": "1,2\n", "tabulated_huge": "1e200\n" * 4}
 
 # (subcommand, (path, value) edits of configs/reference_sweep.json, extra CLI arguments,
 #  a substring of the error line that names what is wrong)
@@ -816,6 +853,17 @@ BAD_INPUT_PROBES = {
     "center_overflow": (
         "sweep", [(("potential",), {"kind": "harmonic", "center": [1e308]})], [], "potential.center"
     ),
+    # finite node values of V too large for the solvers, named by their key
+    "omega_huge": (
+        "eig", [POINTS_64, (("potential",), {"kind": "harmonic", "omega": 1e100})], [], "potential.omega"
+    ),
+    "center_huge": (
+        "eig", [POINTS_64, (("potential",), {"kind": "harmonic", "center": [1e100]})], [], "potential.center"
+    ),
+    "depth_huge": ("eig", [POINTS_64, (("potential",), MULTIWELL_DEEP)], [], "potential.depth"),
+    "tabulated_huge": (
+        "eig", [(("domain", "points"), [4]), (("potential",), TABULATED)], [], "potential.path"
+    ),
     "tabulated_empty": ("sweep", [(("potential",), TABULATED)], [], "potential.path"),
     "tabulated_comma": ("sweep", [(("potential",), TABULATED)], [], "potential.path"),
     # node values of unit-norm functions, squared and scaled by the operator,
@@ -851,6 +899,8 @@ def test_bad_input_exits_2_without_traceback(probe, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert names in err.splitlines()[0]
+    if names.startswith("potential."):
+        assert "domain" not in err  # a bad potential is not blamed on the domain
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -1,7 +1,6 @@
 import json
 import os
 import stat
-from dataclasses import replace
 
 import numpy as np
 
@@ -12,7 +11,6 @@ from cmlab.reports import (
     json_text,
     modes_csv,
     sweep_csv,
-    sweep_json,
     trace_csv,
     write_atomic,
 )
@@ -62,17 +60,22 @@ def test_sweep_csv_header_and_rows(reference_sweep):
         "mu,E,E0,energy_gap,nu_1,nu_2,max_eig_dev,procrustes_residual,"
         "ortho_defect,iterations,converged"
     )
-    assert len(lines) == 1 + len(reference_sweep.records)
+    assert len(lines) == 1 + len(reference_sweep["records"])
     first = lines[1].split(",")
-    assert float(first[0]) == reference_sweep.records[0].mu
+    assert float(first[0]) == reference_sweep["records"][0]["mu"]
     assert first[-1] in ("true", "false")
 
 
+def _sweep_json_text(report, config_echo):
+    """The text ``cmlab sweep`` writes to sweep.json."""
+    return json_text({**report, "config": config_echo})
+
+
 def test_sweep_json_structure(reference_sweep, reference_config):
-    doc = json.loads(sweep_json(reference_sweep, reference_config))
+    doc = json.loads(_sweep_json_text(reference_sweep, reference_config))
     assert doc["N"] == 2
     assert doc["verdicts"]["monotone_energy"] in ("pass", "fail", "n/a", "degenerate")
-    assert len(doc["records"]) == len(reference_sweep.records)
+    assert len(doc["records"]) == len(reference_sweep["records"])
     assert doc["config"]["domain"]["points"] == [512]
 
 
@@ -82,24 +85,26 @@ def _reject_constant(name):
 
 def test_sweep_json_is_strict_json(reference_sweep, reference_config):
     # a failed alignment stores a NaN residual; the document must still be valid JSON
-    first = replace(reference_sweep.records[0], procrustes_residual=float("nan"), max_eig_dev=float("inf"))
-    report = replace(reference_sweep, records=(first, *reference_sweep.records[1:]))
-    doc = json.loads(sweep_json(report, reference_config), parse_constant=_reject_constant)
+    records = reference_sweep["records"]
+    first = {**records[0], "procrustes_residual": float("nan"), "max_eig_dev": float("inf")}
+    report = {**reference_sweep, "records": [first, *records[1:]]}
+    doc = json.loads(_sweep_json_text(report, reference_config), parse_constant=_reject_constant)
     assert doc["records"][0]["procrustes_residual"] is None
     assert doc["records"][0]["max_eig_dev"] is None
-    assert doc["records"][1]["procrustes_residual"] == reference_sweep.records[1].procrustes_residual
+    assert doc["records"][1]["procrustes_residual"] == records[1]["procrustes_residual"]
 
 
 def test_sweep_json_start_records_are_strict_json(reference_sweep, reference_config):
     # a start that diverges reports a non-finite best objective
-    first = replace(reference_sweep.records[0], start_objectives=(1.5, float("inf"), float("nan")))
-    report = replace(reference_sweep, records=(first, *reference_sweep.records[1:]))
-    doc = json.loads(sweep_json(report, reference_config), parse_constant=_reject_constant)
+    records = reference_sweep["records"]
+    first = {**records[0], "start_objectives": [1.5, float("inf"), float("nan")]}
+    report = {**reference_sweep, "records": [first, *records[1:]]}
+    doc = json.loads(_sweep_json_text(report, reference_config), parse_constant=_reject_constant)
     assert doc["records"][0]["start_objectives"] == [1.5, None, None]
-    assert doc["records"][0]["start_labels"] == list(first.start_labels)
-    second = reference_sweep.records[1]
-    assert doc["records"][1]["start_iterations"] == list(second.start_iterations)
-    assert doc["records"][1]["start_converged"] == list(second.start_converged)
+    assert doc["records"][0]["start_labels"] == first["start_labels"]
+    second = records[1]
+    assert doc["records"][1]["start_iterations"] == second["start_iterations"]
+    assert doc["records"][1]["start_converged"] == second["start_converged"]
     # sweep.csv stays as it was
     assert "start" not in sweep_csv(report).split("\n")[0]
 
