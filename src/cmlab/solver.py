@@ -11,16 +11,22 @@ All starts of one solve run in lockstep as one block: their iterates sit in
 an (S, N, node_count) stack, one mode per row, and each iteration makes one
 multi-RHS shifted solve per distinct penalty, one prox, one stacked polar
 projection and one operator apply for every start still running.  The
+shifted solve uses LAPACK's tridiagonal factor when H + penalty I is
+tridiagonal (every 1D Dirichlet box) and a sparse LU factor otherwise.  The
 projection takes each start's polar factor X G^{-1/2} from its N x N Gram
 matrix G (one stacked eigendecomposition for the block), with a second pass
 for a start whose Gram condition is above 1e3, and returns the block stored
-by rows as it came.  Each start
-carries its own mu and penalty.  Every reduction stays inside one start's
-slab, so each start's run is bitwise the same alone as in any block; a start
-that converges leaves the block.  A mu sweep (``solve_sweep``) runs the
-configured starts of all its mu values as one such block, then the chain of
-warm starts, each from the previous mu's winner; ``solve_cm`` is its one-mu
-case.
+by rows as it came.  Each start carries its own mu, penalty and iteration
+count.  Every reduction stays inside one start's slab, so each start's run
+is bitwise the same alone as in any block; a start that stops leaves the
+block, and a start can join it while it runs.  A mu sweep (``solve_sweep``)
+runs the configured starts of all its mu values as one such block, and the
+chain of warm starts, each from the previous mu's winner, inside the same
+block: a warm start joins as soon as the lowest best objective of the
+previous mu belongs to a finished start.  A running start's best can still
+fall below it, so a walk over the schedule checks each such guess afterwards
+and runs a warm start alone where the guess was wrong.
+``solve_cm`` is the one-mu case.
 
 The problem is non-convex, so nothing certifies global optimality.  What the
 solver does certify: every returned frame is feasible (orthonormal to 1e-8),
@@ -39,6 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 from .eigensolver import EigenSystem, reference_eigenpairs
 from .grid import GridMismatchError
@@ -238,11 +245,18 @@ def solve_sweep(
     mu=mu, starts=config.starts + (previous,)), eigs)``, where ``previous``
     is the modes of the previous mu's result (no warm start at the first
     mu).  Every mu is validated before any factorization.  Then the
-    configured starts of all mu values run as one lockstep block, since none
-    of them depends on another mu; each start is rotation-polished once, as
-    the polish does not depend on mu.  Last, the schedule is walked in order:
-    each warm start runs alone from the previous winner, and each mu's winner
-    is picked as ``solve_cm`` picks it.
+    configured starts of all mu values run as one lockstep block (each start
+    rotation-polished once, as the polish does not depend on mu), and the
+    warm chain runs inside that block by speculation: the warm start of mu_i
+    joins the block once mu_{i-1}'s warm start has finished and the lowest
+    best objective among mu_{i-1}'s runs, a running start counted at its
+    best so far (which can only fall), belongs to a finished run; it starts
+    from that run's best frame.  Last, the schedule is walked in order: each
+    mu's winner is picked as ``solve_cm`` picks it, and a speculated warm run
+    is kept only if its source is the previous mu's winner; otherwise that
+    mu's warm start runs alone from the winner, as a chain of ``solve_cm``
+    calls would run it.  A run is bitwise the same in any block, so both
+    paths give the chain's results.
     """
     n = H.node_count
     if not 1 <= N <= n:
@@ -260,25 +274,50 @@ def solve_sweep(
     solvers = {r: _build_shifted_solver(H, r) for r in dict.fromkeys(penalties)}
     w = H.grid.cell_volume
 
+    def warm_start(modes, i):
+        # the warm slab of mu i, from the previous winner's modes
+        return rotation_polish(_start_matrix(modes, H, N, eigs), w, J), configs[i].mu, penalties[i]
+
     polished = [rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in config.starts]
     S = len(polished)
     # mu-major: every start at the first mu, then every start at the next one
     x0 = np.stack(polished * len(configs))
     mus = np.repeat([cfg.mu for cfg in configs], S)
     rs = np.repeat(penalties, S)
-    block = _lockstep(H, J, w, x0, mus, rs, solvers, config.max_iters, config.tol)
+    warm = {}  # mu index -> (block index of its speculated warm run, block index of its source)
+
+    def admit(runs, running):
+        i = len(warm) + 1  # the next mu to get its warm start
+        if i == len(configs):
+            return []
+        members = list(range((i - 1) * S, i * S))  # the runs of mu i-1
+        if i > 1:
+            members.append(warm[i - 1][0])
+            if runs[members[-1]] is None:  # its warm start is still running
+                return []
+        best = [running[j] if runs[j] is None else runs[j].best_objective for j in members]
+        source = members[_winner(best)]
+        if runs[source] is None:
+            return []
+        warm[i] = (len(runs), source)
+        return [warm_start(ModeSet(H.grid, runs[source].best_matrix), i)]
+
+    block = _lockstep(H, J, w, x0, mus, rs, solvers, config.max_iters, config.tol, admit)
 
     results = []
-    for i, (cfg, penalty) in enumerate(zip(configs, penalties)):
+    for i, cfg in enumerate(configs):
         runs = block[i * S : (i + 1) * S]
         starts = config.starts
         if results:
             starts += (results[-1].modes,)
-            warm = rotation_polish(_start_matrix(starts[-1], H, N, eigs), w, J)
-            runs += _lockstep(
-                H, J, w, warm[None], [cfg.mu], [penalty], solvers, cfg.max_iters, cfg.tol
-            )
+            index, source = warm[i]
+            if block[source] is winner:
+                runs.append(block[index])
+            else:
+                x, mu, penalty = warm_start(starts[-1], i)
+                runs += _lockstep(H, J, w, x[None], [mu], [penalty], solvers, cfg.max_iters, cfg.tol)
         results.append(_result(H.grid, starts, runs))
+        winner = runs[_winner([run.best_objective for run in runs])]
     return results
 
 
@@ -298,7 +337,7 @@ class _Run:
 
 def _result(grid, starts, runs) -> SolverResult:
     """The result of one solve from its runs, one per start; a frame start is ``"warm"``."""
-    winner = min(range(len(runs)), key=lambda i: runs[i].best_objective)
+    winner = _winner([run.best_objective for run in runs])
     run = runs[winner]
     labels = tuple("warm" if isinstance(start, ModeSet) else start for start in starts)
     return SolverResult(
@@ -313,6 +352,11 @@ def _result(grid, starts, runs) -> SolverResult:
         start_iterations=tuple(r.iterations for r in runs),
         start_converged=tuple(r.converged for r in runs),
     )
+
+
+def _winner(objectives) -> int:
+    """Index of the lowest objective, the first of a tie: the start that a solve reports."""
+    return min(range(len(objectives)), key=objectives.__getitem__)
 
 
 def _start_matrix(start: str | ModeSet, H: HamiltonianOperator, N: int, eigs) -> np.ndarray:
@@ -331,13 +375,22 @@ def _start_matrix(start: str | ModeSet, H: HamiltonianOperator, N: int, eigs) ->
 
 
 def _build_shifted_solver(H: HamiltonianOperator, penalty: float):
-    """Solver for (H + penalty I) X = RHS, column-wise, from one sparse LU factor.
+    """Solver for (H + penalty I) X = RHS, column-wise, from one factor of the shifted matrix.
 
-    The caller guarantees the shifted matrix is positive definite, so the
-    factorization pivots on the diagonal under a symmetric fill-reducing
-    ordering.
+    A matrix with no entry off its three central diagonals (every 1D
+    Dirichlet box, and the 2-node periodic one) gets LAPACK's tridiagonal
+    L D L^T factor, whose solve overwrites an F-ordered right-hand side with
+    the solution; any other gets a sparse LU factor that pivots on the
+    diagonal under a symmetric fill-reducing ordering.  The shifted matrix
+    must be positive definite; the tridiagonal factor raises
+    ``IndefinitePenaltyError`` when it is not.
     """
-    shifted = H.matrix + penalty * scipy.sparse.eye_array(H.node_count)
+    shifted = scipy.sparse.coo_array(H.matrix + penalty * scipy.sparse.eye_array(H.node_count))
+    if np.all(np.abs(shifted.row - shifted.col) <= 1):
+        d, e, info = lapack.dpttrf(shifted.diagonal(), shifted.diagonal(1))
+        if info:
+            raise IndefinitePenaltyError(f"penalty {penalty:g} leaves H + penalty I indefinite")
+        return lambda rhs: lapack.dpttrs(d, e, rhs, overwrite_b=1)[0]
     factor = scipy.sparse.linalg.splu(
         scipy.sparse.csc_array(shifted),
         permc_spec="MMD_AT_PLUS_A",
@@ -392,27 +445,29 @@ def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> _Run:
     )[0]
 
 
-def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
+def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol, admit=None) -> list[_Run]:
     """Splitting iteration chains from a (S, node_count, N) stack of starts, in lockstep.
 
     The start at index s runs at its own ``mu[s]`` and ``penalty[s]``
     (sequences of length S); ``solvers`` maps each penalty to the shifted
     solve of H + penalty I.  The block holds one (N, node_count) slab per running
-    start, one mode per row, in the order of ``x0``; a run of adjacent starts
-    that share a penalty is a contiguous slice whose transpose, a view, is the
-    node_count x (slabs N) right-hand side of one shifted solve (the mu-major
-    block of ``solve_sweep`` keeps equal penalties adjacent).  Each start
-    keeps its own stop rule, best feasible iterate and trace, and a start
-    that meets the stop rule leaves the block.  The block arrays are updated
-    in place where that keeps the order of operations, so that few copies of
-    the block are alive at once.
+    start, one mode per row; a run of adjacent slabs that share a penalty is
+    a contiguous slice whose transpose, a view, is the node_count x (slabs N)
+    right-hand side of one shifted solve.  Each start keeps its own stop
+    rule, iteration count (at most ``max_iters``), best feasible iterate and
+    trace, and leaves the block when it stops.
+
+    Whenever a start leaves, ``admit(runs, running)`` (if given) may add
+    starts: ``runs`` holds the run of each block index so far, None while it
+    runs, and ``running`` maps the block index of each running start to its
+    best objective so far.  It returns (start (node_count, N), mu, penalty)
+    triples, which take the next block indices and join the block next to
+    the slabs of their penalty, so that they share their solve.  The block
+    arrays are updated in place where that keeps the order of operations, so
+    that few copies of the block are alive at once.
     """
     S, n, N = x0.shape
     eye = np.eye(N)
-    mu = np.asarray(mu, dtype=float)
-    penalty = np.asarray(penalty, dtype=float)
-    half_r = (0.5 * penalty)[:, None, None]
-    shrink_step = (1.0 / (mu * penalty))[:, None, None]
 
     def feasible_objectives(rows, mu):
         # the product is laid out like ``rows``, so each start's energy is a sum
@@ -421,39 +476,42 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
         energy = w * np.multiply(rows, hx, order="C").sum(axis=(1, 2))
         return energy + J.evaluate_columns(rows.mT, w).sum(axis=1) / mu
 
-    def groups(penalty):
-        # (lo, hi, solve) per run of adjacent equal penalties in the block
+    def coefficients(mu, penalty):
+        # 0.5 r and the shrinkage step per slab, and (lo, hi, solve) per run
+        # of adjacent equal penalties in the block
         edges = [0, *(np.flatnonzero(penalty[1:] != penalty[:-1]) + 1).tolist(), len(penalty)]
-        return [(lo, hi, solvers[penalty[lo]]) for lo, hi in zip(edges, edges[1:])]
+        slabs = [(lo, hi, solvers[penalty[lo]]) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+        return (0.5 * penalty)[:, None, None], (1.0 / (mu * penalty))[:, None, None], slabs
 
     P = np.array(x0.mT, order="C")  # a copy: ``best`` starts out in its memory
     Q = P.copy()
     b = np.zeros_like(P)
     B = np.zeros_like(P)
 
-    # each running slab's best feasible iterate, aligned with the block; a
-    # slab's entry moves to ``best_matrix`` (by block index) when it leaves.
-    # P is never written in place, so ``best`` can share its memory.
+    # per running slab, aligned with the block: its block index, mu, penalty,
+    # the step after which it joined, best feasible iterate (P is never
+    # written in place, so ``best`` can share its memory) and objective
+    active = np.arange(S)
+    mu = np.asarray(mu, dtype=float)
+    penalty = np.asarray(penalty, dtype=float)
+    since = np.zeros(S, dtype=int)
     best = P
-    best_obj = feasible_objectives(P, mu)
-    best_matrix = [None] * S
-    best_objective = np.empty(S)
-    iterations = np.zeros(S, dtype=int)
-    converged = np.zeros(S, dtype=bool)
+    best_obj = obj = feasible_objectives(P, mu)
+    streak = np.zeros(S, dtype=int)
+    half_r, shrink_step, slabs = coefficients(mu, penalty)
+    runs = [None] * S  # by block index, each set when its start leaves
     # per-start traces; the columns grow geometrically with the iterations run
     objectives = np.empty((S, min(max_iters, 1024)))
     defects = np.empty_like(objectives)
 
-    active = np.arange(S)  # block index of each running slab
-    slabs = groups(penalty)
-    prev_obj = best_obj
-    streak = np.zeros(S, dtype=int)
-
-    for k in range(1, max_iters + 1):
-        if k > objectives.shape[1]:
-            more = min(max_iters, 2 * (k - 1)) - (k - 1)
-            objectives = np.concatenate((objectives, np.empty((S, more))), axis=1)
-            defects = np.concatenate((defects, np.empty((S, more))), axis=1)
+    k = 0
+    while active.size:
+        k += 1
+        count = k - since  # each running start's iteration
+        if count.max() > objectives.shape[1]:
+            more = min(max_iters, 2 * objectives.shape[1]) - objectives.shape[1]
+            objectives = np.concatenate((objectives, np.empty((len(runs), more))), axis=1)
+            defects = np.concatenate((defects, np.empty((len(runs), more))), axis=1)
         # the right-hand side 0.5 r (Q - b + P - B), built in the memory of Q
         # (which the prox recomputes), then the solution in its place
         F = Q
@@ -464,7 +522,7 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
         for lo, hi, solve in slabs:
             F[lo:hi] = solve(F[lo:hi].reshape(-1, n).T).T.reshape(hi - lo, N, n)
         gram = np.vecdot(F[:, :, None, :], F[:, None, :, :])  # mode pairs, one dot each
-        defects[active, k - 1] = np.abs(w * gram - eye).max(axis=(1, 2))
+        defects[active, count - 1] = np.abs(w * gram - eye).max(axis=(1, 2))
         # the multiplier updates b + F - Q and B + F - P, with b + F and B + F
         # formed in place as the arguments of the prox and the projection
         b += F
@@ -480,8 +538,8 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
         P = next_P
         B -= P
 
-        obj = feasible_objectives(P, mu)
-        objectives[active, k - 1] = obj
+        prev_obj, obj = obj, feasible_objectives(P, mu)
+        objectives[active, count - 1] = obj
         better = obj < best_obj
         if better.all():
             best, best_obj = P, obj
@@ -491,38 +549,48 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol) -> list[_Run]:
 
         rel_obj = np.abs(obj - prev_obj) / np.maximum(1.0, np.abs(obj))
         streak = np.where(change <= tol, streak + 1, 0)
-        iterations[active] = k
-        done = (streak >= STREAK_REQUIRED) & (rel_obj <= OBJECTIVE_REL_TOL)
-        if done.any() or k == max_iters:
-            converged[active[done]] = True
-            done |= k == max_iters  # the cap: every slab still running leaves with its best
-            for i in np.flatnonzero(done).tolist():
-                best_matrix[active[i]] = best[i]
-            best_objective[active[done]] = best_obj[done]
-            keep = ~done
-            if not keep.any():
-                break
-            # one slab array at a time, so the block is never held twice
-            shared = best is P
-            Q = Q[keep]
-            P = P[keep]
-            b = b[keep]
-            B = B[keep]
-            best = P if shared else best[keep]
-            active, obj, best_obj, streak, mu, penalty, half_r, shrink_step = (
-                a[keep] for a in (active, obj, best_obj, streak, mu, penalty, half_r, shrink_step)
+        converged = (streak >= STREAK_REQUIRED) & (rel_obj <= OBJECTIVE_REL_TOL)
+        done = converged | (count == max_iters)  # at the cap a start leaves with its best
+        if not done.any():
+            continue
+        for i in np.flatnonzero(done).tolist():
+            s, c = active[i], count[i]
+            runs[s] = _Run(
+                best_matrix=np.ascontiguousarray(best[i].T),
+                best_objective=float(best_obj[i]),
+                iterations=int(c),
+                converged=bool(converged[i]),
+                objectives=objectives[s, :c].copy(),  # copies: the buffers grow and are
+                defects=defects[s, :c].copy(),  # replaced while other starts run
             )
-            slabs = groups(penalty)
-        prev_obj = obj
-
-    return [
-        _Run(
-            best_matrix=np.ascontiguousarray(best_matrix[s].T),
-            best_objective=float(best_objective[s]),
-            iterations=count,
-            converged=bool(converged[s]),
-            objectives=objectives[s, :count],
-            defects=defects[s, :count],
+        keep = ~done
+        # one slab array at a time, so the block is never held twice
+        shared = best is P
+        Q = Q[keep]
+        P = P[keep]
+        b = b[keep]
+        B = B[keep]
+        best = P if shared else best[keep]
+        active, mu, penalty, since, obj, best_obj, streak = (
+            a[keep] for a in (active, mu, penalty, since, obj, best_obj, streak)
         )
-        for s, count in enumerate(iterations.tolist())
-    ]
+        for x, new_mu, new_r in admit(runs, dict(zip(active.tolist(), best_obj.tolist()))) if admit else ():
+            rows = np.array(x.T, order="C")[None]
+            start_obj = feasible_objectives(rows, new_mu)
+            same = np.flatnonzero(penalty == new_r)
+            at = same[-1] + 1 if same.size else active.size
+            shared = best is P
+            Q, P, b, B = (np.insert(a, at, v, axis=0) for a, v in ((Q, rows), (P, rows), (b, 0.0), (B, 0.0)))
+            best = P if shared else np.insert(best, at, rows, axis=0)
+            active, mu, penalty, since, obj, best_obj, streak = (
+                np.insert(a, at, v)
+                for a, v in zip(
+                    (active, mu, penalty, since, obj, best_obj, streak),
+                    (len(runs), new_mu, new_r, k, start_obj, start_obj, 0),
+                )
+            )
+            runs.append(None)
+            objectives = np.concatenate((objectives, np.empty((1, objectives.shape[1]))))
+            defects = np.concatenate((defects, np.empty((1, defects.shape[1]))))
+        half_r, shrink_step, slabs = coefficients(mu, penalty)
+    return runs

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from cmlab import (
     solve_cm,
     solve_sweep,
 )
+from cmlab import solver
 from cmlab.solver import (
     IndefinitePenaltyError,
     ShrinkStepError,
@@ -475,6 +478,59 @@ def test_start_record_eigen_converges_randoms_cap(box_H, box_eigs):
         assert (solo.iterations, solo.converged) == (iterations, converged)
 
 
+# --- the shifted solve: a tridiagonal factor where the matrix allows one ----------
+
+
+def _superlu_solve(H, penalty, rhs):
+    shifted = H.matrix + penalty * scipy.sparse.eye_array(H.node_count)
+    return scipy.sparse.linalg.splu(scipy.sparse.csc_array(shifted)).solve(rhs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 64),
+    omega=st.one_of(st.none(), st.floats(1.0, 30.0)),
+    margin=st.floats(-2.0, 3.0),
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tridiagonal_shifted_solve_matches_superlu(n, omega, margin, k, seed):
+    grid = Grid(1, (1.0,), (n,), "dirichlet")
+    H = HamiltonianOperator(grid, None if omega is None else harmonic_well(grid, omega=omega))
+    spectrum = np.linalg.eigvalsh(H.materialize_dense())
+    penalty = -spectrum[0] + 10.0**margin  # H + penalty I is positive definite
+    rhs = np.random.default_rng(seed).standard_normal((n, k))
+    x = _build_shifted_solver(H, penalty)(rhs.copy(order="F"))  # solved in place
+    norm = spectrum[-1] + penalty  # the 2-norm of H + penalty I
+    residual = H.apply_array(x) + penalty * x - rhs
+    assert np.linalg.norm(residual) <= 1e-12 * (norm * np.linalg.norm(x) + np.linalg.norm(rhs))
+    condition = norm / (spectrum[0] + penalty)
+    reference = _superlu_solve(H, penalty, rhs)
+    assert np.abs(x - reference).max() <= 1e-13 * condition * np.abs(reference).max()
+
+
+def test_tridiagonal_factor_follows_the_matrix_structure():
+    # the tridiagonal factor solves an F-ordered right-hand side in place;
+    # SuperLU returns a new array
+    boxes = [(Grid(1, (1.0,), (40,), "dirichlet"), True), (Grid(1, (1.0,), (2,), "periodic"), True)]
+    boxes += [(Grid(1, (1.0,), (points,), "periodic"), False) for points in (3, 4, 40)]
+    boxes += [(Grid(2, (1.0, 1.0), (2, 3), boundary), False) for boundary in ("dirichlet", "periodic")]
+    for grid, tridiagonal in boxes:
+        H = HamiltonianOperator(grid, harmonic_well(grid, omega=3.0))
+        rhs = np.random.default_rng(5).standard_normal((grid.node_count, 3))
+        solved = rhs.copy(order="F")
+        x = _build_shifted_solver(H, 2.0)(solved)
+        assert np.shares_memory(x, solved) == tridiagonal
+        reference = _superlu_solve(H, 2.0, rhs)
+        assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_tridiagonal_factor_of_an_indefinite_shift_raises(box_H, box_eigs):
+    penalty = -2.0 * float(box_eigs.eigenvalues[0])
+    with pytest.raises(IndefinitePenaltyError, match=f"penalty {penalty:g} "):
+        _build_shifted_solver(box_H, penalty)
+
+
 # --- lockstep engine: every start of a block runs as it would alone ------------
 
 
@@ -550,7 +606,7 @@ def test_trace_buffers_grow_past_first_block(small_box_H):
     assert res.trace[:1024] == short.trace
 
 
-# --- sweeps: one block for the starts of every mu, then the warm chain ----------------
+# --- sweeps: one block for the starts of every mu and the warm chain ------------------
 
 
 def test_sweep_of_empty_schedule_is_empty(box_H, box_eigs):
@@ -579,3 +635,46 @@ def test_sweep_matches_solve_cm_chain(case):
         np.testing.assert_array_equal(result.modes.matrix, chained.modes.matrix)
         assert replace(result, modes=None) == replace(chained, modes=None)
         previous = chained.modes
+
+
+def test_sweep_speculation_miss_falls_back_to_the_chain(monkeypatch):
+    # on this long box random:1 wins the first mu, but it is still running
+    # when the eigen start finishes below random:1's best so far: the warm
+    # start of the second mu is speculated from the eigen run, and the walk
+    # must discard it and run the warm starts from random:1's frame alone
+    H = HamiltonianOperator(Grid(1, (20.0,), (20,), "dirichlet"))
+    schedule = [120.4, 125.9, 199.9]
+    cfg = SolverConfig(mu=schedule[0], max_iters=194, starts=("eigen", "random:1"))
+    lockstep, calls = solver._lockstep, []
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return lockstep(*args)
+
+    monkeypatch.setattr(solver, "_lockstep", counted)
+    swept = solve_sweep(H, L1, 2, schedule, cfg)
+    assert calls == [6, 1, 1]  # the block, then each later mu's warm start alone
+    assert swept[0].winner_start == "random:1"
+    monkeypatch.undo()
+    previous = None
+    for mu, result in zip(schedule, swept):
+        starts = cfg.starts if previous is None else cfg.starts + (previous,)
+        chained = solve_cm(H, L1, 2, replace(cfg, mu=mu, starts=starts))
+        np.testing.assert_array_equal(result.modes.matrix, chained.modes.matrix)
+        assert replace(result, modes=None) == replace(chained, modes=None)
+        previous = chained.modes
+
+
+def test_reference_sweep_winners_and_iterations(reference_sweep):
+    # the shipped sweep's behaviour, which no speedup may change; the closest
+    # call is mu = 80, where the eigen start wins by about 2e-11
+    records = reference_sweep["records"]
+    assert [r["winner_start"] for r in records] == ["eigen", "warm", "warm", "warm", "eigen", "eigen"]
+    assert [r["start_iterations"] for r in records] == [
+        [43, 1500, 1500],
+        [39, 1500, 1500, 260],
+        [35, 1500, 1500, 247],
+        [31, 1500, 1500, 241],
+        [27, 1500, 1500, 223],
+        [24, 1500, 1500, 25],
+    ]
