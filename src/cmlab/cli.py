@@ -235,12 +235,16 @@ def parse_config(raw: dict, base_dir: str = ".") -> dict:
 
 def load_config(path: str, mu_override: float | None = None, seed_override: int | None = None) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply to parse")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     if seed_override is not None:
@@ -282,16 +286,22 @@ def build_operator(cfg: dict) -> HamiltonianOperator:
     d, potential = cfg["domain"], dict(cfg["potential"])
     values_of = POTENTIAL_VALUES[potential.pop("kind")]
     grid = Grid(d["dim"], d["extent"], d["points"], d["boundary"])  # the parser checked these
+    # a grid too large to allocate fails at its first array of node values: the potential's or the operator's
+    too_large = f"domain.points {d['points']}: a grid of {grid.node_count} nodes does not fit in memory"
     try:
         values = values_of(grid, **potential)
     except ValueError as exc:
         raise ConfigError(f"potential.{exc}")
+    except MemoryError:
+        raise ConfigError(too_large)
     try:
         return HamiltonianOperator(grid, values)
     except ValueError as exc:
         raise ConfigError(str(exc))
     except ArithmeticError as exc:
         raise ConfigError(f"domain or potential is out of floating-point range: {exc}")
+    except MemoryError:
+        raise ConfigError(too_large)
 
 
 def build_solver_config(cfg: dict, mu: float) -> SolverConfig:

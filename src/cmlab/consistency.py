@@ -7,8 +7,8 @@ their per-eigenfunction captured masses, the induced energy-gap lower bound,
 and the mu-sweep experiment that records how all of it trends as the
 regularization weight fades; the sweep's report is the ``sweep.json``
 document itself, a plain dict.  The sweep's solves come from
-``solver.solve_sweep``, which runs the starts of every mu that do not depend
-on the previous mu as one lockstep block and then walks the warm-start chain.
+``solver.solve_sweep``, which runs the configured starts of every mu and the
+warm-start chain as one lockstep block.
 """
 
 from __future__ import annotations
@@ -248,8 +248,8 @@ def mu_sweep(
     Returns the ``sweep.json`` document less its config echo; each record
     holds its mu's measures followed by the solve's ``start_fields``.
 
-    The solves are ``solve_sweep``'s: the starts that do not depend on the
-    previous mu run as one block, then the warm starts run in order.
+    The solves are ``solve_sweep``'s: the configured starts of every mu and
+    the warm start of each mu from the previous winner run as one block.
 
     When the spectral gap above mode N sits below ``default_gap_threshold``,
     the sweep still runs but is flagged degenerate and the convergence

@@ -19,13 +19,14 @@ for a start whose Gram condition is above 1e3, and returns the block stored
 by rows as it came.  Each start carries its own mu, penalty and iteration
 count.  Every reduction stays inside one start's slab, so each start's run
 is bitwise the same alone as in any block; a start that stops leaves the
-block, and a start can join it while it runs.  A mu sweep (``solve_sweep``)
-runs the configured starts of all its mu values as one such block, and the
-chain of warm starts, each from the previous mu's winner, inside the same
-block: a warm start joins as soon as the lowest best objective of the
-previous mu belongs to a finished start.  A running start's best can still
-fall below it, so a walk over the schedule checks each such guess afterwards
-and runs a warm start alone where the guess was wrong.
+block.  The block starts empty and every start joins it the same way, the
+given ones before the first iteration and later ones while it runs.  A mu
+sweep (``solve_sweep``) gives the configured starts of all its mu values to
+one such block, and runs the chain of warm starts, each from the previous
+mu's winner, inside the same block: a warm start joins as soon as the lowest
+best objective of the previous mu belongs to a finished start.  A running
+start's best can still fall below it, so a walk over the schedule checks each
+such guess afterwards and runs a warm start alone where the guess was wrong.
 ``solve_cm`` is the one-mu case.
 
 The problem is non-convex, so nothing certifies global optimality.  What the
@@ -281,9 +282,7 @@ def solve_sweep(
     polished = [rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in config.starts]
     S = len(polished)
     # mu-major: every start at the first mu, then every start at the next one
-    x0 = np.stack(polished * len(configs))
-    mus = np.repeat([cfg.mu for cfg in configs], S)
-    rs = np.repeat(penalties, S)
+    configured = [(x, cfg.mu, r) for cfg, r in zip(configs, penalties) for x in polished]
     warm = {}  # mu index -> (block index of its speculated warm run, block index of its source)
 
     def admit(runs, running):
@@ -302,7 +301,7 @@ def solve_sweep(
         warm[i] = (len(runs), source)
         return [warm_start(ModeSet(H.grid, runs[source].best_matrix), i)]
 
-    block = _lockstep(H, J, w, x0, mus, rs, solvers, config.max_iters, config.tol, admit)
+    block = _lockstep(H, J, w, configured, solvers, config.max_iters, config.tol, admit)
 
     results = []
     for i, cfg in enumerate(configs):
@@ -314,8 +313,7 @@ def solve_sweep(
             if block[source] is winner:
                 runs.append(block[index])
             else:
-                x, mu, penalty = warm_start(starts[-1], i)
-                runs += _lockstep(H, J, w, x[None], [mu], [penalty], solvers, cfg.max_iters, cfg.tol)
+                runs += _lockstep(H, J, w, [warm_start(starts[-1], i)], solvers, cfg.max_iters, cfg.tol)
         results.append(_result(H.grid, starts, runs))
         winner = runs[_winner([run.best_objective for run in runs])]
     return results
@@ -440,33 +438,31 @@ def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> _Run:
     """One splitting iteration chain from one (node_count, N) start."""
     _shrink_step(config.mu, penalty)
     solvers = {penalty: shifted_solve}
-    return _lockstep(
-        H, J, w, x0[None], [config.mu], [penalty], solvers, config.max_iters, config.tol
-    )[0]
+    return _lockstep(H, J, w, [(x0, config.mu, penalty)], solvers, config.max_iters, config.tol)[0]
 
 
-def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol, admit=None) -> list[_Run]:
-    """Splitting iteration chains from a (S, node_count, N) stack of starts, in lockstep.
+def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run]:
+    """Splitting iteration chains from (start (node_count, N), mu, penalty) triples, in lockstep.
 
-    The start at index s runs at its own ``mu[s]`` and ``penalty[s]``
-    (sequences of length S); ``solvers`` maps each penalty to the shifted
-    solve of H + penalty I.  The block holds one (N, node_count) slab per running
-    start, one mode per row; a run of adjacent slabs that share a penalty is
-    a contiguous slice whose transpose, a view, is the node_count x (slabs N)
-    right-hand side of one shifted solve.  Each start keeps its own stop
-    rule, iteration count (at most ``max_iters``), best feasible iterate and
-    trace, and leaves the block when it stops.
+    ``solvers`` maps each penalty to the shifted solve of H + penalty I.  The
+    block holds one (N, node_count) slab per running start, one mode per row;
+    a run of adjacent slabs that share a penalty is a contiguous slice whose
+    transpose, a view, is the node_count x (slabs N) right-hand side of one
+    shifted solve.  Each start keeps its own mu, penalty, stop rule,
+    iteration count (at most ``max_iters``), best feasible iterate and trace,
+    and leaves the block when it stops.
 
-    Whenever a start leaves, ``admit(runs, running)`` (if given) may add
-    starts: ``runs`` holds the run of each block index so far, None while it
-    runs, and ``running`` maps the block index of each running start to its
-    best objective so far.  It returns (start (node_count, N), mu, penalty)
-    triples, which take the next block indices and join the block next to
-    the slabs of their penalty, so that they share their solve.  The block
-    arrays are updated in place where that keeps the order of operations, so
-    that few copies of the block are alive at once.
+    The block starts empty, and every start joins it the same way: it takes
+    the next block index and a slab next to the slabs of its penalty, so that
+    it shares their solve.  ``starts`` join before the first iteration.
+    Whenever a start leaves, ``admit(runs, running)`` (if given) may return
+    more triples, which join then: ``runs`` holds the run of each block index
+    so far, None while it runs, and ``running`` maps the block index of each
+    running start to its best objective so far.  The block arrays are updated
+    in place where that keeps the order of operations, so that few copies of
+    the block are alive at once.
     """
-    S, n, N = x0.shape
+    n, N = starts[0][0].shape
     eye = np.eye(N)
 
     def feasible_objectives(rows, mu):
@@ -483,76 +479,91 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol, admit=None) -> 
         slabs = [(lo, hi, solvers[penalty[lo]]) for lo, hi in zip(edges, edges[1:]) if lo < hi]
         return (0.5 * penalty)[:, None, None], (1.0 / (mu * penalty))[:, None, None], slabs
 
-    P = np.array(x0.mT, order="C")  # a copy: ``best`` starts out in its memory
-    Q = P.copy()
-    b = np.zeros_like(P)
-    B = np.zeros_like(P)
-
-    # per running slab, aligned with the block: its block index, mu, penalty,
-    # the step after which it joined, best feasible iterate (P is never
-    # written in place, so ``best`` can share its memory) and objective
-    active = np.arange(S)
-    mu = np.asarray(mu, dtype=float)
-    penalty = np.asarray(penalty, dtype=float)
-    since = np.zeros(S, dtype=int)
-    best = P
-    best_obj = obj = feasible_objectives(P, mu)
-    streak = np.zeros(S, dtype=int)
-    half_r, shrink_step, slabs = coefficients(mu, penalty)
-    runs = [None] * S  # by block index, each set when its start leaves
+    # the block, empty until the starts join; P is never written in place, so
+    # ``best`` (each slab's best feasible iterate) can share its memory
+    Q = P = b = B = best = np.empty((0, N, n))
+    # per slab, aligned with the block: its block index, mu, penalty, the step
+    # after which it joined, objective, best objective and convergence streak
+    active, since, streak = (np.empty(0, dtype=int) for _ in range(3))
+    mu, penalty, obj, best_obj = (np.empty(0) for _ in range(4))
+    runs = []  # by block index, each set when its start leaves
     # per-start traces; the columns grow geometrically with the iterations run
-    objectives = np.empty((S, min(max_iters, 1024)))
+    objectives = np.empty((0, min(max_iters, 1024)))
     defects = np.empty_like(objectives)
 
     k = 0
-    while active.size:
-        k += 1
-        count = k - since  # each running start's iteration
-        if count.max() > objectives.shape[1]:
-            more = min(max_iters, 2 * objectives.shape[1]) - objectives.shape[1]
-            objectives = np.concatenate((objectives, np.empty((len(runs), more))), axis=1)
-            defects = np.concatenate((defects, np.empty((len(runs), more))), axis=1)
-        # the right-hand side 0.5 r (Q - b + P - B), built in the memory of Q
-        # (which the prox recomputes), then the solution in its place
-        F = Q
-        F -= b
-        F += P
-        F -= B
-        F *= half_r
-        for lo, hi, solve in slabs:
-            F[lo:hi] = solve(F[lo:hi].reshape(-1, n).T).T.reshape(hi - lo, N, n)
-        gram = np.vecdot(F[:, :, None, :], F[:, None, :, :])  # mode pairs, one dot each
-        defects[active, count - 1] = np.abs(w * gram - eye).max(axis=(1, 2))
-        # the multiplier updates b + F - Q and B + F - P, with b + F and B + F
-        # formed in place as the arguments of the prox and the projection
-        b += F
-        B += F
-        del F  # freed before the prox and the projection allocate
-        Q = J.prox_array(b, shrink_step)
-        b -= Q
-        # the projection of the row-stored B comes back stored by rows: no copy
-        next_P = np.ascontiguousarray(orthonormal_columns(B.mT, w).mT)
-        moved = next_P - P
-        change = np.sqrt(w * np.vecdot(moved, moved)).max(axis=1)
-        del moved
-        P = next_P
-        B -= P
+    while True:  # once per change to the block
+        for x, new_mu, new_r in starts:
+            rows = np.array(x.T, order="C")[None]
+            start_obj = feasible_objectives(rows, new_mu)
+            same = np.flatnonzero(penalty == new_r)
+            at = same[-1] + 1 if same.size else active.size
+            shared = best is P
+            Q, P, b, B = (np.insert(a, at, v, axis=0) for a, v in ((Q, rows), (P, rows), (b, 0.0), (B, 0.0)))
+            best = P if shared else np.insert(best, at, rows, axis=0)
+            active, mu, penalty, since, obj, best_obj, streak = (
+                np.insert(a, at, v)
+                for a, v in zip(
+                    (active, mu, penalty, since, obj, best_obj, streak),
+                    (len(runs), new_mu, new_r, k, start_obj, start_obj, 0),
+                )
+            )
+            runs.append(None)
+            objectives = np.concatenate((objectives, np.empty((1, objectives.shape[1]))))
+            defects = np.concatenate((defects, np.empty((1, defects.shape[1]))))
+        if not active.size:
+            return runs
+        half_r, shrink_step, slabs = coefficients(mu, penalty)
 
-        prev_obj, obj = obj, feasible_objectives(P, mu)
-        objectives[active, count - 1] = obj
-        better = obj < best_obj
-        if better.all():
-            best, best_obj = P, obj
-        elif better.any():
-            best[better] = P[better]  # an earlier P, which nothing reads any more
-            best_obj = np.where(better, obj, best_obj)
+        while True:  # until some start stops
+            k += 1
+            count = k - since  # each running start's iteration
+            if count.max() > objectives.shape[1]:
+                more = min(max_iters, 2 * objectives.shape[1]) - objectives.shape[1]
+                objectives = np.concatenate((objectives, np.empty((len(runs), more))), axis=1)
+                defects = np.concatenate((defects, np.empty((len(runs), more))), axis=1)
+            # the right-hand side 0.5 r (Q - b + P - B), built in the memory of Q
+            # (which the prox recomputes), then the solution in its place
+            F = Q
+            F -= b
+            F += P
+            F -= B
+            F *= half_r
+            for lo, hi, solve in slabs:
+                F[lo:hi] = solve(F[lo:hi].reshape(-1, n).T).T.reshape(hi - lo, N, n)
+            gram = np.vecdot(F[:, :, None, :], F[:, None, :, :])  # mode pairs, one dot each
+            defects[active, count - 1] = np.abs(w * gram - eye).max(axis=(1, 2))
+            # the multiplier updates b + F - Q and B + F - P, with b + F and B + F
+            # formed in place as the arguments of the prox and the projection
+            b += F
+            B += F
+            del F  # freed before the prox and the projection allocate
+            Q = J.prox_array(b, shrink_step)
+            b -= Q
+            # the projection of the row-stored B comes back stored by rows: no copy
+            next_P = np.ascontiguousarray(orthonormal_columns(B.mT, w).mT)
+            moved = next_P - P
+            change = np.sqrt(w * np.vecdot(moved, moved)).max(axis=1)
+            del moved
+            P = next_P
+            B -= P
 
-        rel_obj = np.abs(obj - prev_obj) / np.maximum(1.0, np.abs(obj))
-        streak = np.where(change <= tol, streak + 1, 0)
-        converged = (streak >= STREAK_REQUIRED) & (rel_obj <= OBJECTIVE_REL_TOL)
-        done = converged | (count == max_iters)  # at the cap a start leaves with its best
-        if not done.any():
-            continue
+            prev_obj, obj = obj, feasible_objectives(P, mu)
+            objectives[active, count - 1] = obj
+            better = obj < best_obj
+            if better.all():
+                best, best_obj = P, obj
+            elif better.any():
+                best[better] = P[better]  # an earlier P, which nothing reads any more
+                best_obj = np.where(better, obj, best_obj)
+
+            rel_obj = np.abs(obj - prev_obj) / np.maximum(1.0, np.abs(obj))
+            streak = np.where(change <= tol, streak + 1, 0)
+            converged = (streak >= STREAK_REQUIRED) & (rel_obj <= OBJECTIVE_REL_TOL)
+            done = converged | (count == max_iters)  # at the cap a start leaves with its best
+            if done.any():
+                break
+
         for i in np.flatnonzero(done).tolist():
             s, c = active[i], count[i]
             runs[s] = _Run(
@@ -574,23 +585,4 @@ def _lockstep(H, J, w, x0, mu, penalty, solvers, max_iters, tol, admit=None) -> 
         active, mu, penalty, since, obj, best_obj, streak = (
             a[keep] for a in (active, mu, penalty, since, obj, best_obj, streak)
         )
-        for x, new_mu, new_r in admit(runs, dict(zip(active.tolist(), best_obj.tolist()))) if admit else ():
-            rows = np.array(x.T, order="C")[None]
-            start_obj = feasible_objectives(rows, new_mu)
-            same = np.flatnonzero(penalty == new_r)
-            at = same[-1] + 1 if same.size else active.size
-            shared = best is P
-            Q, P, b, B = (np.insert(a, at, v, axis=0) for a, v in ((Q, rows), (P, rows), (b, 0.0), (B, 0.0)))
-            best = P if shared else np.insert(best, at, rows, axis=0)
-            active, mu, penalty, since, obj, best_obj, streak = (
-                np.insert(a, at, v)
-                for a, v in zip(
-                    (active, mu, penalty, since, obj, best_obj, streak),
-                    (len(runs), new_mu, new_r, k, start_obj, start_obj, 0),
-                )
-            )
-            runs.append(None)
-            objectives = np.concatenate((objectives, np.empty((1, objectives.shape[1]))))
-            defects = np.concatenate((defects, np.empty((1, defects.shape[1]))))
-        half_r, shrink_step, slabs = coefficients(mu, penalty)
-    return runs
+        starts = admit(runs, dict(zip(active.tolist(), best_obj.tolist()))) if admit else ()

@@ -434,6 +434,21 @@ def test_missing_file_is_config_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not_utf8", "nested_past_recursion_limit"],
+)
+def test_unparsable_file_is_config_error(content, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert main(["eig", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(path) in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
 # --- eig ------------------------------------------------------------------------
 
 
@@ -878,6 +893,15 @@ BAD_INPUT_PROBES = {
     "extent_huge": ("sweep", [(("domain", "extent"), [1e150])], [], "domain scale"),
     # in range, but the default penalty's shrink step zeroes Q and B + F cancels to rank deficiency
     "extent_collapse": ("sweep", [(("domain", "extent"), [1e20])], [], "rank deficient"),
+    # 728 TiB of node values: more than a 64-bit process can map, so the first
+    # array of the potential (harmonic) or of the operator (free) fails at once
+    "points_unallocatable": ("sweep", [(("domain", "points"), [10**14])], [], "domain.points"),
+    "points_unallocatable_harmonic": (
+        "sweep",
+        [(("domain", "points"), [10**14]), (("potential",), {"kind": "harmonic"})],
+        [],
+        "domain.points",
+    ),
     "sweep_mu_flag": ("sweep", [], ["--mu", "7"], "--mu"),
     "eig_mu_flag": ("eig", [], ["--mu", "7"], "--mu"),
 }

@@ -557,8 +557,8 @@ def _lockstep_cases(draw):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(_lockstep_cases())
-def test_lockstep_runs_match_solo_runs(case):
+@given(_lockstep_cases(), st.data())
+def test_lockstep_runs_match_solo_runs(case, data):
     H, J, N, cfg = case
     eigs = reference_eigenpairs(H, N)
     # fixed, so that solve_cm below runs with the same one
@@ -566,9 +566,15 @@ def test_lockstep_runs_match_solo_runs(case):
     cfg = replace(cfg, penalty=penalty)
     solve = _build_shifted_solver(H, penalty)
     w = H.grid.cell_volume
-    x0 = np.stack([rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in cfg.starts])
-    S = len(x0)
-    runs = _lockstep(H, J, w, x0, [cfg.mu] * S, [penalty] * S, {penalty: solve}, cfg.max_iters, cfg.tol)
+    x0 = [rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in cfg.starts]
+    starts = [(x, cfg.mu, penalty) for x in x0]
+    # the starts before the split are given; the rest join mid-run, when the
+    # first start leaves
+    split = data.draw(st.integers(1, len(starts)), label="split")
+    late = [starts[split:]]
+    admit = lambda runs, running: late.pop() if late else []
+    runs = _lockstep(H, J, w, starts[:split], {penalty: solve}, cfg.max_iters, cfg.tol, admit)
+    assert not late
     assert len(runs) == len(cfg.starts)
     for run, start in zip(runs, x0):
         solo = _splitting_run(H, J, cfg, penalty, solve, w, start)
