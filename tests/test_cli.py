@@ -776,6 +776,22 @@ def test_cmd_verify_zero_cases_usage_error(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "failing",
+    [("column_mass_suite",), ("gap_bound_suite",), ("column_mass_suite", "gap_bound_suite")],
+)
+def test_cmd_verify_violation_exits_1_naming_its_seeds(monkeypatch, capsys, failing):
+    labels = {"column_mass_suite": "column_mass", "gap_bound_suite": "gap_bound"}
+    for name in failing:
+        monkeypatch.setattr(f"cmlab.cli.consistency.{name}", lambda *args: (2.0, [17]))
+    assert main(["verify", "--cases", "20", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith("verify: FAIL\n")
+    for name, label in labels.items():
+        line = f"{label} violations at seeds: [17]"
+        assert (line in captured.err) == (name in failing)
+
+
 def test_cmd_verify_deterministic(capsys):
     assert main(["verify", "--cases", "40", "--seed", "9"]) == 0
     first = capsys.readouterr().out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmlab import (
     AlignmentError,
@@ -21,7 +23,13 @@ from cmlab import (
     orthonormal_columns,
     procrustes_align,
 )
-from cmlab.consistency import _haar_orthogonal, default_gap_threshold
+from cmlab.consistency import (
+    COLUMN_MASS_MAX_COLS,
+    COLUMN_MASS_MAX_ROWS,
+    _column_masses,
+    _haar_orthogonal,
+    default_gap_threshold,
+)
 from conftest import l1_total
 
 L1 = make_regularizer("l1")
@@ -220,8 +228,50 @@ def test_gap_lower_bound_needs_enough_pairs(box_eigs):
 
 
 def test_column_mass_square_case_exact():
-    for seed in range(5):
-        assert column_mass_lemma_check(6, 6, seed) == pytest.approx(1.0, abs=1e-12)
+    for n in range(1, COLUMN_MASS_MAX_ROWS + 1):
+        for seed in range(5):
+            masses = _column_masses(n, n, np.random.default_rng(seed))
+            assert masses.shape == (n,)
+            assert np.abs(masses - 1.0).max() <= 1e-14
+
+
+@st.composite
+def _column_mass_cases(draw):
+    cols = draw(st.integers(1, COLUMN_MASS_MAX_COLS))
+    rows = draw(st.integers(1, min(cols, COLUMN_MASS_MAX_ROWS)))
+    return rows, cols, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_column_mass_cases())
+@example((1, 1, 0))
+@example((8, 8, 5))
+@example((8, 64, 9))
+def test_column_mass_matches_the_explicit_haar_rows(case):
+    rows, cols, seed = case
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((cols, cols)))
+    a = (q * np.sign(np.diag(r)))[:rows, :]
+    expected = float((a**2).sum(axis=0).max())
+    assert abs(column_mass_lemma_check(rows, cols, seed) - expected) <= 1e-14
+
+
+def test_column_mass_suite_worst_and_violations_are_its_case_draws(monkeypatch):
+    seed, cases = 40, 30
+    masses = {}
+    for case_seed in range(seed, seed + cases):
+        rng = np.random.default_rng(case_seed)
+        rows = int(rng.integers(1, COLUMN_MASS_MAX_ROWS + 1))
+        cols = int(rng.integers(rows, COLUMN_MASS_MAX_COLS + 1))
+        masses[case_seed] = column_mass_lemma_check(rows, cols, case_seed)
+    worst, violations = column_mass_suite(cases, seed)
+    assert worst == max(masses.values())
+    assert violations == []
+
+    # a tolerance of -0.5 makes every draw above mass 0.5 a violation
+    monkeypatch.setattr("cmlab.consistency.COLUMN_MASS_TOL", -0.5)
+    above = [s for s, mass in masses.items() if mass > 0.5]
+    assert 0 < len(above) < cases
+    assert column_mass_suite(cases, seed)[1] == above
 
 
 def test_column_mass_single_row():
