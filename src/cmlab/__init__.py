@@ -8,7 +8,6 @@ regularization weight fades.
 
 from .consistency import (
     AlignmentError,
-    CoeffMatrix,
     coefficients,
     column_mass_lemma_check,
     column_mass_suite,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentError",
-    "CoeffMatrix",
     "DIRICHLET",
     "EigenSystem",
     "EigensolverError",

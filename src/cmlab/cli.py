@@ -19,10 +19,10 @@ import numpy as np
 
 from . import consistency, reports
 from .eigensolver import reference_eigenpairs, spectral_gap
-from .grid import Grid
+from .grid import _BOUNDARIES, DIRICHLET, Grid
 from .hamiltonian import HamiltonianOperator, harmonic_well, multiwell, within_scale
 from .modes import RankDeficientError
-from .regularizer import make_regularizer
+from .regularizer import _KINDS, make_regularizer
 from .solver import (
     IndefinitePenaltyError,
     ShrinkStepError,
@@ -153,23 +153,44 @@ def _block(table: dict):
     return lambda value, where: _walk(value, where, table)
 
 
-# the table of each potential kind; ``kind`` itself comes first in the echo
+def _load_column(grid: Grid, path: str) -> np.ndarray:
+    """The node values in a text file: one line for each node of ``grid``, one number each."""
+    count = grid.node_count
+    need = f"path {path} must hold one number per line, one line for each of the grid's {count} nodes"
+    try:
+        with warnings.catch_warnings(action="ignore", category=UserWarning):  # no numbers: named below
+            values = np.loadtxt(path, dtype=float, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{need}: {exc}")
+    if values.shape != (count,):
+        raise ValueError(f"{need}; it holds an array of shape {values.shape}")
+    if not within_scale(values, grid.cell_volume):
+        raise ValueError(f"path {path} holds a value that is not finite or too large for the solvers")
+    return values
+
+
+# kind -> (node values of V, table of the block's other keys); the values are
+# called with the grid and those keys, give None for V = 0, and raise an error
+# that begins with the key it is about; the keys follow ``kind`` in the echo
 POTENTIALS = {
-    "free": {},
-    "harmonic": {"omega": (_pos_float, 1.0), "center": (_point, OMITTED)},
-    "multiwell": {
-        "centers": (_list(_point), REQUIRED),
-        "depth": (_pos_float, REQUIRED),
-        "width": (_pos_float, REQUIRED),
-    },
-    "tabulated": {"path": (_typed(str, "a string"), REQUIRED)},
+    "free": (lambda grid: None, {}),
+    "harmonic": (harmonic_well, {"omega": (_pos_float, 1.0), "center": (_point, OMITTED)}),
+    "multiwell": (
+        multiwell,
+        {
+            "centers": (_list(_point), REQUIRED),
+            "depth": (_pos_float, REQUIRED),
+            "width": (_pos_float, REQUIRED),
+        },
+    ),
+    "tabulated": (_load_column, {"path": (_typed(str, "a string"), REQUIRED)}),
 }
 
 
 def _potential(value, where: str) -> dict:
     """The potential block: its ``kind`` picks the table the other keys are read by."""
     kind = value.get("kind") if isinstance(value, dict) else None
-    table = POTENTIALS.get(kind, {}) if isinstance(kind, str) else {}
+    table = POTENTIALS[kind][1] if isinstance(kind, str) and kind in POTENTIALS else {}
     return _walk(value, where, {"kind": (_one_of(*POTENTIALS), REQUIRED), **table})
 
 
@@ -177,11 +198,11 @@ DOMAIN = {
     "dim": (_one_of(1, 2), REQUIRED),
     "extent": (_list(_pos_float), REQUIRED),
     "points": (_list(_int(2)), REQUIRED),
-    "boundary": (_one_of("dirichlet", "periodic"), "dirichlet"),
+    "boundary": (_one_of(*_BOUNDARIES), DIRICHLET),
 }
 PROBLEM = {
     "N": (_int(1), REQUIRED),
-    "regularizer": (_one_of("l1", "zero"), "l1"),
+    "regularizer": (_one_of(*_KINDS), "l1"),
     "mu": (_pos_float, OMITTED),
     "mu_schedule": (_list(_pos_float), OMITTED),
 }
@@ -256,35 +277,9 @@ def load_config(path: str, mu_override: float | None = None, seed_override: int 
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _load_column(grid: Grid, path: str) -> np.ndarray:
-    """The node values in a text file: one line for each node of ``grid``, one number each."""
-    count = grid.node_count
-    need = f"path {path} must hold one number per line, one line for each of the grid's {count} nodes"
-    try:
-        with warnings.catch_warnings(action="ignore", category=UserWarning):  # no numbers: named below
-            values = np.loadtxt(path, dtype=float, ndmin=1)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"{need}: {exc}")
-    if values.shape != (count,):
-        raise ValueError(f"{need}; it holds an array of shape {values.shape}")
-    if not within_scale(values, grid.cell_volume):
-        raise ValueError(f"path {path} holds a value that is not finite or too large for the solvers")
-    return values
-
-
-# kind -> node values of V (None for V = 0), called with the grid and the
-# block's other keys; an error begins with the key it is about
-POTENTIAL_VALUES = {
-    "free": lambda grid: None,
-    "harmonic": harmonic_well,
-    "multiwell": multiwell,
-    "tabulated": _load_column,
-}
-
-
 def build_operator(cfg: dict) -> HamiltonianOperator:
     d, potential = cfg["domain"], dict(cfg["potential"])
-    values_of = POTENTIAL_VALUES[potential.pop("kind")]
+    values_of, _ = POTENTIALS[potential.pop("kind")]
     grid = Grid(d["dim"], d["extent"], d["points"], d["boundary"])  # the parser checked these
     # a grid too large to allocate fails at its first array of node values: the potential's or the operator's
     too_large = f"domain.points {d['points']}: a grid of {grid.node_count} nodes does not fit in memory"

@@ -2,9 +2,9 @@
 
 Everything the convergence claims talk about lives here: the N x N energy
 matrix and its spectrum, alignment of a frame to the eigenfunction frame by
-the best orthogonal rotation, expansion coefficients in the eigenbasis with
-their per-eigenfunction captured masses, the induced energy-gap lower bound,
-and the mu-sweep experiment that records how all of it trends as the
+the best orthogonal rotation, expansion coefficients in the eigenbasis, the
+energy-gap lower bound their per-eigenfunction captured masses induce, and
+the mu-sweep experiment that records how all of it trends as the
 regularization weight fades; the sweep's report is the ``sweep.json``
 document itself, a plain dict.  The sweep's solves come from
 ``solver.solve_sweep``, which runs the configured starts of every mu and the
@@ -12,8 +12,6 @@ warm-start chain as one lockstep block.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -86,62 +84,37 @@ def procrustes_align(F: ModeSet, Phi: ModeSet) -> tuple[np.ndarray, float, ModeS
     return rotation, residual, ModeSet(F.grid, aligned_matrix)
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
-    """Expansion coefficients of modes in the eigenbasis, with column masses.
-
-    ``entries[i, k] = <f_i, phi_k>`` for the first K eigenfunctions;
-    ``col_mass[l] = sum_i entries[i, l]**2`` is the mass the frame captures
-    from eigenfunction l; ``tail_mass[i]`` is the per-mode mass beyond depth
-    K, inferred from unit normalization.
-    """
-
-    entries: np.ndarray
-    col_mass: np.ndarray
-    tail_mass: np.ndarray
-
-    def __post_init__(self):
-        for name in ("entries", "col_mass", "tail_mass"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def depth(self) -> int:
-        return self.entries.shape[1]
-
-
-def coefficients(F: ModeSet, eigs: EigenSystem, K: int) -> CoeffMatrix:
-    """Coefficients a_ik = <f_i, phi_k> up to expansion depth K."""
+def coefficients(F: ModeSet, eigs: EigenSystem, K: int) -> np.ndarray:
+    """The (N, K) coefficients a_ik = <f_i, phi_k> up to expansion depth K."""
     if K < 1 or K > eigs.count:
         raise ValueError(f"depth K must be in [1, {eigs.count}], got {K}")
     if F.grid != eigs.modes.grid:
         raise GridMismatchError("modes and eigensystem live on different grids")
     w = F.grid.cell_volume
-    entries = w * (F.matrix.T @ eigs.modes.matrix[:, :K])
-    col_mass = (entries**2).sum(axis=0)
-    tail_mass = 1.0 - (entries**2).sum(axis=1)
-    return CoeffMatrix(entries, col_mass, tail_mass)
+    return w * (F.matrix.T @ eigs.modes.matrix[:, :K])
 
 
-def gap_lower_bound(coeffs: CoeffMatrix, eigs: EigenSystem, N: int) -> float:
-    """sum_{l<=N} (1 - b_l)(lambda_{N+1} - lambda_l).
+def gap_lower_bound(coeffs: np.ndarray, eigs: EigenSystem, N: int) -> float:
+    """sum_{l<=N} (1 - b_l)(lambda_{N+1} - lambda_l), from the (N, K) ``coefficients``.
 
-    Each summand is nonnegative by the ordering of the eigenvalues and the
-    column-mass bound b_l <= 1; tiny negative excursions (roundoff) are
-    clamped, anything beyond 1e-10 is an error.
+    ``b_l``, the sum over modes of the squared coefficients of eigenfunction
+    l, is the mass the frame captures from it.  Each summand is nonnegative
+    by the ordering of the eigenvalues and the column-mass bound b_l <= 1;
+    tiny negative excursions (roundoff) are clamped, anything beyond 1e-10 is
+    an error.
     """
     if eigs.count < N + 1:
         raise ValueError(f"need at least {N + 1} eigenpairs, have {eigs.count}")
-    if coeffs.depth < N:
+    if coeffs.shape[1] < N:
         raise ValueError("coefficient depth is smaller than N")
+    col_mass = (coeffs**2).sum(axis=0)
     lam = eigs.eigenvalues
     total = 0.0
     for l in range(N):
-        deficit = 1.0 - float(coeffs.col_mass[l])
+        deficit = 1.0 - float(col_mass[l])
         gap_l = float(lam[N] - lam[l])
         if deficit < -COLUMN_MASS_TOL:
-            raise ValueError(f"column mass {coeffs.col_mass[l]} exceeds 1 beyond tolerance")
+            raise ValueError(f"column mass {col_mass[l]} exceeds 1 beyond tolerance")
         if gap_l < -COLUMN_MASS_TOL:
             raise ValueError("eigenvalues are not sorted nondecreasing")
         total += max(deficit, 0.0) * max(gap_l, 0.0)

@@ -22,8 +22,6 @@ import numpy as np
 class L1Regularizer:
     """J(u) = sum_n w_n |u_n|."""
 
-    kind: str = "l1"
-
     def evaluate_columns(self, matrix: np.ndarray, cell_volume: float) -> np.ndarray:
         """Per-column value on raw node values."""
         return cell_volume * np.abs(matrix).sum(axis=-2)
@@ -45,8 +43,6 @@ class L1Regularizer:
 @dataclass(frozen=True)
 class ZeroRegularizer:
     """J = 0; prox is the identity."""
-
-    kind: str = "zero"
 
     def evaluate_columns(self, matrix: np.ndarray, cell_volume: float) -> np.ndarray:
         return np.zeros(matrix.shape[:-2] + matrix.shape[-1:])

@@ -452,15 +452,23 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
     iteration count (at most ``max_iters``), best feasible iterate and trace,
     and leaves the block when it stops.
 
-    The block starts empty, and every start joins it the same way: it takes
-    the next block index and a slab next to the slabs of its penalty, so that
-    it shares their solve.  ``starts`` join before the first iteration.
-    Whenever a start leaves, ``admit(runs, running)`` (if given) may return
+    A running start's state is one entry of each array in one fixed-order
+    list, all aligned with the block: its slabs of Q, P, b, B and of its best
+    iterate, then its block index, mu, penalty, iteration count, objective,
+    best objective and convergence streak, then its rows of the objective
+    and defect traces, whose columns grow geometrically with the iterations
+    run.  The block starts empty, and a start joins it with one insert into
+    every array of the list: it takes the next block index and a place after
+    the last slab of its penalty, so that it shares their solve.  ``starts``
+    join before the first iteration.  Whenever a start leaves, one mask drops
+    it from every array, and ``admit(runs, running)`` (if given) may return
     more triples, which join then: ``runs`` holds the run of each block index
     so far, None while it runs, and ``running`` maps the block index of each
-    running start to its best objective so far.  The block arrays are updated
-    in place where that keeps the order of operations, so that few copies of
-    the block are alive at once.
+    running start to its best objective so far.  While the block runs, only
+    the iteration's own names hold its arrays, which are updated in place
+    where that keeps the order of operations; while a mask drops a start, only
+    the list holds them, and each array is freed as its masked copy replaces
+    it.  So few copies of the block are alive at once.
     """
     n, N = starts[0][0].shape
     eye = np.eye(N)
@@ -479,49 +487,35 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
         slabs = [(lo, hi, solvers[penalty[lo]]) for lo, hi in zip(edges, edges[1:]) if lo < hi]
         return (0.5 * penalty)[:, None, None], (1.0 / (mu * penalty))[:, None, None], slabs
 
-    # the block, empty until the starts join; P is never written in place, so
-    # ``best`` (each slab's best feasible iterate) can share its memory
-    Q = P = b = B = best = np.empty((0, N, n))
-    # per slab, aligned with the block: its block index, mu, penalty, the step
-    # after which it joined, objective, best objective and convergence streak
-    active, since, streak = (np.empty(0, dtype=int) for _ in range(3))
-    mu, penalty, obj, best_obj = (np.empty(0) for _ in range(4))
+    # Q, P, b, B, best; index, mu, penalty, count; obj, best_obj, streak;
+    # the objective and defect trace rows
+    block, ints, floats = np.empty((0, N, n)), np.empty(0, dtype=int), np.empty(0)
+    trace = np.empty((0, min(max_iters, 64)))
+    state = [block] * 5 + [ints, floats, floats, ints, floats, floats, ints, trace, trace]
     runs = []  # by block index, each set when its start leaves
-    # per-start traces; the columns grow geometrically with the iterations run
-    objectives = np.empty((0, min(max_iters, 1024)))
-    defects = np.empty_like(objectives)
 
-    k = 0
     while True:  # once per change to the block
         for x, new_mu, new_r in starts:
             rows = np.array(x.T, order="C")[None]
             start_obj = feasible_objectives(rows, new_mu)
-            same = np.flatnonzero(penalty == new_r)
-            at = same[-1] + 1 if same.size else active.size
-            shared = best is P
-            Q, P, b, B = (np.insert(a, at, v, axis=0) for a, v in ((Q, rows), (P, rows), (b, 0.0), (B, 0.0)))
-            best = P if shared else np.insert(best, at, rows, axis=0)
-            active, mu, penalty, since, obj, best_obj, streak = (
-                np.insert(a, at, v)
-                for a, v in zip(
-                    (active, mu, penalty, since, obj, best_obj, streak),
-                    (len(runs), new_mu, new_r, k, start_obj, start_obj, 0),
-                )
-            )
+            same = np.flatnonzero(state[7] == new_r)  # the slabs of its penalty
+            at = same[-1] + 1 if same.size else len(state[7])
+            joined = (rows, rows, 0.0, 0.0, rows, len(runs), new_mu, new_r, 0, start_obj, start_obj, 0, 0.0, 0.0)
+            state = [np.insert(a, at, v, axis=0) for a, v in zip(state, joined)]
             runs.append(None)
-            objectives = np.concatenate((objectives, np.empty((1, objectives.shape[1]))))
-            defects = np.concatenate((defects, np.empty((1, defects.shape[1]))))
-        if not active.size:
+        Q, P, b, B, best, index, mu, penalty, count, obj, best_obj, streak, objectives, defects = state
+        del state  # the iteration's names alone hold the block while it runs
+        if not index.size:
             return runs
         half_r, shrink_step, slabs = coefficients(mu, penalty)
+        slab = np.arange(index.size)
 
         while True:  # until some start stops
-            k += 1
-            count = k - since  # each running start's iteration
+            count += 1
             if count.max() > objectives.shape[1]:
                 more = min(max_iters, 2 * objectives.shape[1]) - objectives.shape[1]
-                objectives = np.concatenate((objectives, np.empty((len(runs), more))), axis=1)
-                defects = np.concatenate((defects, np.empty((len(runs), more))), axis=1)
+                objectives = np.concatenate((objectives, np.empty((slab.size, more))), axis=1)
+                defects = np.concatenate((defects, np.empty((slab.size, more))), axis=1)
             # the right-hand side 0.5 r (Q - b + P - B), built in the memory of Q
             # (which the prox recomputes), then the solution in its place
             F = Q
@@ -532,7 +526,7 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
             for lo, hi, solve in slabs:
                 F[lo:hi] = solve(F[lo:hi].reshape(-1, n).T).T.reshape(hi - lo, N, n)
             gram = np.vecdot(F[:, :, None, :], F[:, None, :, :])  # mode pairs, one dot each
-            defects[active, count - 1] = np.abs(w * gram - eye).max(axis=(1, 2))
+            defects[slab, count - 1] = np.abs(w * gram - eye).max(axis=(1, 2))
             # the multiplier updates b + F - Q and B + F - P, with b + F and B + F
             # formed in place as the arguments of the prox and the projection
             b += F
@@ -549,10 +543,10 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
             B -= P
 
             prev_obj, obj = obj, feasible_objectives(P, mu)
-            objectives[active, count - 1] = obj
+            objectives[slab, count - 1] = obj
             better = obj < best_obj
             if better.all():
-                best, best_obj = P, obj
+                best, best_obj = P, obj  # P is never written in place, so best can share it
             elif better.any():
                 best[better] = P[better]  # an earlier P, which nothing reads any more
                 best_obj = np.where(better, obj, best_obj)
@@ -565,24 +559,19 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
                 break
 
         for i in np.flatnonzero(done).tolist():
-            s, c = active[i], count[i]
-            runs[s] = _Run(
+            c = count[i]
+            runs[index[i]] = _Run(
                 best_matrix=np.ascontiguousarray(best[i].T),
                 best_objective=float(best_obj[i]),
                 iterations=int(c),
                 converged=bool(converged[i]),
-                objectives=objectives[s, :c].copy(),  # copies: the buffers grow and are
-                defects=defects[s, :c].copy(),  # replaced while other starts run
+                objectives=objectives[i, :c].copy(),  # copies, so that no run
+                defects=defects[i, :c].copy(),  # keeps a whole trace buffer alive
             )
         keep = ~done
-        # one slab array at a time, so the block is never held twice
-        shared = best is P
-        Q = Q[keep]
-        P = P[keep]
-        b = b[keep]
-        B = B[keep]
-        best = P if shared else best[keep]
-        active, mu, penalty, since, obj, best_obj, streak = (
-            a[keep] for a in (active, mu, penalty, since, obj, best_obj, streak)
-        )
-        starts = admit(runs, dict(zip(active.tolist(), best_obj.tolist()))) if admit else ()
+        state = [Q, P, b, B, best, index, mu, penalty, count, obj, best_obj, streak, objectives, defects]
+        del Q, P, b, B, best  # the list alone holds the block while the mask drops
+        for i in range(len(state)):
+            state[i] = state[i][keep]
+        running = dict(zip(state[5].tolist(), state[10].tolist()))  # block index -> best objective
+        starts = admit(runs, running) if admit else ()

@@ -556,6 +556,29 @@ def _lockstep_cases(draw):
     return HamiltonianOperator(grid, potential), J, N, cfg
 
 
+def _lockstep_matches_solo_runs(H, J, cfg, x0, penalties, split):
+    """The runs of a block in which the starts from ``split`` on join when the first start leaves.
+
+    Each start runs at its own penalty; its run must be bitwise its solo run.
+    """
+    solvers = {r: _build_shifted_solver(H, r) for r in penalties}
+    w = H.grid.cell_volume
+    starts = [(x, cfg.mu, r) for x, r in zip(x0, penalties)]
+    late = [starts[split:]]
+    admit = lambda runs, running: late.pop() if late else []
+    runs = _lockstep(H, J, w, starts[:split], solvers, cfg.max_iters, cfg.tol, admit)
+    assert not late
+    assert len(runs) == len(starts)
+    for run, x, r in zip(runs, x0, penalties):
+        solo = _splitting_run(H, J, replace(cfg, penalty=r), r, solvers[r], w, x)
+        assert run.best_objective == solo.best_objective
+        assert run.iterations == solo.iterations
+        assert run.converged == solo.converged
+        np.testing.assert_array_equal(run.best_matrix, solo.best_matrix)
+        assert run.trace == solo.trace
+    return runs
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_lockstep_cases(), st.data())
 def test_lockstep_runs_match_solo_runs(case, data):
@@ -564,29 +587,24 @@ def test_lockstep_runs_match_solo_runs(case, data):
     # fixed, so that solve_cm below runs with the same one
     penalty = default_penalty(cfg.mu, float(eigs.eigenvalues[N - 1])) - 2.0 * min(eigs.eigenvalues[0], 0.0)
     cfg = replace(cfg, penalty=penalty)
-    solve = _build_shifted_solver(H, penalty)
     w = H.grid.cell_volume
     x0 = [rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in cfg.starts]
-    starts = [(x, cfg.mu, penalty) for x in x0]
-    # the starts before the split are given; the rest join mid-run, when the
-    # first start leaves
-    split = data.draw(st.integers(1, len(starts)), label="split")
-    late = [starts[split:]]
-    admit = lambda runs, running: late.pop() if late else []
-    runs = _lockstep(H, J, w, starts[:split], {penalty: solve}, cfg.max_iters, cfg.tol, admit)
-    assert not late
-    assert len(runs) == len(cfg.starts)
-    for run, start in zip(runs, x0):
-        solo = _splitting_run(H, J, cfg, penalty, solve, w, start)
-        assert run.best_objective == solo.best_objective
-        assert run.iterations == solo.iterations
-        assert run.converged == solo.converged
-        np.testing.assert_array_equal(run.best_matrix, solo.best_matrix)
-        assert run.trace == solo.trace
+    # one to three multiples of the default penalty, taken by the starts in
+    # turn, so that a start can join between the slabs of another penalty
+    factors = data.draw(st.permutations([1.0, 2.0, 0.5]), label="factors")[: data.draw(st.integers(1, 3))]
+    penalties = [penalty * factors[i % len(factors)] for i in range(len(x0))]
+    split = data.draw(st.integers(1, len(x0)), label="split")
+    runs = _lockstep_matches_solo_runs(H, J, cfg, x0, penalties, split)
 
+    # each start's run at the default penalty, which solve_cm gives them all
+    solve = _build_shifted_solver(H, penalty)
+    at_default = [
+        run if r == penalty else _splitting_run(H, J, cfg, penalty, solve, w, x)
+        for run, x, r in zip(runs, x0, penalties)
+    ]
     res = solve_cm(H, J, N, cfg, eigs=eigs)
-    assert res.start_objectives == tuple(run.best_objective for run in runs)
-    assert res.start_iterations == tuple(run.iterations for run in runs)
+    assert res.start_objectives == tuple(run.best_objective for run in at_default)
+    assert res.start_iterations == tuple(run.iterations for run in at_default)
     assert res.objective == min(res.start_objectives)
     assert res.modes.ortho_defect <= 1e-8
     if "eigen" in cfg.starts:
@@ -601,6 +619,25 @@ def test_lockstep_runs_match_solo_runs(case, data):
     )
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_lockstep_joins_between_the_slabs_of_other_penalties(dim, boundary):
+    # three penalties over five starts; the eigen start converges first, and
+    # then the late starts join while the others run, one of them between the
+    # slabs of two other penalties
+    # (an oblong 2D box, so that the eigen frame's span is not degenerate)
+    grid = Grid(dim, (1.0, 1.4)[:dim], (24,) if dim == 1 else (5, 7), boundary)
+    H = HamiltonianOperator(grid, harmonic_well(grid, omega=10.0, center=(0.5, 0.7)[:dim]))
+    eigs = reference_eigenpairs(H, 2)
+    cfg = SolverConfig(mu=80.0, max_iters=120)
+    penalty = default_penalty(cfg.mu, float(eigs.eigenvalues[1]))
+    starts = ("eigen", "random:1", "random:2", "random:3", "random:4")
+    x0 = [_start_matrix(s, H, 2, eigs) for s in starts]
+    penalties = [penalty * f for f in (1.0, 2.0, 0.5, 2.0, 0.5)]
+    runs = _lockstep_matches_solo_runs(H, L1, cfg, x0, penalties, split=3)
+    assert runs[0].converged and runs[0].iterations < min(run.iterations for run in runs[1:3])
+
+
 def test_trace_buffers_grow_past_first_block(small_box_H):
     # tol so small that no start converges: every run goes to the cap
     H = small_box_H
@@ -610,6 +647,23 @@ def test_trace_buffers_grow_past_first_block(small_box_H):
     assert res.iterations == len(res.trace) == 2100
     short = solve_cm(H, L1, 1, replace(cfg, max_iters=1024), eigs=eigs)
     assert res.trace[:1024] == short.trace
+
+    # a start that joins after the trace columns have grown to the cap runs
+    # as it would alone
+    cfg = replace(cfg, max_iters=1100)
+    penalty = default_penalty(cfg.mu, float(eigs.eigenvalues[0]))
+    solve, w = _build_shifted_solver(H, penalty), H.grid.cell_volume
+    first, second = (_start_matrix(s, H, 1, eigs) for s in ("random:4", "random:5"))
+    late = [[(second, cfg.mu, penalty)]]
+    admit = lambda runs, running: late.pop() if late else []
+    runs = _lockstep(H, L1, w, [(first, cfg.mu, penalty)], {penalty: solve}, cfg.max_iters, cfg.tol, admit)
+    assert not late
+    assert [run.iterations for run in runs] == [1100, 1100]
+    solo = _splitting_run(H, L1, cfg, penalty, solve, w, second)
+    assert runs[1].best_objective == solo.best_objective
+    assert not runs[1].converged and not solo.converged
+    np.testing.assert_array_equal(runs[1].best_matrix, solo.best_matrix)
+    assert runs[1].trace == solo.trace
 
 
 # --- sweeps: one block for the starts of every mu and the warm chain ------------------
