@@ -29,6 +29,18 @@ start's best can still fall below it, so a walk over the schedule checks each
 such guess afterwards and runs a warm start alone where the guess was wrong.
 ``solve_cm`` is the one-mu case.
 
+The objective's energy cannot tell apart rotations of a frame within its
+span; only the L1 term turns a frame in that direction, and slowly (the gauge
+freedom of maximally localized Wannier functions, Marzari & Vanderbilt
+1997).  A random start that has found the span can drift inside it with a
+step above ``tol`` for thousands of iterations.  So every ``REPOLISH_EVERY``
+of its own iterations, a random start whose step lies within the span it left
+(at most ``REPOLISH_SPAN`` of it outside) has its best frame rotation-polished,
+and restarts from the polished frame if that lowers its best objective by
+more than ``REPOLISH_GAIN`` (relative).  The decision is the start's own, so
+its run stays the same in any block.  Eigen and warm starts are never
+re-polished: measured, it raised some of their results.
+
 The problem is non-convex, so nothing certifies global optimality.  What the
 solver does certify: every returned frame is feasible (orthonormal to 1e-8),
 and because the best feasible iterate across all starts is tracked, including
@@ -57,6 +69,10 @@ from .regularizer import Regularizer, ZeroRegularizer
 OBJECTIVE_REL_TOL = 1e-10
 STREAK_REQUIRED = 3
 POLISH_SWEEPS = 30
+# the drift re-polish of random starts (see ``_lockstep``)
+REPOLISH_EVERY = 50
+REPOLISH_SPAN = 0.01
+REPOLISH_GAIN = 1e-9
 
 
 class IndefinitePenaltyError(ValueError):
@@ -127,6 +143,7 @@ class SolverResult:
     start_objectives: tuple[float, ...]
     start_iterations: tuple[int, ...]
     start_converged: tuple[bool, ...]
+    start_restarts: tuple[int, ...]
 
 
 def start_fields(result: SolverResult) -> dict:
@@ -139,6 +156,7 @@ def start_fields(result: SolverResult) -> dict:
         "start_objectives": list(result.start_objectives),
         "start_iterations": list(result.start_iterations),
         "start_converged": list(result.start_converged),
+        "start_restarts": list(result.start_restarts),
     }
 
 
@@ -170,7 +188,9 @@ def rotation_polish(matrix: np.ndarray, w: float, J: Regularizer) -> np.ndarray:
     In-span rotations leave every Rayleigh quotient sum invariant, so this
     never increases the objective; it jump-starts the splitting iteration at
     the well-localized rotation instead of leaving that (energy-neutral,
-    hence weakly forced) direction to the slow shrinkage dynamics.  Up to
+    hence weakly forced) direction to the slow shrinkage dynamics.  Every
+    start is polished once as it joins, and a random start's best frame again
+    whenever its run drifts inside its span (see ``_lockstep``).  Up to
     ``POLISH_SWEEPS`` greedy sweeps of pairwise Givens rotations: the L1 sum
     of a turned pair is concave in the angle between the breakpoints where one
     of its rows turns onto an axis, so its exact minimum is at one of them
@@ -247,7 +267,8 @@ def solve_sweep(
     is the modes of the previous mu's result (no warm start at the first
     mu).  Every mu is validated before any factorization.  Then the
     configured starts of all mu values run as one lockstep block (each start
-    rotation-polished once, as the polish does not depend on mu), and the
+    rotation-polished once, as the polish does not depend on mu; the random
+    ones are flagged for re-polishing), and the
     warm chain runs inside that block by speculation: the warm start of mu_i
     joins the block once mu_{i-1}'s warm start has finished and the lowest
     best objective among mu_{i-1}'s runs, a running start counted at its
@@ -277,12 +298,13 @@ def solve_sweep(
 
     def warm_start(modes, i):
         # the warm slab of mu i, from the previous winner's modes
-        return rotation_polish(_start_matrix(modes, H, N, eigs), w, J), configs[i].mu, penalties[i]
+        return rotation_polish(_start_matrix(modes, H, N, eigs), w, J), configs[i].mu, penalties[i], False
 
     polished = [rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in config.starts]
+    repolish = [isinstance(s, str) and s.startswith("random:") for s in config.starts]
     S = len(polished)
     # mu-major: every start at the first mu, then every start at the next one
-    configured = [(x, cfg.mu, r) for cfg, r in zip(configs, penalties) for x in polished]
+    configured = [(x, cfg.mu, r, f) for cfg, r in zip(configs, penalties) for x, f in zip(polished, repolish)]
     warm = {}  # mu index -> (block index of its speculated warm run, block index of its source)
 
     def admit(runs, running):
@@ -325,6 +347,7 @@ class _Run:
     best_objective: float
     iterations: int
     converged: bool
+    restarts: int  # restarts from a re-polished best frame
     objectives: np.ndarray  # feasible objective per iteration
     defects: np.ndarray  # orthonormality defect of F per iteration
 
@@ -349,6 +372,7 @@ def _result(grid, starts, runs) -> SolverResult:
         start_objectives=tuple(r.best_objective for r in runs),
         start_iterations=tuple(r.iterations for r in runs),
         start_converged=tuple(r.converged for r in runs),
+        start_restarts=tuple(r.restarts for r in runs),
     )
 
 
@@ -434,15 +458,21 @@ def _shrink_step(mu: float, penalty: float) -> float:
     return step
 
 
+def _off_span(moved: np.ndarray, frame: np.ndarray, w: float) -> float:
+    """The largest w-norm of a mode's step outside span(frame); both stored by rows, frame orthonormal."""
+    off = moved - (w * (moved @ frame.T)) @ frame
+    return float(np.sqrt(w * np.vecdot(off, off)).max())
+
+
 def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> _Run:
-    """One splitting iteration chain from one (node_count, N) start."""
+    """One splitting iteration chain from one (node_count, N) start, never re-polished."""
     _shrink_step(config.mu, penalty)
     solvers = {penalty: shifted_solve}
-    return _lockstep(H, J, w, [(x0, config.mu, penalty)], solvers, config.max_iters, config.tol)[0]
+    return _lockstep(H, J, w, [(x0, config.mu, penalty, False)], solvers, config.max_iters, config.tol)[0]
 
 
 def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run]:
-    """Splitting iteration chains from (start (node_count, N), mu, penalty) triples, in lockstep.
+    """Splitting iteration chains from (start (node_count, N), mu, penalty, repolish) tuples, in lockstep.
 
     ``solvers`` maps each penalty to the shifted solve of H + penalty I.  The
     block holds one (N, node_count) slab per running start, one mode per row;
@@ -452,23 +482,32 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
     iteration count (at most ``max_iters``), best feasible iterate and trace,
     and leaves the block when it stops.
 
+    A start with ``repolish`` set is checked every ``REPOLISH_EVERY`` of its
+    iterations: if its step P_k - P_{k-1} is above ``tol`` and the largest
+    w-norm of a mode's step outside span(P_{k-1}) is at most ``REPOLISH_SPAN``
+    of it, its best frame is rotation-polished, and if that lowers its best
+    objective by more than ``REPOLISH_GAIN`` (relative), the start restarts
+    from the polished frame as if it joined there (Q = P = best = polished,
+    zero multipliers, that objective), keeping its iteration count and trace.
+
     A running start's state is one entry of each array in one fixed-order
     list, all aligned with the block: its slabs of Q, P, b, B and of its best
-    iterate, then its block index, mu, penalty, iteration count, objective,
-    best objective and convergence streak, then its rows of the objective
-    and defect traces, whose columns grow geometrically with the iterations
-    run.  The block starts empty, and a start joins it with one insert into
-    every array of the list: it takes the next block index and a place after
-    the last slab of its penalty, so that it shares their solve.  ``starts``
-    join before the first iteration.  Whenever a start leaves, one mask drops
-    it from every array, and ``admit(runs, running)`` (if given) may return
-    more triples, which join then: ``runs`` holds the run of each block index
-    so far, None while it runs, and ``running`` maps the block index of each
-    running start to its best objective so far.  While the block runs, only
-    the iteration's own names hold its arrays, which are updated in place
-    where that keeps the order of operations; while a mask drops a start, only
-    the list holds them, and each array is freed as its masked copy replaces
-    it.  So few copies of the block are alive at once.
+    iterate, then its block index, mu, penalty, repolish flag, iteration and
+    restart counts, objective, best objective and convergence streak, then its
+    rows of the objective and defect traces, whose columns grow geometrically
+    with the iterations run.  The block starts empty, and a start joins it
+    with one insert into every array of the list: it takes the next block
+    index and a place after the last slab of its penalty, so that it shares
+    their solve.  ``starts`` join before the first iteration.  Whenever a
+    start leaves, one mask drops it from every array, and
+    ``admit(runs, running)`` (if given) may return more start tuples, which
+    join then: ``runs`` holds the run of each block index so far, None while
+    it runs, and ``running`` maps the block index of each running start to
+    its best objective so far.  While the block runs, only the iteration's own names
+    hold its arrays, which are updated in place where that keeps the order of
+    operations; while a mask drops a start, only the list holds them, and each
+    array is freed as its masked copy replaces it.  So few copies of the block
+    are alive at once.
     """
     n, N = starts[0][0].shape
     eye = np.eye(N)
@@ -487,23 +526,26 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
         slabs = [(lo, hi, solvers[penalty[lo]]) for lo, hi in zip(edges, edges[1:]) if lo < hi]
         return (0.5 * penalty)[:, None, None], (1.0 / (mu * penalty))[:, None, None], slabs
 
-    # Q, P, b, B, best; index, mu, penalty, count; obj, best_obj, streak;
-    # the objective and defect trace rows
+    # Q, P, b, B, best; index, mu, penalty, repolish, count, restarts; obj,
+    # best_obj, streak; the objective and defect trace rows
     block, ints, floats = np.empty((0, N, n)), np.empty(0, dtype=int), np.empty(0)
     trace = np.empty((0, min(max_iters, 64)))
-    state = [block] * 5 + [ints, floats, floats, ints, floats, floats, ints, trace, trace]
+    flags = np.empty(0, dtype=bool)
+    state = [block] * 5 + [ints, floats, floats, flags, ints, ints, floats, floats, ints, trace, trace]
     runs = []  # by block index, each set when its start leaves
 
     while True:  # once per change to the block
-        for x, new_mu, new_r in starts:
+        for x, new_mu, new_r, new_repolish in starts:
             rows = np.array(x.T, order="C")[None]
             start_obj = feasible_objectives(rows, new_mu)
             same = np.flatnonzero(state[7] == new_r)  # the slabs of its penalty
             at = same[-1] + 1 if same.size else len(state[7])
-            joined = (rows, rows, 0.0, 0.0, rows, len(runs), new_mu, new_r, 0, start_obj, start_obj, 0, 0.0, 0.0)
+            joined = (rows, rows, 0.0, 0.0, rows, len(runs), new_mu, new_r, new_repolish, 0, 0)
+            joined += (start_obj, start_obj, 0, 0.0, 0.0)
             state = [np.insert(a, at, v, axis=0) for a, v in zip(state, joined)]
             runs.append(None)
-        Q, P, b, B, best, index, mu, penalty, count, obj, best_obj, streak, objectives, defects = state
+        Q, P, b, B, best, index, mu, penalty, repolish, count, restarts = state[:11]
+        obj, best_obj, streak, objectives, defects = state[11:]
         del state  # the iteration's names alone hold the block while it runs
         if not index.size:
             return runs
@@ -538,6 +580,10 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
             next_P = np.ascontiguousarray(orthonormal_columns(B.mT, w).mT)
             moved = next_P - P
             change = np.sqrt(w * np.vecdot(moved, moved)).max(axis=1)
+            # the flagged starts at a multiple of REPOLISH_EVERY iterations whose
+            # step, above tol, lies within the span they left: they drift in it
+            due = np.flatnonzero(repolish & (count % REPOLISH_EVERY == 0) & (change > tol)).tolist()
+            drifting = [i for i in due if _off_span(moved[i], P[i], w) <= REPOLISH_SPAN * change[i]]
             del moved
             P = next_P
             B -= P
@@ -550,6 +596,18 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
             elif better.any():
                 best[better] = P[better]  # an earlier P, which nothing reads any more
                 best_obj = np.where(better, obj, best_obj)
+
+            for i in drifting:
+                # in-span rotations cost no energy, so the polish skips the drift;
+                # the slab restarts from it as if it joined there, keeping its
+                # count and trace (its streak is already 0, as change > tol)
+                rows = np.ascontiguousarray(rotation_polish(best[i].T, w, J).T)
+                polished = feasible_objectives(rows[None], mu[i])[0]
+                if polished < best_obj[i] - REPOLISH_GAIN * abs(best_obj[i]):
+                    Q[i] = P[i] = best[i] = rows
+                    b[i] = B[i] = 0.0
+                    obj[i] = best_obj[i] = polished
+                    restarts[i] += 1
 
             rel_obj = np.abs(obj - prev_obj) / np.maximum(1.0, np.abs(obj))
             streak = np.where(change <= tol, streak + 1, 0)
@@ -565,13 +623,15 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
                 best_objective=float(best_obj[i]),
                 iterations=int(c),
                 converged=bool(converged[i]),
+                restarts=int(restarts[i]),
                 objectives=objectives[i, :c].copy(),  # copies, so that no run
                 defects=defects[i, :c].copy(),  # keeps a whole trace buffer alive
             )
         keep = ~done
-        state = [Q, P, b, B, best, index, mu, penalty, count, obj, best_obj, streak, objectives, defects]
+        state = [Q, P, b, B, best, index, mu, penalty, repolish, count, restarts]
+        state += [obj, best_obj, streak, objectives, defects]
         del Q, P, b, B, best  # the list alone holds the block while the mask drops
         for i in range(len(state)):
             state[i] = state[i][keep]
-        running = dict(zip(state[5].tolist(), state[10].tolist()))  # block index -> best objective
+        running = dict(zip(state[5].tolist(), state[12].tolist()))  # block index -> best objective
         starts = admit(runs, running) if admit else ()
