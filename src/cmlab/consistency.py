@@ -7,8 +7,8 @@ energy-gap lower bound their per-eigenfunction captured masses induce, and
 the mu-sweep experiment that records how all of it trends as the
 regularization weight fades; the sweep's report is the ``sweep.json``
 document itself, a plain dict.  The sweep's solves come from
-``solver.solve_sweep``, which runs the configured starts of every mu and the
-warm-start chain as one lockstep block.
+``solver.solve_sweep``, which runs the configured starts of every mu as one
+lockstep block, then the warm-start chain one start at a time.
 """
 
 from __future__ import annotations
@@ -241,8 +241,9 @@ def mu_sweep(
     Returns the ``sweep.json`` document less its config echo; each record
     holds its mu's measures followed by the solve's ``start_fields``.
 
-    The solves are ``solve_sweep``'s: the configured starts of every mu and
-    the warm start of each mu from the previous winner run as one block.
+    The solves are ``solve_sweep``'s: the configured starts of every mu run
+    as one block, then each mu's warm start runs alone from the previous
+    winner.
 
     When the spectral gap above mode N sits below ``default_gap_threshold``,
     the sweep still runs but is flagged degenerate and the convergence

@@ -19,15 +19,11 @@ for a start whose Gram condition is above 1e3, and returns the block stored
 by rows as it came.  Each start carries its own mu, penalty and iteration
 count.  Every reduction stays inside one start's slab, so each start's run
 is bitwise the same alone as in any block; a start that stops leaves the
-block.  The block starts empty and every start joins it the same way, the
-given ones before the first iteration and later ones while it runs.  A mu
-sweep (``solve_sweep``) gives the configured starts of all its mu values to
-one such block, and runs the chain of warm starts, each from the previous
-mu's winner, inside the same block: a warm start joins as soon as the lowest
-best objective of the previous mu belongs to a finished start.  A running
-start's best can still fall below it, so a walk over the schedule checks each
-such guess afterwards and runs a warm start alone where the guess was wrong.
-``solve_cm`` is the one-mu case.
+block.  The block is built once from its starts, the slabs of each penalty
+together, and only shrinks.  A mu sweep (``solve_sweep``) gives the
+configured starts of all its mu values to one such block; then, in schedule
+order, each mu's warm start runs alone from the previous mu's winner, as a
+chain of one-mu solves runs it.  ``solve_cm`` is the one-mu case.
 
 The objective's energy cannot tell apart rotations of a frame within its
 span; only the L1 term turns a frame in that direction, and slowly (the gauge
@@ -189,8 +185,8 @@ def rotation_polish(matrix: np.ndarray, w: float, J: Regularizer) -> np.ndarray:
     never increases the objective; it jump-starts the splitting iteration at
     the well-localized rotation instead of leaving that (energy-neutral,
     hence weakly forced) direction to the slow shrinkage dynamics.  Every
-    start is polished once as it joins, and a random start's best frame again
-    whenever its run drifts inside its span (see ``_lockstep``).  Up to
+    start is polished once before it runs, and a random start's best frame
+    again whenever its run drifts inside its span (see ``_lockstep``).  Up to
     ``POLISH_SWEEPS`` greedy sweeps of pairwise Givens rotations: the L1 sum
     of a turned pair is concave in the angle between the breakpoints where one
     of its rows turns onto an axis, so its exact minimum is at one of them
@@ -268,17 +264,10 @@ def solve_sweep(
     mu).  Every mu is validated before any factorization.  Then the
     configured starts of all mu values run as one lockstep block (each start
     rotation-polished once, as the polish does not depend on mu; the random
-    ones are flagged for re-polishing), and the
-    warm chain runs inside that block by speculation: the warm start of mu_i
-    joins the block once mu_{i-1}'s warm start has finished and the lowest
-    best objective among mu_{i-1}'s runs, a running start counted at its
-    best so far (which can only fall), belongs to a finished run; it starts
-    from that run's best frame.  Last, the schedule is walked in order: each
-    mu's winner is picked as ``solve_cm`` picks it, and a speculated warm run
-    is kept only if its source is the previous mu's winner; otherwise that
-    mu's warm start runs alone from the winner, as a chain of ``solve_cm``
-    calls would run it.  A run is bitwise the same in any block, so both
-    paths give the chain's results.
+    ones are flagged for re-polishing).  Last, in schedule order, each later
+    mu's warm start is polished from the previous mu's winner and runs
+    alone.  A run is bitwise the same in any block, so these are the chain's
+    results.
     """
     n = H.node_count
     if not 1 <= N <= n:
@@ -296,48 +285,22 @@ def solve_sweep(
     solvers = {r: _build_shifted_solver(H, r) for r in dict.fromkeys(penalties)}
     w = H.grid.cell_volume
 
-    def warm_start(modes, i):
-        # the warm slab of mu i, from the previous winner's modes
-        return rotation_polish(_start_matrix(modes, H, N, eigs), w, J), configs[i].mu, penalties[i], False
-
     polished = [rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in config.starts]
     repolish = [isinstance(s, str) and s.startswith("random:") for s in config.starts]
     S = len(polished)
     # mu-major: every start at the first mu, then every start at the next one
     configured = [(x, cfg.mu, r, f) for cfg, r in zip(configs, penalties) for x, f in zip(polished, repolish)]
-    warm = {}  # mu index -> (block index of its speculated warm run, block index of its source)
-
-    def admit(runs, running):
-        i = len(warm) + 1  # the next mu to get its warm start
-        if i == len(configs):
-            return []
-        members = list(range((i - 1) * S, i * S))  # the runs of mu i-1
-        if i > 1:
-            members.append(warm[i - 1][0])
-            if runs[members[-1]] is None:  # its warm start is still running
-                return []
-        best = [running[j] if runs[j] is None else runs[j].best_objective for j in members]
-        source = members[_winner(best)]
-        if runs[source] is None:
-            return []
-        warm[i] = (len(runs), source)
-        return [warm_start(ModeSet(H.grid, runs[source].best_matrix), i)]
-
-    block = _lockstep(H, J, w, configured, solvers, config.max_iters, config.tol, admit)
+    block = _lockstep(H, J, w, configured, solvers, config.max_iters, config.tol)
 
     results = []
-    for i, cfg in enumerate(configs):
-        runs = block[i * S : (i + 1) * S]
-        starts = config.starts
+    for i, (cfg, r) in enumerate(zip(configs, penalties)):
+        runs, starts = block[i * S : (i + 1) * S], config.starts
         if results:
-            starts += (results[-1].modes,)
-            index, source = warm[i]
-            if block[source] is winner:
-                runs.append(block[index])
-            else:
-                runs += _lockstep(H, J, w, [warm_start(starts[-1], i)], solvers, cfg.max_iters, cfg.tol)
+            previous = results[-1].modes
+            x = rotation_polish(_start_matrix(previous, H, N, eigs), w, J)
+            runs += _lockstep(H, J, w, [(x, cfg.mu, r, False)], solvers, config.max_iters, config.tol)
+            starts += (previous,)
         results.append(_result(H.grid, starts, runs))
-        winner = runs[_winner([run.best_objective for run in runs])]
     return results
 
 
@@ -357,8 +320,11 @@ class _Run:
 
 
 def _result(grid, starts, runs) -> SolverResult:
-    """The result of one solve from its runs, one per start; a frame start is ``"warm"``."""
-    winner = _winner([run.best_objective for run in runs])
+    """The result of one solve from its runs, one per start; a frame start is ``"warm"``.
+
+    The winner is the run of the lowest best objective, the first of a tie.
+    """
+    winner = min(range(len(runs)), key=lambda k: runs[k].best_objective)
     run = runs[winner]
     labels = tuple("warm" if isinstance(start, ModeSet) else start for start in starts)
     return SolverResult(
@@ -374,11 +340,6 @@ def _result(grid, starts, runs) -> SolverResult:
         start_converged=tuple(r.converged for r in runs),
         start_restarts=tuple(r.restarts for r in runs),
     )
-
-
-def _winner(objectives) -> int:
-    """Index of the lowest objective, the first of a tie: the start that a solve reports."""
-    return min(range(len(objectives)), key=objectives.__getitem__)
 
 
 def _start_matrix(start: str | ModeSet, H: HamiltonianOperator, N: int, eigs) -> np.ndarray:
@@ -471,43 +432,37 @@ def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> _Run:
     return _lockstep(H, J, w, [(x0, config.mu, penalty, False)], solvers, config.max_iters, config.tol)[0]
 
 
-def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run]:
+def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
     """Splitting iteration chains from (start (node_count, N), mu, penalty, repolish) tuples, in lockstep.
 
     ``solvers`` maps each penalty to the shifted solve of H + penalty I.  The
-    block holds one (N, node_count) slab per running start, one mode per row;
-    a run of adjacent slabs that share a penalty is a contiguous slice whose
-    transpose, a view, is the node_count x (slabs N) right-hand side of one
-    shifted solve.  Each start keeps its own mu, penalty, stop rule,
-    iteration count (at most ``max_iters``), best feasible iterate and trace,
-    and leaves the block when it stops.
+    block holds one (N, node_count) slab per running start, one mode per row,
+    the slabs grouped by penalty in order of first appearance: the slabs of
+    one penalty are a contiguous slice whose transpose, a view, is the
+    node_count x (slabs N) right-hand side of one shifted solve.  Each start
+    keeps its own mu, penalty, stop rule, iteration count (at most
+    ``max_iters``), best feasible iterate and trace, and leaves the block
+    when it stops.  The runs come back in the order of ``starts``.
 
     A start with ``repolish`` set is checked every ``REPOLISH_EVERY`` of its
     iterations: if its step P_k - P_{k-1} is above ``tol`` and the largest
     w-norm of a mode's step outside span(P_{k-1}) is at most ``REPOLISH_SPAN``
     of it, its best frame is rotation-polished, and if that lowers its best
     objective by more than ``REPOLISH_GAIN`` (relative), the start restarts
-    from the polished frame as if it joined there (Q = P = best = polished,
+    from the polished frame as if it started there (Q = P = best = polished,
     zero multipliers, that objective), keeping its iteration count and trace.
 
     A running start's state is one entry of each array in one fixed-order
     list, all aligned with the block: its slabs of Q, P, b, B and of its best
-    iterate, then its block index, mu, penalty, repolish flag, iteration and
-    restart counts, objective, best objective and convergence streak, then its
-    rows of the objective and defect traces, whose columns grow geometrically
-    with the iterations run.  The block starts empty, and a start joins it
-    with one insert into every array of the list: it takes the next block
-    index and a place after the last slab of its penalty, so that it shares
-    their solve.  ``starts`` join before the first iteration.  Whenever a
-    start leaves, one mask drops it from every array, and
-    ``admit(runs, running)`` (if given) may return more start tuples, which
-    join then: ``runs`` holds the run of each block index so far, None while
-    it runs, and ``running`` maps the block index of each running start to
-    its best objective so far.  While the block runs, only the iteration's own names
-    hold its arrays, which are updated in place where that keeps the order of
-    operations; while a mask drops a start, only the list holds them, and each
-    array is freed as its masked copy replaces it.  So few copies of the block
-    are alive at once.
+    iterate, then its index in ``starts``, mu, penalty, repolish flag,
+    iteration and restart counts, objective, best objective and convergence
+    streak, then its rows of the objective and defect traces, whose columns
+    grow geometrically with the iterations run.  The list is built once, and
+    whenever a start leaves, one mask drops it from every array.  While the
+    block runs, only the iteration's own names hold its arrays, which are
+    updated in place where that keeps the order of operations; while a mask
+    drops a start, only the list holds them, and each array is freed as its
+    masked copy replaces it.  So few copies of the block are alive at once.
     """
     n, N = starts[0][0].shape
     eye = np.eye(N)
@@ -526,24 +481,23 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
         slabs = [(lo, hi, solvers[penalty[lo]]) for lo, hi in zip(edges, edges[1:]) if lo < hi]
         return (0.5 * penalty)[:, None, None], (1.0 / (mu * penalty))[:, None, None], slabs
 
+    # the starts of each penalty in order, the penalties in order of first appearance
+    order = [k for r in dict.fromkeys(s[2] for s in starts) for k, s in enumerate(starts) if s[2] == r]
+    # stored by rows, as every later iterate is: a block with the strides of
+    # the transposed frames (as np.stack keeps them) rounds differently
+    P = np.array([starts[k][0].T for k in order])
+    mu, penalty = (np.array([starts[k][j] for k in order], dtype=float) for j in (1, 2))
+    repolish = np.array([starts[k][3] for k in order], dtype=bool)
+    obj = feasible_objectives(P, mu)
+    zeros, trace = np.zeros(len(order), dtype=int), np.empty((len(order), min(max_iters, 64)))
     # Q, P, b, B, best; index, mu, penalty, repolish, count, restarts; obj,
     # best_obj, streak; the objective and defect trace rows
-    block, ints, floats = np.empty((0, N, n)), np.empty(0, dtype=int), np.empty(0)
-    trace = np.empty((0, min(max_iters, 64)))
-    flags = np.empty(0, dtype=bool)
-    state = [block] * 5 + [ints, floats, floats, flags, ints, ints, floats, floats, ints, trace, trace]
-    runs = []  # by block index, each set when its start leaves
+    state = [P.copy(), P, np.zeros_like(P), np.zeros_like(P), P.copy()]
+    state += [np.array(order), mu, penalty, repolish, zeros, zeros.copy()]
+    state += [obj, obj.copy(), zeros.copy(), trace, trace.copy()]
+    runs = [None] * len(starts)  # each set when its start leaves
 
     while True:  # once per change to the block
-        for x, new_mu, new_r, new_repolish in starts:
-            rows = np.array(x.T, order="C")[None]
-            start_obj = feasible_objectives(rows, new_mu)
-            same = np.flatnonzero(state[7] == new_r)  # the slabs of its penalty
-            at = same[-1] + 1 if same.size else len(state[7])
-            joined = (rows, rows, 0.0, 0.0, rows, len(runs), new_mu, new_r, new_repolish, 0, 0)
-            joined += (start_obj, start_obj, 0, 0.0, 0.0)
-            state = [np.insert(a, at, v, axis=0) for a, v in zip(state, joined)]
-            runs.append(None)
         Q, P, b, B, best, index, mu, penalty, repolish, count, restarts = state[:11]
         obj, best_obj, streak, objectives, defects = state[11:]
         del state  # the iteration's names alone hold the block while it runs
@@ -599,7 +553,7 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
 
             for i in drifting:
                 # in-span rotations cost no energy, so the polish skips the drift;
-                # the slab restarts from it as if it joined there, keeping its
+                # the slab restarts from it as if it started there, keeping its
                 # count and trace (its streak is already 0, as change > tol)
                 rows = np.ascontiguousarray(rotation_polish(best[i].T, w, J).T)
                 polished = feasible_objectives(rows[None], mu[i])[0]
@@ -633,5 +587,3 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, admit=None) -> list[_Run
         del Q, P, b, B, best  # the list alone holds the block while the mask drops
         for i in range(len(state)):
             state[i] = state[i][keep]
-        running = dict(zip(state[5].tolist(), state[12].tolist()))  # block index -> best objective
-        starts = admit(runs, running) if admit else ()

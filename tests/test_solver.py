@@ -27,6 +27,7 @@ from cmlab import (
     solve_sweep,
 )
 from cmlab import solver
+from cmlab.cli import build_operator, build_solver_config
 from cmlab.solver import (
     IndefinitePenaltyError,
     ShrinkStepError,
@@ -546,12 +547,11 @@ def _lockstep_cases(draw):
         potential = harmonic_well(grid, omega=draw(st.floats(1.0, 30.0)), center=(0.5,) * dim)
     N = draw(st.integers(1, min(3, grid.node_count - 1)))
     start = st.one_of(st.just("eigen"), st.integers(0, 3).map("random:{}".format))
-    # at least two given starts and one late one (see the split below)
     starts = tuple(draw(st.lists(start, min_size=3, max_size=4)))
     cfg = SolverConfig(
         mu=draw(st.floats(0.5, 200.0)),
-        # enough for one start to leave while others run, so that the late
-        # starts join mid-run, and for the drift checks at 50, 100 and 150
+        # enough for one start to leave while others run, and for the drift
+        # checks at 50, 100 and 150
         max_iters=draw(st.integers(60, 200)),
         starts=starts,
     )
@@ -564,16 +564,13 @@ def _solo(H, J, cfg, start, solve):
     return _lockstep(H, J, H.grid.cell_volume, [start], {start[2]: solve}, cfg.max_iters, cfg.tol)[0]
 
 
-def _lockstep_matches_solo_runs(H, J, cfg, starts, split):
-    """The runs of a block in which the starts from ``split`` on join when the first start leaves.
+def _lockstep_matches_solo_runs(H, J, cfg, starts):
+    """The runs of one block of ``starts``.
 
     Each (frame, mu, penalty, repolish) start's run must be bitwise its solo run.
     """
     solvers = {r: _build_shifted_solver(H, r) for _, _, r, _ in starts}
-    late = [starts[split:]]
-    admit = lambda runs, running: late.pop() if late else []
-    runs = _lockstep(H, J, H.grid.cell_volume, starts[:split], solvers, cfg.max_iters, cfg.tol, admit)
-    assert not late
+    runs = _lockstep(H, J, H.grid.cell_volume, starts, solvers, cfg.max_iters, cfg.tol)
     assert len(runs) == len(starts)
     for run, start in zip(runs, starts):
         solo = _solo(H, J, cfg, start, solvers[start[2]])
@@ -598,15 +595,14 @@ def test_lockstep_runs_match_solo_runs(case, data):
     x0 = [rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in cfg.starts]
     repolish = [s.startswith("random:") for s in cfg.starts]  # as solve_cm flags them
     # one to three multiples of the default penalty, taken by the starts in
-    # turn, so that a start can join between the slabs of another penalty;
-    # and a distinct mu per start, so that a slab that took another's mu shows
+    # turn, so that the block must group interleaved penalties; and a distinct
+    # mu per start, so that a slab that took another's mu shows
     factors = data.draw(st.permutations([1.0, 2.0, 0.5]), label="factors")[: data.draw(st.integers(1, 3))]
     mus = [cfg.mu * f for f in data.draw(st.permutations([1.0, 3.0, 0.3, 10.0]), label="mu factors")]
     starts = [
         (x, mus[i], penalty * factors[i % len(factors)], f) for i, (x, f) in enumerate(zip(x0, repolish))
     ]
-    split = data.draw(st.integers(2, len(x0) - 1), label="split")
-    runs = _lockstep_matches_solo_runs(H, J, cfg, starts, split)
+    runs = _lockstep_matches_solo_runs(H, J, cfg, starts)
 
     # each start's run at the configured mu and the default penalty, which
     # solve_cm gives them all
@@ -635,10 +631,11 @@ def test_lockstep_runs_match_solo_runs(case, data):
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-def test_lockstep_joins_between_the_slabs_of_other_penalties(dim, boundary):
-    # three penalties over five starts; the eigen start converges first, and
-    # then the late starts join while the others run, one of them between the
-    # slabs of two other penalties
+def test_lockstep_groups_interleaved_penalties_at_block_build(dim, boundary):
+    # three penalties over five starts, given interleaved: the block groups
+    # them by penalty in order of first appearance, one solve per penalty and
+    # iteration, and returns the runs in the order of the starts; the eigen
+    # start converges first and leaves while the others run
     # (an oblong 2D box, so that the eigen frame's span is not degenerate)
     grid = Grid(dim, (1.0, 1.4)[:dim], (24,) if dim == 1 else (5, 7), boundary)
     H = HamiltonianOperator(grid, harmonic_well(grid, omega=10.0, center=(0.5, 0.7)[:dim]))
@@ -649,8 +646,23 @@ def test_lockstep_joins_between_the_slabs_of_other_penalties(dim, boundary):
     x0 = [_start_matrix(s, H, 2, eigs) for s in names]
     penalties = [penalty * f for f in (1.0, 2.0, 0.5, 2.0, 0.5)]
     starts = [(x, cfg.mu, r, False) for x, r in zip(x0, penalties)]
-    runs = _lockstep_matches_solo_runs(H, L1, cfg, starts, split=3)
-    assert runs[0].converged and runs[0].iterations < min(run.iterations for run in runs[1:3])
+    runs = _lockstep_matches_solo_runs(H, L1, cfg, starts)
+    assert runs[0].converged and runs[0].iterations < min(run.iterations for run in runs[1:])
+
+    calls = []
+
+    def counted(r):
+        solve = _build_shifted_solver(H, r)
+
+        def call(rhs):
+            calls.append((r, rhs.shape[1]))
+            return solve(rhs)
+
+        return call
+
+    solvers = {r: counted(r) for r in penalties}
+    _lockstep(H, L1, H.grid.cell_volume, starts, solvers, 1, cfg.tol)
+    assert calls == [(penalties[0], 2), (penalties[1], 4), (penalties[2], 4)]
 
 
 def test_trace_buffers_grow_past_first_block(small_box_H):
@@ -662,24 +674,11 @@ def test_trace_buffers_grow_past_first_block(small_box_H):
     assert res.iterations == len(res.trace) == 2100
     short = solve_cm(H, L1, 1, replace(cfg, max_iters=1024), eigs=eigs)
     assert res.trace[:1024] == short.trace
-
-    # a start that joins after the trace columns have grown to the cap runs
-    # as it would alone
-    cfg = replace(cfg, max_iters=1100)
+    # ``_splitting_run``, the one-start run that perfbench's tracer wraps, runs it alike
     penalty = default_penalty(cfg.mu, float(eigs.eigenvalues[0]))
     solve, w = _build_shifted_solver(H, penalty), H.grid.cell_volume
-    first, second = (_start_matrix(s, H, 1, eigs) for s in ("random:4", "random:5"))
-    late = [[(second, cfg.mu, penalty, False)]]
-    admit = lambda runs, running: late.pop() if late else []
-    given = [(first, cfg.mu, penalty, False)]
-    runs = _lockstep(H, L1, w, given, {penalty: solve}, cfg.max_iters, cfg.tol, admit)
-    assert not late
-    assert [run.iterations for run in runs] == [1100, 1100]
-    solo = _splitting_run(H, L1, cfg, penalty, solve, w, second)
-    assert runs[1].best_objective == solo.best_objective
-    assert not runs[1].converged and not solo.converged
-    np.testing.assert_array_equal(runs[1].best_matrix, solo.best_matrix)
-    assert runs[1].trace == solo.trace
+    solo = _splitting_run(H, L1, cfg, penalty, solve, w, _start_matrix("random:4", H, 1, eigs))
+    assert tuple(solo.trace) == res.trace and solo.best_objective == res.objective
 
 
 # --- drift: a random start re-polished inside its span ----------------------------------
@@ -687,8 +686,8 @@ def test_trace_buffers_grow_past_first_block(small_box_H):
 
 def test_repolished_slabs_restart_mid_run_as_they_would_alone():
     # random starts on a 64-node box each restart once from their re-polished
-    # best frame while the others run; late starts join when the eigen start
-    # leaves, at three penalties and distinct mu
+    # best frame while the others run, at three penalties and five mu values;
+    # the eigen start leaves first
     H = HamiltonianOperator(Grid(1, (1.0,), (64,), "dirichlet"))
     eigs = reference_eigenpairs(H, 3)
     cfg = SolverConfig(mu=10.0, max_iters=800)
@@ -699,7 +698,7 @@ def test_repolished_slabs_restart_mid_run_as_they_would_alone():
     mus = (10.0, 5.0, 20.0, 40.0, 10.0, 7.0)
     factors = (1.0, 2.0, 0.5, 1.0, 2.0, 0.5)
     starts = [(x, mu, penalty * f, s != "eigen") for x, mu, f, s in zip(x0, mus, factors, names)]
-    runs = _lockstep_matches_solo_runs(H, L1, cfg, starts, split=4)
+    runs = _lockstep_matches_solo_runs(H, L1, cfg, starts)
     assert [run.restarts for run in runs] == [0, 1, 1, 1, 1, 1]
     assert all(run.converged for run in runs)
     assert runs[0].iterations < min(run.iterations for run in runs[1:])
@@ -746,7 +745,7 @@ def test_eigen_and_warm_starts_are_never_repolished():
             assert repolished.restarts == 1 and repolished.best_objective > plain.best_objective
 
 
-# --- sweeps: one block for the starts of every mu and the warm chain ------------------
+# --- sweeps: one block for the configured starts of every mu, then the warm chain ----
 
 
 def test_sweep_of_empty_schedule_is_empty(box_H, box_eigs):
@@ -777,14 +776,8 @@ def test_sweep_matches_solve_cm_chain(case):
         previous = chained.modes
 
 
-def test_sweep_speculation_miss_falls_back_to_the_chain(monkeypatch):
-    # on this long box random:1 wins the first mu, but it is still running
-    # when the eigen start finishes below random:1's best so far: the warm
-    # start of the second mu is speculated from the eigen run, and the walk
-    # must discard it and run the warm starts from random:1's frame alone
-    H = HamiltonianOperator(Grid(1, (20.0,), (20,), "dirichlet"))
-    schedule = [120.4, 125.9, 199.9]
-    cfg = SolverConfig(mu=schedule[0], max_iters=194, starts=("eigen", "random:1"))
+def _count_lockstep_starts(monkeypatch) -> list[int]:
+    """The number of starts of each later ``solver._lockstep`` call, appended as it is made."""
     lockstep, calls = solver._lockstep, []
 
     def counted(*args):
@@ -792,6 +785,17 @@ def test_sweep_speculation_miss_falls_back_to_the_chain(monkeypatch):
         return lockstep(*args)
 
     monkeypatch.setattr(solver, "_lockstep", counted)
+    return calls
+
+
+def test_sweep_warm_start_comes_from_a_late_winner(monkeypatch):
+    # on this long box random:1 wins the first mu, but the eigen start
+    # finishes first, below random:1's best at that point: the warm start of
+    # the second mu must still come from random:1's frame
+    H = HamiltonianOperator(Grid(1, (20.0,), (20,), "dirichlet"))
+    schedule = [120.4, 125.9, 199.9]
+    cfg = SolverConfig(mu=schedule[0], max_iters=194, starts=("eigen", "random:1"))
+    calls = _count_lockstep_starts(monkeypatch)
     swept = solve_sweep(H, L1, 2, schedule, cfg)
     assert calls == [6, 1, 1]  # the block, then each later mu's warm start alone
     assert swept[0].winner_start == "random:1"
@@ -803,6 +807,17 @@ def test_sweep_speculation_miss_falls_back_to_the_chain(monkeypatch):
         np.testing.assert_array_equal(result.modes.matrix, chained.modes.matrix)
         assert replace(result, modes=None) == replace(chained, modes=None)
         previous = chained.modes
+
+
+def test_reference_sweep_runs_its_warm_chain_one_start_at_a_time(monkeypatch, reference_config):
+    # the three configured starts of all six mu values in one block, then
+    # each later mu's warm start alone
+    cfg, problem = reference_config, reference_config["problem"]
+    H, J = build_operator(cfg), make_regularizer(problem["regularizer"])
+    solver_cfg = build_solver_config(cfg, problem["mu_schedule"][0])
+    calls = _count_lockstep_starts(monkeypatch)
+    solve_sweep(H, J, problem["N"], problem["mu_schedule"], solver_cfg)
+    assert calls == [18, 1, 1, 1, 1, 1]
 
 
 def test_reference_sweep_winners_and_iterations(reference_sweep):
