@@ -267,7 +267,7 @@ def load_config(path: str, mu_override: float | None = None, seed_override: int 
     except RecursionError:
         raise ConfigError(f"config {path} nests too deeply to parse")
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
+        raise ConfigError(f"config {path} must hold a JSON object")
     if seed_override is not None:
         raw["seed"] = seed_override
     if mu_override is not None:
@@ -385,11 +385,9 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_verify(cases: int, seed: int) -> int:
     if cases < 1:
-        print("error: --cases must be at least 1", file=sys.stderr)
-        return 2
+        raise ConfigError("--cases must be at least 1")
     if seed < 0:
-        print("error: --seed must be non-negative", file=sys.stderr)
-        return 2
+        raise ConfigError("--seed must be non-negative")
     worst_mass, mass_violations = consistency.column_mass_suite(cases, seed)
     print(f"column_mass: {cases} draws, max mass = {reports.fmt(worst_mass)} (limit 1 + 1e-10)")
 
@@ -401,13 +399,11 @@ def cmd_verify(cases: int, seed: int) -> int:
         f"gap_bound: {frame_cases} frames, max slack = {reports.fmt(max_slack)} (limit 1e-8)"
     )
 
-    failed = False
-    if mass_violations:
-        failed = True
-        print(f"column_mass violations at seeds: {mass_violations}", file=sys.stderr)
-    if bound_violations:
-        failed = True
-        print(f"gap_bound violations at seeds: {bound_violations}", file=sys.stderr)
+    violations = {"column_mass": mass_violations, "gap_bound": bound_violations}
+    for name, seeds in violations.items():
+        if seeds:
+            print(f"{name} violations at seeds: {seeds}", file=sys.stderr)
+    failed = any(violations.values())
     print("verify: " + ("FAIL" if failed else "PASS"))
     return 1 if failed else 0
 

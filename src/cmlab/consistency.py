@@ -121,33 +121,49 @@ def gap_lower_bound(coeffs: np.ndarray, eigs: EigenSystem, N: int) -> float:
     return total
 
 
-def _haar_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((k, k)))
-    return q * np.sign(np.diag(r))
+def _haar_rows(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """The first ``rows`` rows of a Haar-random ``cols x cols`` orthogonal Q, as columns.
 
-
-def _column_masses(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Column masses of the first ``rows`` rows of the Q of a Gaussian draw."""
+    Q is the orthogonal factor of a Gaussian draw, and it is never formed:
+    the QR stays in Householder form (``dgeqrf``) and Q^T is applied to the
+    first ``rows`` unit vectors (``dormqr``), which gives those rows as the
+    columns of a (cols, rows) array.  The sign fix that makes Q
+    Haar-distributed flips whole columns of Q, so it leaves every q_ik^2 as
+    it is; it is skipped.  Column masses, and the energy and gap bound of a
+    frame whose eigen-coefficients are these rows, depend only on those
+    squares.
+    """
     g = rng.standard_normal((cols, cols))
     qr, tau, _, _ = lapack.dgeqrf(g, overwrite_a=1)
     unit = np.eye(cols, rows, order="F")
     qt, _, _ = lapack.dormqr("L", "T", qr, tau, unit, 64 * rows, overwrite_c=1)
-    return (qt**2).sum(axis=1)
+    return qt
+
+
+def _max_column_mass(rows: int, cols: int, rng: np.random.Generator) -> float:
+    return float((_haar_rows(rows, cols, rng) ** 2).sum(axis=1).max())
+
+
+def _seeded_cases(cases: int, seed: int, value, limit: float):
+    """(max, violating seeds) of ``value(default_rng(seed + i))`` over i < ``cases``.
+
+    A case whose value is above ``limit`` is a violation.
+    """
+    if cases < 1:
+        raise ValueError("cases must be at least 1")
+    values = [value(np.random.default_rng(seed + i)) for i in range(cases)]
+    return max(values), [seed + i for i, v in enumerate(values) if v > limit]
 
 
 def column_mass_lemma_check(rows: int, cols: int, seed: int) -> float:
     """Max column mass of a random matrix with orthonormal rows.
 
     Takes the first ``rows`` rows of a Haar-random ``cols x cols`` orthogonal
-    matrix Q and returns max_k sum_i q_ik^2, which must never exceed 1.  Q is
-    never formed: the QR of the Gaussian draw stays in Householder form and
-    Q^T is applied to the first ``rows`` unit vectors, which gives those rows
-    as columns.  The sign fix that makes Q Haar-distributed flips whole
-    columns of Q and so leaves every q_ik^2 as it is; it is skipped.
+    matrix Q and returns max_k sum_i q_ik^2, which must never exceed 1.
     """
     if rows < 1 or cols < rows:
         raise ValueError("need 1 <= rows <= cols")
-    return float(_column_masses(rows, cols, np.random.default_rng(seed)).max())
+    return _max_column_mass(rows, cols, np.random.default_rng(seed))
 
 
 def column_mass_suite(cases: int, seed: int):
@@ -157,22 +173,15 @@ def column_mass_suite(cases: int, seed: int):
     Gaussian matrix from ``default_rng(seed + i)``: the draw of
     ``column_mass_lemma_check(rows, cols, seed + i)``.
     """
-    if cases < 1:
-        raise ValueError("cases must be at least 1")
-    worst = 0.0
-    violations = []
-    for i in range(cases):
-        case_seed = seed + i
-        rng = np.random.default_rng(case_seed)
+
+    def mass(rng):
         start = rng.bit_generator.state
         rows = int(rng.integers(1, COLUMN_MASS_MAX_ROWS + 1))
         cols = int(rng.integers(rows, COLUMN_MASS_MAX_COLS + 1))
         rng.bit_generator.state = start
-        mass = float(_column_masses(rows, cols, rng).max())
-        worst = max(worst, mass)
-        if mass > 1.0 + COLUMN_MASS_TOL:
-            violations.append(case_seed)
-    return worst, violations
+        return _max_column_mass(rows, cols, rng)
+
+    return _seeded_cases(cases, seed, mass, 1.0 + COLUMN_MASS_TOL)
 
 
 def gap_bound_suite(H: HamiltonianOperator, N: int, cases: int, seed: int):
@@ -183,26 +192,17 @@ def gap_bound_suite(H: HamiltonianOperator, N: int, cases: int, seed: int):
     (max_slack, violating_seeds) with slack defined as bound - |E(F) - E0|
     (positive slack is a violation).
     """
-    if cases < 1:
-        raise ValueError("cases must be at least 1")
     K = 4 * N
     eigs = reference_eigenpairs(H, K)
     basis = eigs.modes.matrix[:, :K]
     e0 = float(eigs.eigenvalues[:N].sum())
-    max_slack = -np.inf
-    violations = []
-    for i in range(cases):
-        case_seed = seed + i
-        rows = _haar_orthogonal(K, np.random.default_rng(case_seed))[:N, :]
-        frame = ModeSet(H.grid, basis @ rows.T)
-        coeffs = coefficients(frame, eigs, K)
-        bound = gap_lower_bound(coeffs, eigs, N)
-        energy = float(mode_energies(H, frame).sum())
-        slack = bound - abs(energy - e0)
-        max_slack = max(max_slack, slack)
-        if slack > 1e-8:
-            violations.append(case_seed)
-    return float(max_slack), violations
+
+    def slack(rng):
+        frame = ModeSet(H.grid, basis @ _haar_rows(N, K, rng))
+        bound = gap_lower_bound(coefficients(frame, eigs, K), eigs, N)
+        return bound - abs(float(mode_energies(H, frame).sum()) - e0)
+
+    return _seeded_cases(cases, seed, slack, 1e-8)
 
 
 def localization(F: ModeSet) -> np.ndarray:

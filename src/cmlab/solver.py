@@ -9,7 +9,7 @@ scaled multipliers couple the blocks with quadratic strength ``penalty``.
 
 All starts of one solve run in lockstep as one block: their iterates sit in
 an (S, N, node_count) stack, one mode per row, and each iteration makes one
-multi-RHS shifted solve per distinct penalty, one prox, one stacked polar
+multi-RHS shifted solve per penalty run, one prox, one stacked polar
 projection and one operator apply for every start still running.  The
 shifted solve uses LAPACK's tridiagonal factor when H + penalty I is
 tridiagonal (every 1D Dirichlet box) and a sparse LU factor otherwise.  The
@@ -19,11 +19,12 @@ for a start whose Gram condition is above 1e3, and returns the block stored
 by rows as it came.  Each start carries its own mu, penalty and iteration
 count.  Every reduction stays inside one start's slab, so each start's run
 is bitwise the same alone as in any block; a start that stops leaves the
-block.  The block is built once from its starts, the slabs of each penalty
-together, and only shrinks.  A mu sweep (``solve_sweep``) gives the
-configured starts of all its mu values to one such block; then, in schedule
-order, each mu's warm start runs alone from the previous mu's winner, as a
-chain of one-mu solves runs it.  ``solve_cm`` is the one-mu case.
+block.  The block is built once from its starts, in the order given, and
+only shrinks; a penalty run is a run of adjacent starts of equal penalty.  A
+mu sweep (``solve_sweep``) gives the configured starts of all its mu values
+to one such block; then, in schedule order, each mu's warm start runs alone
+from the previous mu's winner, as a chain of one-mu solves runs it.
+``solve_cm`` is the one-mu case.
 
 The objective's energy cannot tell apart rotations of a frame within its
 span; only the L1 term turns a frame in that direction, and slowly (the gauge
@@ -276,11 +277,8 @@ def solve_sweep(
     if not configs:
         return []
 
-    needs_eigs = config.penalty is None or "eigen" in config.starts
-    if needs_eigs and (eigs is None or eigs.count < N):
+    if eigs is None or eigs.count < N:
         eigs = reference_eigenpairs(H, N)
-    if eigs is None:
-        eigs = reference_eigenpairs(H, 1)
     penalties = [_penalty(cfg, N, eigs) for cfg in configs]  # fail before any factorization
     solvers = {r: _build_shifted_solver(H, r) for r in dict.fromkeys(penalties)}
     w = H.grid.cell_volume
@@ -437,12 +435,13 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
 
     ``solvers`` maps each penalty to the shifted solve of H + penalty I.  The
     block holds one (N, node_count) slab per running start, one mode per row,
-    the slabs grouped by penalty in order of first appearance: the slabs of
-    one penalty are a contiguous slice whose transpose, a view, is the
-    node_count x (slabs N) right-hand side of one shifted solve.  Each start
-    keeps its own mu, penalty, stop rule, iteration count (at most
-    ``max_iters``), best feasible iterate and trace, and leaves the block
-    when it stops.  The runs come back in the order of ``starts``.
+    in the order of ``starts``: each run of adjacent slabs of equal penalty is
+    a contiguous slice whose transpose, a view, is the node_count x (slabs N)
+    right-hand side of one shifted solve, so the callers give the starts of one
+    penalty next to each other.  Each start keeps its own mu, penalty, stop
+    rule, iteration count (at most ``max_iters``), best feasible iterate and
+    trace, and leaves the block when it stops.  The runs come back in the order
+    of ``starts``.
 
     A start with ``repolish`` set is checked every ``REPOLISH_EVERY`` of its
     iterations: if its step P_k - P_{k-1} is above ``tol`` and the largest
@@ -481,19 +480,17 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
         slabs = [(lo, hi, solvers[penalty[lo]]) for lo, hi in zip(edges, edges[1:]) if lo < hi]
         return (0.5 * penalty)[:, None, None], (1.0 / (mu * penalty))[:, None, None], slabs
 
-    # the starts of each penalty in order, the penalties in order of first appearance
-    order = [k for r in dict.fromkeys(s[2] for s in starts) for k, s in enumerate(starts) if s[2] == r]
     # stored by rows, as every later iterate is: a block with the strides of
     # the transposed frames (as np.stack keeps them) rounds differently
-    P = np.array([starts[k][0].T for k in order])
-    mu, penalty = (np.array([starts[k][j] for k in order], dtype=float) for j in (1, 2))
-    repolish = np.array([starts[k][3] for k in order], dtype=bool)
+    P = np.array([s[0].T for s in starts])
+    mu, penalty = (np.array([s[j] for s in starts], dtype=float) for j in (1, 2))
+    repolish = np.array([s[3] for s in starts], dtype=bool)
     obj = feasible_objectives(P, mu)
-    zeros, trace = np.zeros(len(order), dtype=int), np.empty((len(order), min(max_iters, 64)))
+    zeros, trace = np.zeros(len(starts), dtype=int), np.empty((len(starts), min(max_iters, 64)))
     # Q, P, b, B, best; index, mu, penalty, repolish, count, restarts; obj,
     # best_obj, streak; the objective and defect trace rows
     state = [P.copy(), P, np.zeros_like(P), np.zeros_like(P), P.copy()]
-    state += [np.array(order), mu, penalty, repolish, zeros, zeros.copy()]
+    state += [np.arange(len(starts)), mu, penalty, repolish, zeros, zeros.copy()]
     state += [obj, obj.copy(), zeros.copy(), trace, trace.copy()]
     runs = [None] * len(starts)  # each set when its start leaves
 

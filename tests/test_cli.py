@@ -429,6 +429,12 @@ def test_config_echo_bytes(name, tmp_path):
     assert reports.json_text(load_config(path)) == expected
 
 
+def test_bare_number_center_is_echoed_as_a_list(tmp_path):
+    doc = {**ECHO_CONFIGS["harmonic_default_center"], "potential": {"kind": "harmonic", "center": 0.25}}
+    cfg = load_config(write_config(tmp_path, doc))
+    assert cfg["potential"] == {"kind": "harmonic", "omega": 1.0, "center": [0.25]}
+
+
 def test_missing_file_is_config_error(tmp_path, capsys):
     assert main(["eig", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -436,8 +442,8 @@ def test_missing_file_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
-    ids=["not_utf8", "nested_past_recursion_limit"],
+    [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000, b"{", b"[]"],
+    ids=["not_utf8", "nested_past_recursion_limit", "unclosed_object", "root_not_object"],
 )
 def test_unparsable_file_is_config_error(content, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -732,6 +738,32 @@ def test_cmd_sweep_validates_every_mu_before_solving(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+def test_cmd_sweep_failed_alignment_is_a_nan_residual(tmp_path, capsys, monkeypatch):
+    # no rotation aligns the second mu's frame: its residual is NaN, written
+    # as null in sweep.json and nan in sweep.csv, and L2 convergence fails
+    from cmlab import consistency
+
+    align, calls = consistency.procrustes_align, []
+
+    def align_but_the_second(F, Phi):
+        calls.append(F)
+        if len(calls) == 2:
+            raise consistency.AlignmentError("frames span orthogonal subspaces")
+        return align(F, Phi)
+
+    monkeypatch.setattr(consistency, "procrustes_align", align_but_the_second)
+    out = tmp_path / "out"
+    doc = box_config(tmp_path, str(out), mu_schedule=[5.0, 20.0])
+    assert main(["sweep", write_config(tmp_path, doc)]) == 0
+    assert "L2_CONVERGENCE: fail" in capsys.readouterr().out
+    records = json.loads((out / "sweep.json").read_text(), parse_constant=_reject_constant)["records"]
+    first, second = (r["procrustes_residual"] for r in records)
+    assert first >= 0.0 and second is None
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    column = header.split(",").index("procrustes_residual")
+    assert [row.split(",")[column] for row in rows] == [reports.fmt(first), "nan"]
+
+
 def test_cmd_sweep_requires_schedule(tmp_path, capsys):
     doc = box_config(tmp_path, str(tmp_path / "out"), mu=10.0)
     path = write_config(tmp_path, doc)
@@ -876,6 +908,9 @@ BAD_INPUT_PROBES = {
     "points_float": ("sweep", [(("domain", "points"), [10.7])], [], "domain.points"),
     "dim_bool": ("sweep", [(("domain", "dim"), True)], [], "domain.dim"),
     "tol_inf": ("sweep", [(("solver", "tol"), "inf")], [], "solver.tol"),
+    "tol_zero": ("sweep", [(("solver", "tol"), 0)], [], "solver.tol"),
+    "extent_negative": ("sweep", [(("domain", "extent"), [-1.0])], [], "domain.extent"),
+    "extent_per_axis": ("sweep", [(("domain", "extent"), [1.0, 1.0])], [], "domain.extent"),
     "mu_flag_huge": ("solve", [], ["--mu", "1e308"], "mu * penalty"),
     "penalty_huge": ("sweep", [(("solver", "penalty"), 1e308)], [], "mu * penalty"),
     "width_underflow": ("sweep", [(("potential",), MULTIWELL_TINY_WIDTH)], [], "width"),

@@ -26,8 +26,7 @@ from cmlab import (
 from cmlab.consistency import (
     COLUMN_MASS_MAX_COLS,
     COLUMN_MASS_MAX_ROWS,
-    _column_masses,
-    _haar_orthogonal,
+    _haar_rows,
     default_gap_threshold,
 )
 from conftest import l1_total
@@ -55,7 +54,7 @@ def test_interaction_matrix_diagonal_on_eigenfunctions(box_H, box_eigs):
 
 
 def test_interaction_matrix_similarity_invariance(box_H, box_eigs, rng):
-    rot = _haar_orthogonal(3, rng)
+    rot = _haar_rows(3, 3, rng)
     m = interaction_matrix(box_H, _rotated(box_eigs.modes.take(3), rot))
     np.testing.assert_allclose(nu_spectrum(m), box_eigs.eigenvalues[:3], atol=1e-8)
 
@@ -98,7 +97,7 @@ def test_procrustes_identity(box_eigs):
 
 def test_procrustes_recovers_planted_rotation(box_eigs, rng):
     phi = box_eigs.modes.take(3)
-    planted = _haar_orthogonal(3, rng)
+    planted = _haar_rows(3, 3, rng)
     rot, residual, _ = procrustes_align(_rotated(phi, planted), phi)
     np.testing.assert_allclose(rot, planted, atol=1e-8)
     assert residual <= 1e-8
@@ -130,7 +129,7 @@ def test_procrustes_beats_random_rotations(box_H, box_eigs, rng):
     _, residual, _ = procrustes_align(modes, phi)
     w = phi.grid.cell_volume
     for _ in range(50):
-        rot = _haar_orthogonal(2, rng)
+        rot = _haar_rows(2, 2, rng)
         dist = np.sqrt(w * ((modes.matrix - phi.matrix @ rot) ** 2).sum(axis=0)).max()
         assert residual <= dist + 1e-12
 
@@ -168,7 +167,7 @@ def test_coefficients_identity_case(box_eigs):
 
 
 def test_coefficients_rotation_keeps_column_masses(box_eigs, rng):
-    rot = _haar_orthogonal(3, rng)
+    rot = _haar_rows(3, 3, rng)
     coeffs = coefficients(_rotated(box_eigs.modes.take(3), rot), box_eigs, 3)
     np.testing.assert_allclose(_col_mass(coeffs), np.ones(3), atol=1e-10)
 
@@ -240,7 +239,7 @@ def test_gap_lower_bound_needs_enough_pairs(box_eigs):
 def test_column_mass_square_case_exact():
     for n in range(1, COLUMN_MASS_MAX_ROWS + 1):
         for seed in range(5):
-            masses = _column_masses(n, n, np.random.default_rng(seed))
+            masses = (_haar_rows(n, n, np.random.default_rng(seed)) ** 2).sum(axis=1)
             assert masses.shape == (n,)
             assert np.abs(masses - 1.0).max() <= 1e-14
 

@@ -3,6 +3,7 @@ import os
 import stat
 
 import numpy as np
+import pytest
 
 from cmlab import reference_eigenpairs
 from cmlab.reports import (
@@ -129,3 +130,15 @@ def test_write_atomic(tmp_path):
     assert target.read_text() == "other\n"
     leftovers = [p for p in os.listdir(tmp_path / "sub") if p.startswith(".tmp_")]
     assert leftovers == []
+
+
+def test_write_atomic_failed_rename_leaves_nothing(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("cmlab.reports.os.replace", refuse)
+    target = tmp_path / "file.csv"
+    with pytest.raises(OSError, match="rename refused"):
+        write_atomic(str(target), "a,b\n")
+    assert not target.exists()
+    assert os.listdir(tmp_path) == []

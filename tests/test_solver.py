@@ -413,7 +413,7 @@ def test_solver_config_validation():
 def test_indefinite_penalty_raises(multiwell_H, multiwell_eigs):
     lam_min = float(multiwell_eigs.eigenvalues[0])
     assert lam_min < -0.1
-    # with reference eigenpairs at hand, and with none (a one-pair eigensolve)
+    # with reference eigenpairs at hand, and with none (an N-pair eigensolve)
     for starts, eigs in ((("eigen",), multiwell_eigs), (("random:1",), None)):
         cfg = SolverConfig(mu=10.0, penalty=0.1, max_iters=5, starts=starts)
         with pytest.raises(IndefinitePenaltyError, match="indefinite"):
@@ -632,8 +632,8 @@ def test_lockstep_runs_match_solo_runs(case, data):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 def test_lockstep_groups_interleaved_penalties_at_block_build(dim, boundary):
-    # three penalties over five starts, given interleaved: the block groups
-    # them by penalty in order of first appearance, one solve per penalty and
+    # three penalties over five starts, given interleaved: the block keeps
+    # their order, makes one solve per run of adjacent equal penalties and
     # iteration, and returns the runs in the order of the starts; the eigen
     # start converges first and leaves while the others run
     # (an oblong 2D box, so that the eigen frame's span is not degenerate)
@@ -662,7 +662,7 @@ def test_lockstep_groups_interleaved_penalties_at_block_build(dim, boundary):
 
     solvers = {r: counted(r) for r in penalties}
     _lockstep(H, L1, H.grid.cell_volume, starts, solvers, 1, cfg.tol)
-    assert calls == [(penalties[0], 2), (penalties[1], 4), (penalties[2], 4)]
+    assert calls == [(r, 2) for r in penalties]
 
 
 def test_trace_buffers_grow_past_first_block(small_box_H):
