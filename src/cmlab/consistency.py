@@ -21,7 +21,7 @@ from .grid import GridMismatchError
 from .hamiltonian import HamiltonianOperator
 from .modes import ModeSet
 from .regularizer import Regularizer
-from .solver import SolverConfig, mode_energies, solve_sweep, start_fields
+from .solver import SolverConfig, limit_distance, limit_frame, mode_energies, solve_sweep, start_fields
 
 ORTHO_PRECONDITION = 1e-6
 ENERGY_TREND_SLACK = 1e-6
@@ -239,7 +239,11 @@ def mu_sweep(
     """Solve along an ascending mu schedule, warm-starting each step.
 
     Returns the ``sweep.json`` document less its config echo; each record
-    holds its mu's measures followed by the solve's ``start_fields``.
+    holds its mu's measures followed by the solve's ``start_fields``.  One
+    measure, ``limit_distance``, is the winner's ``solver.limit_distance`` to
+    the limit frame W1 (``solver.limit_frame``), from which the sweep reads
+    the order of the winners' approach; it is None on a degenerate box,
+    where the eigen frame, and so W1, is not determined by the operator.
 
     The solves are ``solve_sweep``'s: the configured starts of every mu run
     as one block, then each mu's warm start runs alone from the previous
@@ -265,8 +269,10 @@ def mu_sweep(
     e0 = float(eigs.eigenvalues[:N].sum())
     phi = eigs.modes.take(N)
 
+    results = solve_sweep(H, J, N, schedule, config, eigs=eigs)  # validates every mu first
+    limit = None if degenerate else limit_frame(H, J, N, eigs)
     records = []
-    for mu, result in zip(schedule, solve_sweep(H, J, N, schedule, config, eigs=eigs)):
+    for mu, result in zip(schedule, results):
         m = interaction_matrix(H, result.modes)
         nu = nu_spectrum(m)
         energy = float(np.trace(m))
@@ -285,6 +291,7 @@ def mu_sweep(
                 "max_eig_dev": dev,
                 "procrustes_residual": residual,
                 "ortho_defect": result.modes.ortho_defect,
+                "limit_distance": None if limit is None else limit_distance(result.modes, limit),
                 **start_fields(result),
             }
         )

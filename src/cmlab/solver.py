@@ -26,6 +26,13 @@ to one such block; then, in schedule order, each mu's warm start runs alone
 from the previous mu's winner, as a chain of one-mu solves runs it.
 ``solve_cm`` is the one-mu case.
 
+As mu grows, the minimizers tend to W, the L1-minimal rotation of the eigen
+frame (Ozolins, Lai, Caflisch & Osher 2013); ``limit_frame`` is W1, the
+rotation-polished eigen frame.  Once the chain's last two winners approach
+W1 at order -1 in mu, a sweep predicts its next warm start along that line
+instead of starting at the previous winner as it stands (``warm_start``;
+predictor-corrector continuation, Allgower & Georg).
+
 The objective's energy cannot tell apart rotations of a frame within its
 span; only the L1 term turns a frame in that direction, and slowly (the gauge
 freedom of maximally localized Wannier functions, Marzari & Vanderbilt
@@ -70,6 +77,9 @@ POLISH_SWEEPS = 30
 REPOLISH_EVERY = 50
 REPOLISH_SPAN = 0.01
 REPOLISH_GAIN = 1e-9
+# how far from -1 the order of the winners' approach to the limit frame may be
+# for a sweep to predict its warm start from that frame (see ``warm_start``)
+LIMIT_ORDER_TOL = 0.15
 
 
 class IndefinitePenaltyError(ValueError):
@@ -257,18 +267,21 @@ def solve_sweep(
     config: SolverConfig,
     eigs: EigenSystem | None = None,
 ) -> list[SolverResult]:
-    """One result per mu of ``schedule``, each warm-started from the previous winner.
+    """One result per mu of ``schedule``, each warm-started from the previous winners.
 
     The results equal those of the chain ``solve_cm(H, J, N, replace(config,
-    mu=mu, starts=config.starts + (previous,)), eigs)``, where ``previous``
-    is the modes of the previous mu's result (no warm start at the first
-    mu).  Every mu is validated before any factorization.  Then the
-    configured starts of all mu values run as one lockstep block (each start
-    rotation-polished once, as the polish does not depend on mu; the random
-    ones are flagged for re-polishing).  Last, in schedule order, each later
-    mu's warm start is polished from the previous mu's winner and runs
-    alone.  A run is bitwise the same in any block, so these are the chain's
-    results.
+    mu=mu, starts=config.starts + (warm,)), eigs)``, where ``warm`` is
+    ``warm_start(winners, schedule so far, limit_frame(H, J, N, eigs))`` of
+    the modes of the earlier mu values' results (no warm start at the first
+    mu): the previous winner, or the frame predicted from the limit.  Every
+    mu is validated before any factorization.  Then the configured starts of
+    all mu values run as one lockstep block (each start rotation-polished
+    once, as the polish does not depend on mu; the random ones are flagged
+    for re-polishing).  Last, in schedule order, each later mu's warm start
+    is polished from its frame and runs alone.  A run is bitwise the same in
+    any block, so these are the chain's results.  The limit frame is the
+    polished eigen start when ``"eigen"`` is configured, and is computed only
+    for a schedule of 3 or more mu values, the first that can predict.
     """
     n = H.node_count
     if not 1 <= N <= n:
@@ -290,16 +303,84 @@ def solve_sweep(
     configured = [(x, cfg.mu, r, f) for cfg, r in zip(configs, penalties) for x, f in zip(polished, repolish)]
     block = _lockstep(H, J, w, configured, solvers, config.max_iters, config.tol)
 
+    limit = None
+    if len(configs) >= 3:
+        eigen = config.starts.index("eigen") if "eigen" in config.starts else None
+        limit = limit_frame(H, J, N, eigs) if eigen is None else ModeSet(H.grid, polished[eigen])
+    mus = [cfg.mu for cfg in configs]
     results = []
     for i, (cfg, r) in enumerate(zip(configs, penalties)):
         runs, starts = block[i * S : (i + 1) * S], config.starts
         if results:
-            previous = results[-1].modes
-            x = rotation_polish(_start_matrix(previous, H, N, eigs), w, J)
+            warm = warm_start([result.modes for result in results], mus[: i + 1], limit)
+            x = rotation_polish(_start_matrix(warm, H, N, eigs), w, J)
             runs += _lockstep(H, J, w, [(x, cfg.mu, r, False)], solvers, config.max_iters, config.tol)
-            starts += (previous,)
+            starts += (warm,)
         results.append(_result(H.grid, starts, runs))
     return results
+
+
+def limit_frame(H: HamiltonianOperator, J: Regularizer, N: int, eigs: EigenSystem) -> ModeSet:
+    """W1, the rotation-polished eigen frame: the L1-minimal rotation the minimizers tend to as mu grows."""
+    return ModeSet(H.grid, rotation_polish(_start_matrix("eigen", H, N, eigs), H.grid.cell_volume, J))
+
+
+def _aligned(limit: ModeSet, F: ModeSet) -> np.ndarray:
+    """The columns of ``limit`` signed and permuted to match those of ``F``.
+
+    Greedy: the mode pair of largest |overlap| is matched first, then the
+    largest among the pairs left, and so on.
+    """
+    overlap = F.grid.cell_volume * (F.matrix.T @ limit.matrix)  # F's modes by the limit's
+    free = np.abs(overlap)
+    aligned = np.empty_like(F.matrix)
+    for _ in range(F.count):
+        i, j = np.unravel_index(np.argmax(free), free.shape)
+        aligned[:, i] = math.copysign(1.0, overlap[i, j]) * limit.matrix[:, j]
+        free[i, :] = free[:, j] = -1.0
+    return aligned
+
+
+def limit_distance(F: ModeSet, limit: ModeSet) -> float:
+    """d: the largest w-norm of a mode of ``F`` minus its mode of ``limit``, aligned to ``F``."""
+    off = F.matrix - _aligned(limit, F)
+    return float(np.sqrt(F.grid.cell_volume * (off * off).sum(axis=0)).max())
+
+
+def _on_limit_path(distances, mus, N: int) -> bool:
+    """Whether a chain may predict the warm start at ``mus[-1]`` from the limit.
+
+    ``distances`` are the last two winners' d, at ``mus[-3]`` and ``mus[-2]``.
+    Both must be positive, and their order, log(d_2 / d_1) / log(mu_2 / mu_1),
+    within ``LIMIT_ORDER_TOL`` of -1.  And (mu_2 / mu_3) d_2 sqrt(N), which
+    bounds the spectral-norm distance of the predicted frame from the
+    orthonormal limit, must be below 1, so that the predicted frame has full
+    rank.
+    """
+    (d1, d2), (mu1, mu2, mu3) = distances, mus[-3:]
+    if min(d1, d2) <= 0.0 or mu1 == mu2:  # no order without a distance, or at a repeated mu
+        return False
+    order = math.log(d2 / d1) / math.log(mu2 / mu1)
+    return abs(order + 1.0) <= LIMIT_ORDER_TOL and mu2 / mu3 * d2 * math.sqrt(N) < 1.0
+
+
+def warm_start(winners, mus, limit: ModeSet | None) -> ModeSet:
+    """The warm start of a sweep at ``mus[-1]``, from its winners at the mu values before it.
+
+    The previous winner F as it stands, unless the last two winners approach
+    ``limit`` at order -1 (``_on_limit_path``): then the frame
+    A + (F - A) mu_prev / mu_next, where A is ``limit`` aligned to F, on
+    which a distance to the limit falling as 1/mu puts the next winner.
+    Fewer than two winners give no order, so ``limit`` is read only from the
+    third mu on.
+    """
+    previous = winners[-1]
+    if len(winners) < 2:
+        return previous
+    if not _on_limit_path([limit_distance(F, limit) for F in winners[-2:]], mus, previous.count):
+        return previous
+    aligned = _aligned(limit, previous)
+    return ModeSet(previous.grid, aligned + (previous.matrix - aligned) * (mus[-2] / mus[-1]))
 
 
 @dataclass

@@ -705,8 +705,10 @@ def test_cmd_sweep_json_records_each_start(tmp_path):
             "max_eig_dev",
             "procrustes_residual",
             "ortho_defect",
+            "limit_distance",
             *START_KEYS,
         ]
+        assert record["limit_distance"] > 0.0
     assert list(report) == [
         "N",
         "mu_schedule",
@@ -720,7 +722,7 @@ def test_cmd_sweep_json_records_each_start(tmp_path):
         "config",
     ]
     header = (out / "sweep.csv").read_text().split("\n")[0]
-    assert "start" not in header
+    assert "start" not in header and "limit" not in header
 
 
 def test_cmd_sweep_validates_every_mu_before_solving(tmp_path, capsys, monkeypatch):
@@ -785,6 +787,9 @@ def test_cmd_sweep_degenerate_verdict(tmp_path, capsys):
     assert "DEGENERATE" in capsys.readouterr().out
     rows = (out / "sweep.csv").read_text().strip().split("\n")
     assert len(rows) == 3  # header + both mu rows: sweep completes
+    # no limit frame without the gap: the eigen frame is not determined there
+    records = json.loads((out / "sweep.json").read_text())["records"]
+    assert [r["limit_distance"] for r in records] == [None, None]
 
 
 def test_cmd_sweep_single_point_na(tmp_path, capsys):
