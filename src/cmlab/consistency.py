@@ -21,7 +21,15 @@ from .grid import GridMismatchError
 from .hamiltonian import HamiltonianOperator
 from .modes import ModeSet
 from .regularizer import Regularizer
-from .solver import SolverConfig, limit_distance, limit_frame, mode_energies, solve_sweep, start_fields
+from .solver import (
+    SolverConfig,
+    limit_distance,
+    limit_frame,
+    limit_order,
+    mode_energies,
+    solve_sweep,
+    start_fields,
+)
 
 ORTHO_PRECONDITION = 1e-6
 ENERGY_TREND_SLACK = 1e-6
@@ -244,6 +252,9 @@ def mu_sweep(
     the limit frame W1 (``solver.limit_frame``), from which the sweep reads
     the order of the winners' approach; it is None on a degenerate box,
     where the eigen frame, and so W1, is not determined by the operator.
+    The next, ``limit_order``, is that order between the previous mu's
+    winner and this one's (``solver.limit_order``): reported, not judged.
+    It is None at the first mu and wherever either distance is None or 0.
 
     The solves are ``solve_sweep``'s: the configured starts of every mu run
     as one block, then each mu's warm start runs alone from the previous
@@ -281,6 +292,10 @@ def mu_sweep(
             _, residual, _ = procrustes_align(result.modes, phi)
         except AlignmentError:
             residual = float("nan")
+        distance = None if limit is None else limit_distance(result.modes, limit)
+        order = None
+        if records:
+            order = limit_order((records[-1]["limit_distance"], distance), (records[-1]["mu"], mu))
         records.append(
             {
                 "mu": mu,
@@ -291,7 +306,8 @@ def mu_sweep(
                 "max_eig_dev": dev,
                 "procrustes_residual": residual,
                 "ortho_defect": result.modes.ortho_defect,
-                "limit_distance": None if limit is None else limit_distance(result.modes, limit),
+                "limit_distance": distance,
+                "limit_order": order,
                 **start_fields(result),
             }
         )

@@ -31,7 +31,9 @@ frame (Ozolins, Lai, Caflisch & Osher 2013); ``limit_frame`` is W1, the
 rotation-polished eigen frame.  Once the chain's last two winners approach
 W1 at order -1 in mu, a sweep predicts its next warm start along that line
 instead of starting at the previous winner as it stands (``warm_start``;
-predictor-corrector continuation, Allgower & Georg).
+predictor-corrector continuation, Allgower & Georg).  At the second mu,
+which has one winner before it, the order's second point is the winner of
+that mu's configured starts, which the block has already run.
 
 The objective's energy cannot tell apart rotations of a frame within its
 span; only the L1 term turns a frame in that direction, and slowly (the gauge
@@ -271,17 +273,21 @@ def solve_sweep(
 
     The results equal those of the chain ``solve_cm(H, J, N, replace(config,
     mu=mu, starts=config.starts + (warm,)), eigs)``, where ``warm`` is
-    ``warm_start(winners, schedule so far, limit_frame(H, J, N, eigs))`` of
-    the modes of the earlier mu values' results (no warm start at the first
-    mu): the previous winner, or the frame predicted from the limit.  Every
-    mu is validated before any factorization.  Then the configured starts of
-    all mu values run as one lockstep block (each start rotation-polished
-    once, as the polish does not depend on mu; the random ones are flagged
-    for re-polishing).  Last, in schedule order, each later mu's warm start
-    is polished from its frame and runs alone.  A run is bitwise the same in
-    any block, so these are the chain's results.  The limit frame is the
-    polished eigen start when ``"eigen"`` is configured, and is computed only
-    for a schedule of 3 or more mu values, the first that can predict.
+    ``warm_start(winners, schedule so far, limit, configured)`` of the modes
+    of the earlier mu values' results (no warm start at the first mu): the
+    previous winner, or the frame predicted from the limit.  ``limit`` is
+    ``limit_frame(H, J, N, eigs)`` for a schedule of 3 or more mu values and
+    None otherwise.  ``configured`` is, at the second mu only, the modes of
+    ``solve_cm(H, J, N, replace(config, mu=mu), eigs)``, the winner of the
+    configured starts there.  Every mu is validated before any
+    factorization.  Then the configured starts of all mu values run as one
+    lockstep block (each start rotation-polished once, as the polish does not
+    depend on mu; the random ones are flagged for re-polishing), which gives
+    the second mu's configured winner before its warm start is made.  Last,
+    in schedule order, each later mu's warm start is polished from its frame
+    and runs alone.  A run is bitwise the same in any block, so these are the
+    chain's results.  The limit frame is the polished eigen start when
+    ``"eigen"`` is configured.
     """
     n = H.node_count
     if not 1 <= N <= n:
@@ -312,7 +318,9 @@ def solve_sweep(
     for i, (cfg, r) in enumerate(zip(configs, penalties)):
         runs, starts = block[i * S : (i + 1) * S], config.starts
         if results:
-            warm = warm_start([result.modes for result in results], mus[: i + 1], limit)
+            # at the second mu, the configured starts' winner there gives the order's second point
+            configured = _result(H.grid, starts, runs).modes if i == 1 else None
+            warm = warm_start([result.modes for result in results], mus[: i + 1], limit, configured)
             x = rotation_polish(_start_matrix(warm, H, N, eigs), w, J)
             runs += _lockstep(H, J, w, [(x, cfg.mu, r, False)], solvers, config.max_iters, config.tol)
             starts += (warm,)
@@ -347,40 +355,59 @@ def limit_distance(F: ModeSet, limit: ModeSet) -> float:
     return float(np.sqrt(F.grid.cell_volume * (off * off).sum(axis=0)).max())
 
 
-def _on_limit_path(distances, mus, N: int) -> bool:
-    """Whether a chain may predict the warm start at ``mus[-1]`` from the limit.
+def limit_order(distances, mus) -> float | None:
+    """log(d_2 / d_1) / log(mu_2 / mu_1): the order in mu at which frames at ``mus`` approach the limit.
 
-    ``distances`` are the last two winners' d, at ``mus[-3]`` and ``mus[-2]``.
-    Both must be positive, and their order, log(d_2 / d_1) / log(mu_2 / mu_1),
-    within ``LIMIT_ORDER_TOL`` of -1.  And (mu_2 / mu_3) d_2 sqrt(N), which
-    bounds the spectral-norm distance of the predicted frame from the
-    orthonormal limit, must be below 1, so that the predicted frame has full
-    rank.
+    ``distances`` are the frames' d (``limit_distance``).  None unless both are
+    positive numbers and the two mu values differ.
     """
-    (d1, d2), (mu1, mu2, mu3) = distances, mus[-3:]
-    if min(d1, d2) <= 0.0 or mu1 == mu2:  # no order without a distance, or at a repeated mu
-        return False
-    order = math.log(d2 / d1) / math.log(mu2 / mu1)
-    return abs(order + 1.0) <= LIMIT_ORDER_TOL and mu2 / mu3 * d2 * math.sqrt(N) < 1.0
+    (d1, d2), (mu1, mu2) = distances, mus
+    if d1 is None or d2 is None or min(d1, d2) <= 0.0 or mu1 == mu2:
+        return None
+    return math.log(d2 / d1) / math.log(mu2 / mu1)
 
 
-def warm_start(winners, mus, limit: ModeSet | None) -> ModeSet:
+def _on_limit_path(distances, mus, offset: float, N: int) -> bool:
+    """Whether a chain may predict its next warm start from the limit.
+
+    ``distances`` are two frames' d at ``mus``, and their ``limit_order``
+    must be within ``LIMIT_ORDER_TOL`` of -1.  ``offset`` is (mu_prev /
+    mu_next) d_prev, the largest w-norm of a mode of the predicted frame
+    minus its mode of the aligned limit; offset sqrt(N) bounds the
+    spectral-norm distance of the predicted frame from that orthonormal
+    frame, and must be below 1, so that the predicted frame has full rank.
+    """
+    order = limit_order(distances, mus)
+    return order is not None and abs(order + 1.0) <= LIMIT_ORDER_TOL and offset * math.sqrt(N) < 1.0
+
+
+def warm_start(winners, mus, limit: ModeSet | None, configured: ModeSet | None = None) -> ModeSet:
     """The warm start of a sweep at ``mus[-1]``, from its winners at the mu values before it.
 
-    The previous winner F as it stands, unless the last two winners approach
+    The previous winner F as it stands, unless the sweep approaches
     ``limit`` at order -1 (``_on_limit_path``): then the frame
     A + (F - A) mu_prev / mu_next, where A is ``limit`` aligned to F, on
-    which a distance to the limit falling as 1/mu puts the next winner.
-    Fewer than two winners give no order, so ``limit`` is read only from the
-    third mu on.
+    which a distance to the limit falling as 1/mu puts the next winner.  The
+    order is read from the last two winners.  At the second mu, with one
+    winner, it is read from that winner and ``configured``, the winner of the
+    configured starts at ``mus[-1]``; without ``configured`` there is no
+    order.  Without ``limit`` (a sweep of fewer than 3 mu values) the warm
+    start is F.
     """
     previous = winners[-1]
-    if len(winners) < 2:
+    if limit is None or (len(winners) < 2 and configured is None):
         return previous
-    if not _on_limit_path([limit_distance(F, limit) for F in winners[-2:]], mus, previous.count):
+    if len(winners) >= 2:  # the last two winners, at mus[-3] and mus[-2]
+        distances, at = [limit_distance(F, limit) for F in winners[-2:]], mus[-3:-1]
+        d = distances[1]
+    else:  # this winner at mus[-2], and the configured starts' winner at mus[-1]
+        d = limit_distance(previous, limit)
+        distances, at = [d, limit_distance(configured, limit)], mus[-2:]
+    step = mus[-2] / mus[-1]
+    if not _on_limit_path(distances, at, step * d, previous.count):
         return previous
     aligned = _aligned(limit, previous)
-    return ModeSet(previous.grid, aligned + (previous.matrix - aligned) * (mus[-2] / mus[-1]))
+    return ModeSet(previous.grid, aligned + (previous.matrix - aligned) * step)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -706,9 +707,13 @@ def test_cmd_sweep_json_records_each_start(tmp_path):
             "procrustes_residual",
             "ortho_defect",
             "limit_distance",
+            "limit_order",
             *START_KEYS,
         ]
         assert record["limit_distance"] > 0.0
+    # the order of the winners' approach to the limit frame, from one mu to the next
+    assert first["limit_order"] is None
+    assert second["limit_order"] == math.log(second["limit_distance"] / first["limit_distance"]) / math.log(4.0)
     assert list(report) == [
         "N",
         "mu_schedule",
@@ -790,6 +795,7 @@ def test_cmd_sweep_degenerate_verdict(tmp_path, capsys):
     # no limit frame without the gap: the eigen frame is not determined there
     records = json.loads((out / "sweep.json").read_text())["records"]
     assert [r["limit_distance"] for r in records] == [None, None]
+    assert [r["limit_order"] for r in records] == [None, None]
 
 
 def test_cmd_sweep_single_point_na(tmp_path, capsys):

@@ -773,12 +773,16 @@ def _assert_sweep_is_chain(swept, H, J, N, schedule, cfg, eigs=None):
     Returns the chain's winners and its warm frames (one per mu after the first).
     """
     assert len(swept) == len(schedule)
-    limit = limit_frame(H, J, N, reference_eigenpairs(H, N) if eigs is None else eigs)
+    limit = None
+    if len(schedule) >= 3:
+        limit = limit_frame(H, J, N, reference_eigenpairs(H, N) if eigs is None else eigs)
     winners, warm = [], []
     for i, (mu, result) in enumerate(zip(schedule, swept)):
         starts = cfg.starts
         if winners:
-            warm.append(warm_start(winners, schedule[: i + 1], limit))
+            # at the second mu, the order's second point is the configured starts' winner there
+            configured = solve_cm(H, J, N, replace(cfg, mu=mu), eigs=eigs).modes if i == 1 else None
+            warm.append(warm_start(winners, schedule[: i + 1], limit, configured))
             starts += (warm[-1],)
         chained = solve_cm(H, J, N, replace(cfg, mu=mu, starts=starts), eigs=eigs)
         np.testing.assert_array_equal(result.modes.matrix, chained.modes.matrix)
@@ -797,14 +801,15 @@ def test_sweep_matches_solve_cm_chain(case):
 
 def test_sweep_predicts_warm_starts_from_the_limit_as_its_chain_does():
     # on a 64-node box the winners approach the limit frame at order -1 from
-    # the start, so the warm starts at mu = 20 and 40 are predicted
+    # the start, so every warm start is predicted: the one at mu = 10 from the
+    # order of the eigen start's results at mu = 5 and 10
     H = HamiltonianOperator(Grid(1, (1.0,), (64,), "dirichlet"))
     eigs = reference_eigenpairs(H, 2)
     schedule = [5.0, 10.0, 20.0, 40.0]
     cfg = SolverConfig(mu=schedule[0], max_iters=800, starts=("eigen",))
     swept = solve_sweep(H, L1, 2, schedule, cfg, eigs=eigs)
     winners, warm = _assert_sweep_is_chain(swept, H, L1, 2, schedule, cfg, eigs)
-    assert [frame is winner for frame, winner in zip(warm, winners)] == [True, False, False]
+    assert [frame is winner for frame, winner in zip(warm, winners)] == [False, False, False]
     assert [r.winner_start for r in swept] == ["eigen", "warm", "warm", "warm"]
 
 
@@ -824,21 +829,58 @@ def test_alignment_recovers_a_signed_column_permutation_of_the_limit(small_box_H
 def test_limit_path_guard_accepts_order_minus_one_only():
     mus = [10.0, 20.0, 40.0]
 
+    def guard(distances, N=2):
+        # the last two winners, at 10 and 20, predict at 40 from the one at 20
+        return _on_limit_path(distances, mus[:2], mus[1] / mus[2] * distances[1], N)
+
     def distances(order):
         return [1e-3, 1e-3 * 2.0**order]
 
-    assert _on_limit_path(distances(-1.0), mus, 2)
-    assert _on_limit_path(distances(-1.0 + 0.9 * LIMIT_ORDER_TOL), mus, 2)
-    assert not _on_limit_path(distances(-0.75), mus, 2)
-    assert not _on_limit_path(distances(0.0), mus, 2)
-    assert not _on_limit_path([1e-3, 0.0], mus, 2)
-    assert not _on_limit_path([0.0, 0.0], mus, 2)
+    assert guard(distances(-1.0))
+    assert guard(distances(-1.0 + 0.9 * LIMIT_ORDER_TOL))
+    assert not guard(distances(-0.75))
+    assert not guard(distances(0.0))
+    assert not guard([1e-3, 0.0])
+    assert not guard([0.0, 0.0])
     # order -1, but the predicted frame could lose rank: (20 / 40) 1 sqrt(N) >= 1
-    assert _on_limit_path([2.0, 1.0], mus, 2)
-    assert not _on_limit_path([2.0, 1.0], mus, 5)
+    assert guard([2.0, 1.0])
+    assert not guard([2.0, 1.0], N=5)
     # one winner gives no order: it is the warm start, and no limit is read
     winner = ModeSet(Grid(1, (1.0,), (8,), "dirichlet"), np.eye(8)[:, :2])
     assert warm_start([winner], mus[1:], None) is winner
+
+
+def test_second_mu_guard_reads_the_order_from_the_configured_winner():
+    # frames at known distances from the limit: mode k is the limit's plus d
+    # times a unit vector outside its span.  At the second mu the order runs
+    # from the first winner (d0, at mu = 5) to the configured starts' winner
+    # at mu = 10 (d1), and the predicted frame, A + (F - A) / 2, lies
+    # (5 / 10) d0 from the limit
+    grid = Grid(1, (1.0,), (8,), "dirichlet")
+    mus = [5.0, 10.0]
+
+    def frame(d):
+        return ModeSet(grid, (np.eye(8)[:, :2] + d * np.eye(8)[:, [5, 6]]) / np.sqrt(grid.cell_volume))
+
+    limit = frame(0.0)
+
+    def predicted(d0, d1):
+        first = frame(d0)
+        warm = warm_start([first], mus, limit, frame(d1))
+        return None if warm is first else warm
+
+    np.testing.assert_allclose(predicted(1e-3, 5e-4).matrix, frame(5e-4).matrix, rtol=0, atol=1e-15)
+    assert predicted(1e-3, 1e-3 * 2.0 ** (-1.0 - 0.9 * LIMIT_ORDER_TOL)) is not None
+    assert predicted(1e-3, 1e-3 * 2.0**-0.2) is None  # the long box's order
+    assert predicted(1e-3, 0.0) is None
+    assert predicted(0.0, 1e-3) is None
+    # order -1, but (5 / 10) d0 sqrt(2) >= 1: the predicted frame could lose rank
+    assert predicted(1.0, 0.5) is not None
+    assert predicted(2.0, 1.0) is None
+    # no configured winner or no limit: no order, and the first winner is the warm start
+    first = frame(1e-3)
+    assert warm_start([first], mus, limit) is first
+    assert warm_start([first], mus, None, frame(5e-4)) is first
 
 
 def test_degenerate_sweep_keeps_the_plain_warm_chain():
@@ -900,15 +942,15 @@ def test_reference_sweep_runs_its_warm_chain_one_start_at_a_time(monkeypatch, re
 
 def test_reference_sweep_winners_and_iterations(reference_sweep):
     # the shipped sweep's behaviour, which no speedup may change unnoticed; the
-    # closest call is mu = 5, where random:12 wins by about 4e-13.  From mu = 20
+    # closest call is mu = 5, where random:12 wins by about 4e-13.  From mu = 10
     # on, the warm start is predicted from the limit frame and wins by 8e-12 to
-    # 5e-11 in 27, 27, 14 and 13 iterations
+    # 1.5e-10 in 35, 27, 27, 14 and 13 iterations
     records = reference_sweep["records"]
-    winners = ["random:12", "random:11", "warm", "warm", "warm", "warm"]
+    winners = ["random:12", "warm", "warm", "warm", "warm", "warm"]
     assert [r["winner_start"] for r in records] == winners
     assert [r["start_iterations"] for r in records] == [
         [43, 407, 407],
-        [39, 366, 274, 260],
+        [39, 366, 274, 35],
         [35, 390, 322, 27],
         [31, 381, 312, 27],
         [27, 360, 290, 14],
