@@ -838,6 +838,17 @@ def test_cmd_verify_violation_exits_1_naming_its_seeds(monkeypatch, capsys, fail
         assert (line in captured.err) == (name in failing)
 
 
+def test_cmd_verify_nan_case_exits_1_naming_its_seed(monkeypatch, capsys):
+    masses = iter([0.5] * 5 + [math.nan] + [0.5] * 14)
+    monkeypatch.setattr("cmlab.consistency._max_column_mass", lambda *args: next(masses))
+    assert main(["verify", "--cases", "20", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "max mass = nan" in captured.out
+    assert captured.out.endswith("verify: FAIL\n")
+    assert "column_mass violations at seeds: [8]" in captured.err
+    assert "gap_bound violations" not in captured.err
+
+
 def test_cmd_verify_deterministic(capsys):
     assert main(["verify", "--cases", "40", "--seed", "9"]) == 0
     first = capsys.readouterr().out

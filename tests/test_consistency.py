@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from cmlab import (
     AlignmentError,
@@ -22,11 +23,13 @@ from cmlab import (
     nu_spectrum,
     orthonormal_columns,
     procrustes_align,
+    reference_eigenpairs,
 )
 from cmlab.consistency import (
     COLUMN_MASS_MAX_COLS,
     COLUMN_MASS_MAX_ROWS,
     _haar_rows,
+    _seeded_cases,
     default_gap_threshold,
 )
 from conftest import l1_total
@@ -216,6 +219,29 @@ def test_gap_lower_bound_random_frames(box_H):
     assert max_slack <= 1e-8
 
 
+def test_gap_bound_suite_worst_and_violations_are_its_case_draws(box_H, monkeypatch):
+    N, seed, cases = 2, 30, 12
+    K = 4 * N
+    eigs = reference_eigenpairs(box_H, K)
+    e0 = float(eigs.eigenvalues[:N].sum())
+    slacks = {}
+    for case_seed in range(seed, seed + cases):
+        rot = _haar_rows(N, K, np.random.default_rng(case_seed))
+        frame = ModeSet(box_H.grid, eigs.modes.matrix[:, :K] @ rot)
+        bound = gap_lower_bound(coefficients(frame, eigs, K), eigs, N)
+        slacks[case_seed] = bound - abs(float(mode_energies(box_H, frame).sum()) - e0)
+    worst, violations = gap_bound_suite(box_H, N, cases, seed)
+    assert worst == max(slacks.values())
+    assert violations == []
+
+    # a limit at the median slack makes every draw above it a violation
+    cut = float(np.median(list(slacks.values())))
+    monkeypatch.setattr("cmlab.consistency.GAP_BOUND_SLACK_LIMIT", cut)
+    above = [s for s, slack in slacks.items() if slack > cut]
+    assert 0 < len(above) < cases
+    assert gap_bound_suite(box_H, N, cases, seed)[1] == above
+
+
 def test_gap_lower_bound_degenerate_pair_contributes_nothing(periodic_H, periodic_eigs):
     # lambda_2 = lambda_3: replacing the second mode by the third eigenfunction
     # costs the bound nothing even though the frame is far from the target one
@@ -258,10 +284,40 @@ def _column_mass_cases(draw):
 @example((8, 64, 9))
 def test_column_mass_matches_the_explicit_haar_rows(case):
     rows, cols, seed = case
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((cols, cols)))
-    a = (q * np.sign(np.diag(r)))[:rows, :]
-    expected = float((a**2).sum(axis=0).max())
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((rows, cols)).T)
+    a = q * np.sign(np.diag(r))
+    expected = float((a**2).sum(axis=1).max())
     assert abs(column_mass_lemma_check(rows, cols, seed) - expected) <= 1e-14
+
+
+def _explicit_max_column_mass(rows, cols, rng):
+    """Max column mass of the first ``rows`` rows of a sign-fixed Haar Q, formed whole."""
+    q, r = np.linalg.qr(rng.standard_normal((cols, cols)))
+    a = (q * np.sign(np.diag(r)))[:rows, :]
+    return float((a**2).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("rows, cols", [(8, 64), (2, 8)])
+def test_haar_rows_max_column_mass_has_the_law_of_the_explicit_draw(rows, cols):
+    # two-sample Kolmogorov-Smirnov at alpha = 1e-3, from disjoint seeds
+    draws = 2000
+    thin = [column_mass_lemma_check(rows, cols, seed) for seed in range(draws)]
+    explicit = [
+        _explicit_max_column_mass(rows, cols, np.random.default_rng(seed))
+        for seed in range(draws, 2 * draws)
+    ]
+    assert ks_2samp(thin, explicit).statistic < 1.95 * np.sqrt(2 / draws)
+
+
+@pytest.mark.parametrize(
+    "values, worst, violations",
+    [([1.0, np.nan, 0.5], np.nan, [1]), ([np.nan, 1.0, 0.5], np.nan, [0]), ([0.5, 2.0, 1.0], 2.0, [1])],
+)
+def test_seeded_cases_nan_case_violates_and_is_the_worst(values, worst, violations):
+    stub = iter(values)
+    got_worst, got_violations = _seeded_cases(len(values), 0, lambda rng: next(stub), 1.0)
+    np.testing.assert_equal(got_worst, worst)
+    assert got_violations == violations
 
 
 def test_column_mass_suite_worst_and_violations_are_its_case_draws(monkeypatch):
