@@ -7,24 +7,25 @@ regularizer (updated by its prox/shrinkage), one carries the orthonormality
 constraint (updated by projection onto the closest orthonormal frame), and
 scaled multipliers couple the blocks with quadratic strength ``penalty``.
 
-All starts of one solve run in lockstep as one block: their iterates sit in
-an (S, N, node_count) stack, one mode per row, and each iteration makes one
+All starts of one solve run in lockstep as one block: their iterates sit in an
+(S, N, node_count) stack, one mode per row, and each iteration makes one
 multi-RHS shifted solve per penalty run, one prox, one stacked polar
-projection and one operator apply for every start still running.  The
-shifted solve uses LAPACK's tridiagonal factor when H + penalty I is
-tridiagonal (every 1D Dirichlet box) and a sparse LU factor otherwise.  The
-projection takes each start's polar factor X G^{-1/2} from its N x N Gram
-matrix G (one stacked eigendecomposition for the block), with a second pass
-for a start whose Gram condition is above 1e3, and returns the block stored
-by rows as it came.  Each start carries its own mu, penalty and iteration
-count.  Every reduction stays inside one start's slab, so each start's run
-is bitwise the same alone as in any block; a start that stops leaves the
-block.  The block is built once from its starts, in the order given, and
-only shrinks; a penalty run is a run of adjacent starts of equal penalty.  A
-mu sweep (``solve_sweep``) gives the configured starts of all its mu values
-to one such block; then, in schedule order, each mu's warm start runs alone
-from the previous mu's winner, as a chain of one-mu solves runs it.
-``solve_cm`` is the one-mu case.
+projection and one operator apply for every start still running.  The shifted
+solve uses LAPACK's tridiagonal factor when H + penalty I is tridiagonal
+(every 1D Dirichlet box) and a sparse LU factor otherwise.  The projection
+takes each start's polar factor X G^{-1/2} from its N x N Gram matrix G (one
+stacked eigendecomposition for the block), with a second pass for a start
+whose Gram condition is above 1e3, and returns the block stored by rows as it
+came.  Each start carries its own mu and penalty; all starts of a block start
+together, so every running start has run the same number of iterations.  Every
+reduction stays inside one start's slab, so each start's run is bitwise the
+same alone as in any block; a start that stops leaves the block.  The block is
+built once from its starts, in the order given, and only shrinks; a penalty
+run is a run of adjacent starts of equal penalty.  A mu sweep
+(``solve_sweep``) gives the configured starts of all its mu values to one such
+block; then, in schedule order, each mu's warm start runs alone from the
+previous mu's winner, as a chain of one-mu solves runs it.  ``solve_cm`` is
+the one-mu case.
 
 As mu grows, the minimizers tend to W, the L1-minimal rotation of the eigen
 frame (Ozolins, Lai, Caflisch & Osher 2013); ``limit_frame`` is W1, the
@@ -35,17 +36,23 @@ predictor-corrector continuation, Allgower & Georg).  At the second mu,
 which has one winner before it, the order's second point is the winner of
 that mu's configured starts, which the block has already run.
 
-The objective's energy cannot tell apart rotations of a frame within its
-span; only the L1 term turns a frame in that direction, and slowly (the gauge
-freedom of maximally localized Wannier functions, Marzari & Vanderbilt
-1997).  A random start that has found the span can drift inside it with a
-step above ``tol`` for thousands of iterations.  So every ``REPOLISH_EVERY``
-of its own iterations, a random start whose step lies within the span it left
-(at most ``REPOLISH_SPAN`` of it outside) has its best frame rotation-polished,
-and restarts from the polished frame if that lowers its best objective by
-more than ``REPOLISH_GAIN`` (relative).  The decision is the start's own, so
-its run stays the same in any block.  Eigen and warm starts are never
-re-polished: measured, it raised some of their results.
+The objective's energy cannot tell apart rotations of a frame within its span;
+only the L1 term turns a frame in that direction, and slowly (the gauge
+freedom of maximally localized Wannier functions, Marzari & Vanderbilt 1997).
+A random start that has found the span can drift inside it with a step above
+``tol`` for thousands of iterations.  So every ``REPOLISH_EVERY`` iterations,
+a random start whose step lies within the span it left (at most
+``REPOLISH_SPAN`` of it outside) has its best frame rotation-polished, and
+restarts from the polished frame if that lowers its best objective by more
+than ``REPOLISH_GAIN`` (relative).  Otherwise its current iterate is polished,
+and if that lowers its objective, the start's whole splitting state turns by
+the polishing rotation (a gauge turn, multipliers kept): the shifted solve
+acts on nodes and the polar projection is equivariant, so the turned state
+iterates as the rotated old one but for the prox, which is not equivariant;
+hence the turn is taken only when it lowers the objective.  The decisions are
+the start's own, so its run stays the same in any block.  Eigen and warm
+starts are never re-polished or turned: measured, re-polishing raised some of
+their results.
 
 The problem is non-convex, so nothing certifies global optimality.  What the
 solver does certify: every returned frame is feasible (orthonormal to 1e-8),
@@ -76,7 +83,7 @@ OBJECTIVE_REL_TOL = 1e-10
 STREAK_REQUIRED = 3
 POLISH_SWEEPS = 30
 # the drift re-polish of random starts (see ``_lockstep``)
-REPOLISH_EVERY = 50
+REPOLISH_EVERY = 25
 REPOLISH_SPAN = 0.01
 REPOLISH_GAIN = 1e-9
 # how far from -1 the order of the winners' approach to the limit frame may be
@@ -153,6 +160,7 @@ class SolverResult:
     start_iterations: tuple[int, ...]
     start_converged: tuple[bool, ...]
     start_restarts: tuple[int, ...]
+    start_turns: tuple[int, ...]
 
 
 def start_fields(result: SolverResult) -> dict:
@@ -166,6 +174,7 @@ def start_fields(result: SolverResult) -> dict:
         "start_iterations": list(result.start_iterations),
         "start_converged": list(result.start_converged),
         "start_restarts": list(result.start_restarts),
+        "start_turns": list(result.start_turns),
     }
 
 
@@ -199,7 +208,8 @@ def rotation_polish(matrix: np.ndarray, w: float, J: Regularizer) -> np.ndarray:
     the well-localized rotation instead of leaving that (energy-neutral,
     hence weakly forced) direction to the slow shrinkage dynamics.  Every
     start is polished once before it runs, and a random start's best frame
-    again whenever its run drifts inside its span (see ``_lockstep``).  Up to
+    (then, maybe, its current iterate) again whenever its run drifts inside
+    its span (see ``_lockstep``).  Up to
     ``POLISH_SWEEPS`` greedy sweeps of pairwise Givens rotations: the L1 sum
     of a turned pair is concave in the angle between the breakpoints where one
     of its rows turns onto an axis, so its exact minimum is at one of them
@@ -417,6 +427,7 @@ class _Run:
     iterations: int
     converged: bool
     restarts: int  # restarts from a re-polished best frame
+    turns: int  # turns of the whole state by the rotation that polishes P
     objectives: np.ndarray  # feasible objective per iteration
     defects: np.ndarray  # orthonormality defect of F per iteration
 
@@ -445,6 +456,7 @@ def _result(grid, starts, runs) -> SolverResult:
         start_iterations=tuple(r.iterations for r in runs),
         start_converged=tuple(r.converged for r in runs),
         start_restarts=tuple(r.restarts for r in runs),
+        start_turns=tuple(r.turns for r in runs),
     )
 
 
@@ -468,20 +480,22 @@ def _build_shifted_solver(H: HamiltonianOperator, penalty: float):
 
     A matrix with no entry off its three central diagonals (every 1D
     Dirichlet box, and the 2-node periodic one) gets LAPACK's tridiagonal
-    L D L^T factor, whose solve overwrites an F-ordered right-hand side with
-    the solution; any other gets a sparse LU factor that pivots on the
-    diagonal under a symmetric fill-reducing ordering.  The shifted matrix
-    must be positive definite; the tridiagonal factor raises
+    L D L^T factor, read from the diagonals of ``H.matrix``, whose solve
+    overwrites an F-ordered right-hand side with the solution and returns it;
+    any other gets a sparse LU factor that pivots on the diagonal under a
+    symmetric fill-reducing ordering, whose solve returns a new array.  The
+    shifted matrix must be positive definite; the tridiagonal factor raises
     ``IndefinitePenaltyError`` when it is not.
     """
-    shifted = scipy.sparse.coo_array(H.matrix + penalty * scipy.sparse.eye_array(H.node_count))
-    if np.all(np.abs(shifted.row - shifted.col) <= 1):
-        d, e, info = lapack.dpttrf(shifted.diagonal(), shifted.diagonal(1))
+    matrix = H.matrix
+    rows = np.repeat(np.arange(H.node_count), np.diff(matrix.indptr))
+    if np.all(np.abs(rows - matrix.indices) <= 1):
+        d, e, info = lapack.dpttrf(matrix.diagonal() + penalty, matrix.diagonal(1))
         if info:
             raise IndefinitePenaltyError(f"penalty {penalty:g} leaves H + penalty I indefinite")
         return lambda rhs: lapack.dpttrs(d, e, rhs, overwrite_b=1)[0]
     factor = scipy.sparse.linalg.splu(
-        scipy.sparse.csc_array(shifted),
+        scipy.sparse.csc_array(matrix + penalty * scipy.sparse.eye_array(H.node_count)),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
@@ -546,25 +560,30 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
     in the order of ``starts``: each run of adjacent slabs of equal penalty is
     a contiguous slice whose transpose, a view, is the node_count x (slabs N)
     right-hand side of one shifted solve, so the callers give the starts of one
-    penalty next to each other.  Each start keeps its own mu, penalty, stop
-    rule, iteration count (at most ``max_iters``), best feasible iterate and
+    penalty next to each other.  The block's starts start together, so one
+    iteration count k (at most ``max_iters``) is every running start's; each
+    start keeps its own mu, penalty, stop rule, best feasible iterate and
     trace, and leaves the block when it stops.  The runs come back in the order
     of ``starts``.
 
-    A start with ``repolish`` set is checked every ``REPOLISH_EVERY`` of its
-    iterations: if its step P_k - P_{k-1} is above ``tol`` and the largest
+    When k is a multiple of ``REPOLISH_EVERY``, each start with ``repolish``
+    set is checked: if its step P_k - P_{k-1} is above ``tol`` and the largest
     w-norm of a mode's step outside span(P_{k-1}) is at most ``REPOLISH_SPAN``
     of it, its best frame is rotation-polished, and if that lowers its best
     objective by more than ``REPOLISH_GAIN`` (relative), the start restarts
     from the polished frame as if it started there (Q = P = best = polished,
-    zero multipliers, that objective), keeping its iteration count and trace.
+    zero multipliers, that objective).  Otherwise P_k is polished to P', and if
+    that lowers its objective, the start turns by R = w P' P_k^T (rows
+    storage): Q, b, B become R Q, R b, R B, P_k becomes P', and P' becomes its
+    best if it is below the best.  Either way the start keeps its count,
+    trace and streak.
 
     A running start's state is one entry of each array in one fixed-order
     list, all aligned with the block: its slabs of Q, P, b, B and of its best
-    iterate, then its index in ``starts``, mu, penalty, repolish flag,
-    iteration and restart counts, objective, best objective and convergence
-    streak, then its rows of the objective and defect traces, whose columns
-    grow geometrically with the iterations run.  The list is built once, and
+    iterate, then its index in ``starts``, mu, penalty, repolish flag, restart
+    and turn counts, objective, best objective and convergence streak, then
+    its rows of the objective and defect traces, whose columns grow
+    geometrically with the iterations run.  The list is built once, and
     whenever a start leaves, one mask drops it from every array.  While the
     block runs, only the iteration's own names hold its arrays, which are
     updated in place where that keeps the order of operations; while a mask
@@ -581,6 +600,11 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
         energy = w * np.multiply(rows, hx, order="C").sum(axis=(1, 2))
         return energy + J.evaluate_columns(rows.mT, w).sum(axis=1) / mu
 
+    def polished(rows, mu):
+        # a slab's frame rotation-polished, stored by rows, and its objective
+        rows = np.ascontiguousarray(rotation_polish(rows.T, w, J).T)
+        return rows, feasible_objectives(rows[None], mu)[0]
+
     def coefficients(mu, penalty):
         # 0.5 r and the shrinkage step per slab, and (lo, hi, solve) per run
         # of adjacent equal penalties in the block
@@ -595,28 +619,28 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
     repolish = np.array([s[3] for s in starts], dtype=bool)
     obj = feasible_objectives(P, mu)
     zeros, trace = np.zeros(len(starts), dtype=int), np.empty((len(starts), min(max_iters, 64)))
-    # Q, P, b, B, best; index, mu, penalty, repolish, count, restarts; obj,
+    # Q, P, b, B, best; index, mu, penalty, repolish, restarts, turns; obj,
     # best_obj, streak; the objective and defect trace rows
     state = [P.copy(), P, np.zeros_like(P), np.zeros_like(P), P.copy()]
     state += [np.arange(len(starts)), mu, penalty, repolish, zeros, zeros.copy()]
     state += [obj, obj.copy(), zeros.copy(), trace, trace.copy()]
     runs = [None] * len(starts)  # each set when its start leaves
+    k = 0  # the iterations run by every start in the block
 
     while True:  # once per change to the block
-        Q, P, b, B, best, index, mu, penalty, repolish, count, restarts = state[:11]
+        Q, P, b, B, best, index, mu, penalty, repolish, restarts, turns = state[:11]
         obj, best_obj, streak, objectives, defects = state[11:]
         del state  # the iteration's names alone hold the block while it runs
         if not index.size:
             return runs
         half_r, shrink_step, slabs = coefficients(mu, penalty)
-        slab = np.arange(index.size)
 
         while True:  # until some start stops
-            count += 1
-            if count.max() > objectives.shape[1]:
+            k += 1
+            if k > objectives.shape[1]:
                 more = min(max_iters, 2 * objectives.shape[1]) - objectives.shape[1]
-                objectives = np.concatenate((objectives, np.empty((slab.size, more))), axis=1)
-                defects = np.concatenate((defects, np.empty((slab.size, more))), axis=1)
+                objectives = np.concatenate((objectives, np.empty((index.size, more))), axis=1)
+                defects = np.concatenate((defects, np.empty((index.size, more))), axis=1)
             # the right-hand side 0.5 r (Q - b + P - B), built in the memory of Q
             # (which the prox recomputes), then the solution in its place
             F = Q
@@ -625,69 +649,86 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
             F -= B
             F *= half_r
             for lo, hi, solve in slabs:
-                F[lo:hi] = solve(F[lo:hi].reshape(-1, n).T).T.reshape(hi - lo, N, n)
+                rhs = F[lo:hi].reshape(-1, n).T
+                solution = solve(rhs)
+                if solution is not rhs:  # the LU factor's solve returns a new array
+                    rhs[...] = solution
             gram = np.vecdot(F[:, :, None, :], F[:, None, :, :])  # mode pairs, one dot each
-            defects[slab, count - 1] = np.abs(w * gram - eye).max(axis=(1, 2))
+            defects[:, k - 1] = np.abs(w * gram - eye).max(axis=(1, 2))
             # the multiplier updates b + F - Q and B + F - P, with b + F and B + F
             # formed in place as the arguments of the prox and the projection
             b += F
             B += F
-            del F  # freed before the prox and the projection allocate
+            del F, rhs, solution  # freed before the prox and the projection allocate
             Q = J.prox_array(b, shrink_step)
             b -= Q
             # the projection of the row-stored B comes back stored by rows: no copy
             next_P = np.ascontiguousarray(orthonormal_columns(B.mT, w).mT)
             moved = next_P - P
             change = np.sqrt(w * np.vecdot(moved, moved)).max(axis=1)
-            # the flagged starts at a multiple of REPOLISH_EVERY iterations whose
-            # step, above tol, lies within the span they left: they drift in it
-            due = np.flatnonzero(repolish & (count % REPOLISH_EVERY == 0) & (change > tol)).tolist()
-            drifting = [i for i in due if _off_span(moved[i], P[i], w) <= REPOLISH_SPAN * change[i]]
+            drifting = []
+            if k % REPOLISH_EVERY == 0:
+                # the flagged starts whose step, above tol, lies within the span
+                # they left: they drift in it
+                due = np.flatnonzero(repolish & (change > tol)).tolist()
+                drifting = [i for i in due if _off_span(moved[i], P[i], w) <= REPOLISH_SPAN * change[i]]
             del moved
             P = next_P
             B -= P
 
             prev_obj, obj = obj, feasible_objectives(P, mu)
-            objectives[slab, count - 1] = obj
+            objectives[:, k - 1] = obj
             better = obj < best_obj
             if better.all():
-                best, best_obj = P, obj  # P is never written in place, so best can share it
+                best, best_obj = P, obj  # shared: where a drift check writes P[i], it is the best
             elif better.any():
                 best[better] = P[better]  # an earlier P, which nothing reads any more
                 best_obj = np.where(better, obj, best_obj)
 
+            # in-span rotations cost no energy, so the polish skips the drift;
+            # either way the slab keeps its count and trace (and its streak is
+            # already 0, as change > tol)
             for i in drifting:
-                # in-span rotations cost no energy, so the polish skips the drift;
-                # the slab restarts from it as if it started there, keeping its
-                # count and trace (its streak is already 0, as change > tol)
-                rows = np.ascontiguousarray(rotation_polish(best[i].T, w, J).T)
-                polished = feasible_objectives(rows[None], mu[i])[0]
-                if polished < best_obj[i] - REPOLISH_GAIN * abs(best_obj[i]):
+                rows, value = polished(best[i], mu[i])
+                if value < best_obj[i] - REPOLISH_GAIN * abs(best_obj[i]):
+                    # restart from the polished best frame, as if it started there
                     Q[i] = P[i] = best[i] = rows
                     b[i] = B[i] = 0.0
-                    obj[i] = best_obj[i] = polished
+                    obj[i] = best_obj[i] = value
                     restarts[i] += 1
+                    continue
+                # or turn the whole state by the rotation R that polishes P:
+                # the solve acts on nodes and the projection is equivariant, so
+                # only the prox tells the turned state apart from R times the old
+                rows, value = polished(P[i], mu[i])
+                if value < obj[i]:
+                    R = w * (rows @ P[i].T)
+                    Q[i], b[i], B[i] = R @ Q[i], R @ b[i], R @ B[i]
+                    P[i], obj[i] = rows, value  # also the best's, if best is P
+                    if value < best_obj[i]:
+                        best[i], best_obj[i] = rows, value
+                    turns[i] += 1
 
             rel_obj = np.abs(obj - prev_obj) / np.maximum(1.0, np.abs(obj))
             streak = np.where(change <= tol, streak + 1, 0)
             converged = (streak >= STREAK_REQUIRED) & (rel_obj <= OBJECTIVE_REL_TOL)
-            done = converged | (count == max_iters)  # at the cap a start leaves with its best
+            done = converged | (k == max_iters)  # at the cap a start leaves with its best
             if done.any():
                 break
 
         for i in np.flatnonzero(done).tolist():
-            c = count[i]
             runs[index[i]] = _Run(
                 best_matrix=np.ascontiguousarray(best[i].T),
                 best_objective=float(best_obj[i]),
-                iterations=int(c),
+                iterations=k,
                 converged=bool(converged[i]),
                 restarts=int(restarts[i]),
-                objectives=objectives[i, :c].copy(),  # copies, so that no run
-                defects=defects[i, :c].copy(),  # keeps a whole trace buffer alive
+                turns=int(turns[i]),
+                objectives=objectives[i, :k].copy(),  # copies, so that no run
+                defects=defects[i, :k].copy(),  # keeps a whole trace buffer alive
             )
         keep = ~done
-        state = [Q, P, b, B, best, index, mu, penalty, repolish, count, restarts]
+        state = [Q, P, b, B, best, index, mu, penalty, repolish, restarts, turns]
         state += [obj, best_obj, streak, objectives, defects]
         del Q, P, b, B, best  # the list alone holds the block while the mask drops
         for i in range(len(state)):

@@ -555,6 +555,7 @@ START_KEYS = [
     "start_iterations",
     "start_converged",
     "start_restarts",
+    "start_turns",
 ]
 
 

@@ -584,7 +584,7 @@ def _lockstep_matches_solo_runs(H, J, cfg, starts):
         assert run.best_objective == solo.best_objective
         assert run.iterations == solo.iterations
         assert run.converged == solo.converged
-        assert run.restarts == solo.restarts
+        assert (run.restarts, run.turns) == (solo.restarts, solo.turns)
         np.testing.assert_array_equal(run.best_matrix, solo.best_matrix)
         assert run.trace == solo.trace
     return runs
@@ -622,6 +622,7 @@ def test_lockstep_runs_match_solo_runs(case, data):
     assert res.start_objectives == tuple(run.best_objective for run in at_default)
     assert res.start_iterations == tuple(run.iterations for run in at_default)
     assert res.start_restarts == tuple(run.restarts for run in at_default)
+    assert res.start_turns == tuple(run.turns for run in at_default)
     assert res.objective == min(res.start_objectives)
     assert res.modes.ortho_defect <= 1e-8
     if "eigen" in cfg.starts:
@@ -726,9 +727,10 @@ def test_repolished_reference_start_converges_below_its_unflagged_run(box_H, box
 
 
 def test_eigen_and_warm_starts_are_never_repolished():
-    # re-polished, the eigen start at mu = 5 and the warm start at mu = 10
-    # would each restart and end higher (by about 2e-9 and 8e-10); in a sweep
-    # they run exactly as they do unflagged
+    # re-polished, the eigen start at mu = 5 and 10 and the warm start at
+    # mu = 10 would each restart and end higher (by about 1.7e-9, 1.7e-9 and
+    # 1e-9); in a sweep they run exactly as they do unflagged, never
+    # restarting or turning
     H = HamiltonianOperator(Grid(1, (1.0,), (128,), "dirichlet"))
     eigs = reference_eigenpairs(H, 3)
     cfg = SolverConfig(mu=5.0, max_iters=1500, starts=("eigen", "random:1"))
@@ -743,13 +745,73 @@ def test_eigen_and_warm_starts_are_never_repolished():
         plain, repolished = (_solo(H, L1, cfg, (x, mu, penalty, f), solve) for f in (False, True))
         result = swept[i]
         assert result.start_restarts[k] == plain.restarts == 0
+        assert result.start_turns[k] == plain.turns == 0
         assert result.start_objectives[k] == plain.best_objective
         assert result.start_iterations[k] == plain.iterations
         if k == result.start_labels.index(result.winner_start):
             np.testing.assert_array_equal(result.modes.matrix, plain.best_matrix)
             assert result.trace == tuple(plain.trace)
-        if (i, k) != (1, 0):  # the eigen start at mu = 10 never reaches a drift check
-            assert repolished.restarts == 1 and repolished.best_objective > plain.best_objective
+        assert repolished.restarts == 1 and repolished.best_objective > plain.best_objective
+
+
+def _turning_box():
+    # a 96-node box with N = 2, on which random starts drift after their
+    # restart, and most of them turn
+    H = HamiltonianOperator(Grid(1, (1.0,), (96,), "dirichlet"))
+    eigs = reference_eigenpairs(H, 2)
+    return H, eigs, default_penalty(10.0, float(eigs.eigenvalues[1]))
+
+
+def test_a_turn_rotates_the_iterate_within_its_span(monkeypatch):
+    # a drift check's polish of the current iterate P, which follows the
+    # polish of the best frame when that does not restart the start: the run
+    # turns where it lowers the objective, and the turned frame has P's
+    # energy sum and orthonormality defect
+    H, eigs, penalty = _turning_box()
+    w, cfg = H.grid.cell_volume, SolverConfig(mu=10.0, max_iters=800)
+    x = rotation_polish(_start_matrix("random:2", H, 2, eigs), w, L1)
+    events, polish, off_span = [], solver.rotation_polish, solver._off_span
+
+    def polished(matrix, w, J):
+        out = polish(matrix, w, J)
+        events.append((matrix.copy(), out))
+        return out
+
+    def checked(*args):
+        events.append(None)  # a flagged start due at a drift check
+        return off_span(*args)
+
+    monkeypatch.setattr(solver, "rotation_polish", polished)
+    monkeypatch.setattr(solver, "_off_span", checked)
+    run = _solo(H, L1, cfg, (x, cfg.mu, penalty, True), _build_shifted_solver(H, penalty))
+    assert (run.restarts, run.turns, run.converged) == (1, 1, True)
+    # the second of two polishes at one check is P's
+    polishes = [b for a, b in zip(events, events[1:]) if a is not None and b is not None]
+    assert polishes
+    turned = 0
+    for frame, rotated in polishes:
+        before, after = ModeSet(H.grid, frame), ModeSet(H.grid, rotated)
+        lower = objective(H, L1, cfg.mu, after) < objective(H, L1, cfg.mu, before)
+        turned += lower
+        energy = mode_energies(H, before).sum()
+        assert abs(mode_energies(H, after).sum() - energy) <= 1e-12 * energy
+        assert abs(after.ortho_defect - before.ortho_defect) <= 1e-12
+    assert turned == run.turns
+
+
+def test_turning_slabs_match_their_solo_runs():
+    # five random starts that turn while the others run, at three penalties
+    # and six mu values, next to an eigen start that leaves first
+    H, eigs, penalty = _turning_box()
+    w, cfg = H.grid.cell_volume, SolverConfig(mu=10.0, max_iters=800)
+    names = ("eigen", "random:1", "random:2", "random:3", "random:4", "random:5")
+    x0 = [rotation_polish(_start_matrix(s, H, 2, eigs), w, L1) for s in names]
+    mus = (10.0, 5.0, 10.0, 20.0, 40.0, 80.0)
+    factors = (1.0, 2.0, 1.0, 0.5, 1.0, 2.0)
+    starts = [(x, mu, penalty * f, s != "eigen") for x, mu, f, s in zip(x0, mus, factors, names)]
+    runs = _lockstep_matches_solo_runs(H, L1, cfg, starts)
+    assert runs[0].turns == 0 and sum(run.turns > 0 for run in runs) >= 3
+    assert all(run.converged for run in runs)
 
 
 # --- sweeps: one block for the configured starts of every mu, then the warm chain ----
@@ -942,25 +1004,34 @@ def test_reference_sweep_runs_its_warm_chain_one_start_at_a_time(monkeypatch, re
 
 def test_reference_sweep_winners_and_iterations(reference_sweep):
     # the shipped sweep's behaviour, which no speedup may change unnoticed; the
-    # closest call is mu = 5, where random:12 wins by about 4e-13.  From mu = 10
+    # closest call is mu = 5, where random:12 wins by about 7e-14 over
+    # random:11, after each restarted twice and turned once.  From mu = 10
     # on, the warm start is predicted from the limit frame and wins by 8e-12 to
     # 1.5e-10 in 35, 27, 27, 14 and 13 iterations
     records = reference_sweep["records"]
     winners = ["random:12", "warm", "warm", "warm", "warm", "warm"]
     assert [r["winner_start"] for r in records] == winners
     assert [r["start_iterations"] for r in records] == [
-        [43, 407, 407],
-        [39, 366, 274, 35],
-        [35, 390, 322, 27],
-        [31, 381, 312, 27],
-        [27, 360, 290, 14],
-        [24, 173, 164, 13],
+        [43, 298, 298],
+        [39, 266, 241, 35],
+        [35, 242, 242, 27],
+        [31, 258, 233, 27],
+        [27, 212, 212, 14],
+        [24, 148, 139, 13],
     ]
     assert [r["start_restarts"] for r in records] == [
         [0, 2, 2],
-        [0, 2, 1, 0],
+        [0, 2, 2, 0],
         [0, 1, 1, 0],
         [0, 1, 1, 0],
         [0, 1, 1, 0],
         [0, 1, 1, 0],
+    ]
+    assert [r["start_turns"] for r in records] == [
+        [0, 1, 1],
+        [0, 0, 0, 0],
+        [0, 1, 1, 0],
+        [0, 1, 1, 0],
+        [0, 1, 1, 0],
+        [0, 0, 0, 0],
     ]
