@@ -9,6 +9,7 @@ regularization weight fades.
 from .consistency import (
     AlignmentError,
     coefficients,
+    column_mass_case_sizes,
     column_mass_lemma_check,
     column_mass_suite,
     gap_bound_suite,
@@ -52,6 +53,7 @@ __all__ = [
     "SolverResult",
     "ZeroRegularizer",
     "coefficients",
+    "column_mass_case_sizes",
     "column_mass_lemma_check",
     "column_mass_suite",
     "gap_bound_suite",

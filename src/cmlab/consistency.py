@@ -155,15 +155,21 @@ def _max_column_mass(rows: int, cols: int, rng: np.random.Generator) -> float:
 
 
 def _seeded_cases(cases: int, seed: int, value, limit: float):
-    """(worst, violating seeds) of ``value(default_rng(seed + i))`` over i < ``cases``.
+    """(worst, violating seeds) of ``value(seed + i)`` over i < ``cases``; a case draws only from its seed.
 
     A case violates unless its value is ``<= limit``, so a NaN case violates,
     and the worst value is NaN whenever any case is NaN.
     """
     if cases < 1:
         raise ValueError("cases must be at least 1")
-    values = np.array([value(np.random.default_rng(seed + i)) for i in range(cases)])
+    values = np.array([value(seed + i) for i in range(cases)])
     return float(values.max()), [seed + i for i, v in enumerate(values) if not v <= limit]
+
+
+def column_mass_case_sizes(seed: int) -> tuple[int, int]:
+    """(rows, cols) of column-mass case ``seed``, uniform over runs of seeds (37 is prime to each 65 - rows)."""
+    rows = 1 + seed % COLUMN_MASS_MAX_ROWS
+    return rows, rows + (seed // COLUMN_MASS_MAX_ROWS) * 37 % (COLUMN_MASS_MAX_COLS + 1 - rows)
 
 
 def column_mass_lemma_check(rows: int, cols: int, seed: int) -> float:
@@ -173,7 +179,8 @@ def column_mass_lemma_check(rows: int, cols: int, seed: int) -> float:
     matrix Q and returns max_k sum_i q_ik^2, which must never exceed 1.  The
     rows come from ``_haar_rows`` on ``default_rng(seed)``: the orthonormal
     factor of a thin ``cols x rows`` Gaussian, which has their law; Q itself
-    is never drawn.
+    is never drawn.  It replays case s of ``column_mass_suite`` as
+    ``column_mass_lemma_check(*column_mass_case_sizes(s), s)``.
     """
     if rows < 1 or cols < rows:
         raise ValueError("need 1 <= rows <= cols")
@@ -183,18 +190,10 @@ def column_mass_lemma_check(rows: int, cols: int, seed: int) -> float:
 def column_mass_suite(cases: int, seed: int):
     """Seeded sweep of column-mass draws; returns (max_mass, violating_seeds).
 
-    Case i draws its sizes and then, restarted from the same state, its
-    Gaussian matrix from ``default_rng(seed + i)``: the draw of
-    ``column_mass_lemma_check(rows, cols, seed + i)``.
+    Case s, for s from ``seed`` to ``seed + cases - 1``, is exactly
+    ``column_mass_lemma_check(*column_mass_case_sizes(s), s)``: no draw decides its sizes.
     """
-
-    def mass(rng):
-        start = rng.bit_generator.state
-        rows = int(rng.integers(1, COLUMN_MASS_MAX_ROWS + 1))
-        cols = int(rng.integers(rows, COLUMN_MASS_MAX_COLS + 1))
-        rng.bit_generator.state = start
-        return _max_column_mass(rows, cols, rng)
-
+    mass = lambda s: column_mass_lemma_check(*column_mass_case_sizes(s), s)
     return _seeded_cases(cases, seed, mass, 1.0 + COLUMN_MASS_TOL)
 
 
@@ -202,17 +201,17 @@ def gap_bound_suite(H: HamiltonianOperator, N: int, cases: int, seed: int):
     """Check the gap lower bound against |E(F) - E0| on random orthonormal frames.
 
     Frames are drawn inside the span of the first 4N eigenfunctions, where
-    the bound must sit below the energy excess up to roundoff.  Returns
-    (max_slack, violating_seeds) with slack defined as bound - |E(F) - E0|
-    (positive slack is a violation).
+    the bound must sit below the energy excess up to roundoff; case s draws
+    from ``default_rng(s)``.  Returns (max_slack, violating_seeds) with slack
+    defined as bound - |E(F) - E0| (positive slack is a violation).
     """
     K = 4 * N
     eigs = reference_eigenpairs(H, K)
     basis = eigs.modes.matrix[:, :K]
     e0 = float(eigs.eigenvalues[:N].sum())
 
-    def slack(rng):
-        frame = ModeSet(H.grid, basis @ _haar_rows(N, K, rng))
+    def slack(s):
+        frame = ModeSet(H.grid, basis @ _haar_rows(N, K, np.random.default_rng(s)))
         bound = gap_lower_bound(coefficients(frame, eigs, K), eigs, N)
         return bound - abs(float(mode_energies(H, frame).sum()) - e0)
 

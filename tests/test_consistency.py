@@ -11,6 +11,7 @@ from cmlab import (
     ModeSet,
     SolverConfig,
     coefficients,
+    column_mass_case_sizes,
     column_mass_lemma_check,
     column_mass_suite,
     gap_bound_suite,
@@ -324,9 +325,7 @@ def test_column_mass_suite_worst_and_violations_are_its_case_draws(monkeypatch):
     seed, cases = 40, 30
     masses = {}
     for case_seed in range(seed, seed + cases):
-        rng = np.random.default_rng(case_seed)
-        rows = int(rng.integers(1, COLUMN_MASS_MAX_ROWS + 1))
-        cols = int(rng.integers(rows, COLUMN_MASS_MAX_COLS + 1))
+        rows, cols = column_mass_case_sizes(case_seed)
         masses[case_seed] = column_mass_lemma_check(rows, cols, case_seed)
     worst, violations = column_mass_suite(cases, seed)
     assert worst == max(masses.values())
@@ -337,6 +336,28 @@ def test_column_mass_suite_worst_and_violations_are_its_case_draws(monkeypatch):
     above = [s for s, mass in masses.items() if mass > 0.5]
     assert 0 < len(above) < cases
     assert column_mass_suite(cases, seed)[1] == above
+
+
+def test_column_mass_case_sizes_cover_every_pair_evenly():
+    max_rows, max_cols = COLUMN_MASS_MAX_ROWS, COLUMN_MASS_MAX_COLS
+    windows = np.lib.stride_tricks.sliding_window_view
+    for start in (0, 10, 2**31 - 5):
+        rows, cols = np.array([column_mass_case_sizes(s) for s in range(start, start + 3199)]).T
+        assert rows.min() >= 1 and rows.max() <= max_rows
+        assert (cols >= rows).all() and cols.max() <= max_cols
+        assert (np.sort(windows(rows, max_rows), axis=1) == np.arange(1, max_rows + 1)).all()
+
+        # 2,500 cases (the longest CI run) take all 484 pairs, at the mean work
+        # of independent uniform draws, E[rows * cols] = 156.75
+        pairs = set(zip(rows[:2500].tolist(), cols[:2500].tolist()))
+        assert len(pairs) == sum(max_cols - r + 1 for r in range(1, max_rows + 1)) == 484
+        assert np.mean(rows[:2500] * cols[:2500]) == pytest.approx(156.75, rel=0.01)
+
+        # every 200 cases (the shortest CI run) come near the widest matrix of
+        # each rows value; these 3,000 windows take every phase of the schedule
+        for r in range(1, max_rows + 1):
+            widest = windows(np.where(rows == r, cols, 0), 200).max(axis=1)
+            assert widest.min() >= r + 0.85 * (max_cols - r)
 
 
 def test_column_mass_single_row():

@@ -1003,14 +1003,21 @@ def test_reference_sweep_runs_its_warm_chain_one_start_at_a_time(monkeypatch, re
 
 
 def test_reference_sweep_winners_and_iterations(reference_sweep):
-    # the shipped sweep's behaviour, which no speedup may change unnoticed; the
-    # closest call is mu = 5, where random:12 wins by about 7e-14 over
-    # random:11, after each restarted twice and turned once.  From mu = 10
-    # on, the warm start is predicted from the limit frame and wins by 8e-12 to
-    # 1.5e-10 in 35, 27, 27, 14 and 13 iterations
+    # the shipped sweep's behaviour, which no speedup may change unnoticed.  At
+    # mu = 5, random:11 and random:12 each restart twice and turn once, and
+    # end about 7e-14 apart, below the objective's own summation rounding, so
+    # either may win: the test pins the pair and the best objective, not the
+    # label.  From mu = 10 on, the warm start is predicted from the limit frame
+    # and wins by 8e-12 to 1.5e-10 in 35, 27, 27, 14 and 13 iterations
     records = reference_sweep["records"]
-    winners = ["random:12", "warm", "warm", "warm", "warm", "warm"]
-    assert [r["winner_start"] for r in records] == winners
+    first = records[0]
+    best = min(first["start_objectives"])
+    objectives = dict(zip(first["start_labels"], first["start_objectives"]))
+    tied = {label for label, objective in objectives.items() if objective - best <= 1e-12 * best}
+    assert tied == {"random:11", "random:12"}
+    assert first["winner_start"] in tied
+    assert best == pytest.approx(24.99196653189772, rel=1e-12, abs=0)
+    assert [r["winner_start"] for r in records[1:]] == ["warm"] * 5
     assert [r["start_iterations"] for r in records] == [
         [43, 298, 298],
         [39, 266, 241, 35],
