@@ -150,10 +150,6 @@ def _haar_rows(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _max_column_mass(rows: int, cols: int, rng: np.random.Generator) -> float:
-    return float((_haar_rows(rows, cols, rng) ** 2).sum(axis=1).max())
-
-
 def _seeded_cases(cases: int, seed: int, value, limit: float):
     """(worst, violating seeds) of ``value(seed + i)`` over i < ``cases``; a case draws only from its seed.
 
@@ -184,7 +180,7 @@ def column_mass_lemma_check(rows: int, cols: int, seed: int) -> float:
     """
     if rows < 1 or cols < rows:
         raise ValueError("need 1 <= rows <= cols")
-    return _max_column_mass(rows, cols, np.random.default_rng(seed))
+    return float((_haar_rows(rows, cols, np.random.default_rng(seed)) ** 2).sum(axis=1).max())
 
 
 def column_mass_suite(cases: int, seed: int):
@@ -254,8 +250,8 @@ def mu_sweep(
     Returns the ``sweep.json`` document less its config echo; each record
     holds its mu's measures followed by the solve's ``start_fields``.  One
     measure, ``limit_distance``, is the winner's ``solver.limit_distance`` to
-    the limit frame W1 (``solver.limit_frame``), from which the sweep reads
-    the order of the winners' approach; it is None on a degenerate box,
+    the limit frame W1 (``solver.limit_frame``), the distance from which the
+    sweep's warm starts read their order; it is None on a degenerate box,
     where the eigen frame, and so W1, is not determined by the operator.
     The next, ``limit_order``, is that order between the previous mu's
     winner and this one's (``solver.limit_order``): reported, not judged.

@@ -78,10 +78,8 @@ def reference_eigenpairs(H: HamiltonianOperator, count: int) -> EigenSystem:
 
     w = H.grid.cell_volume
     vecs = vecs / np.sqrt(w)
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            vecs[:, j] = -col
+    peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs *= np.where(peaks < 0, -1.0, 1.0)
 
     residuals = H.apply_array(vecs) - vecs * vals[None, :]
     res_norms = np.sqrt(w * (residuals**2).sum(axis=0))

@@ -29,12 +29,11 @@ the one-mu case.
 
 As mu grows, the minimizers tend to W, the L1-minimal rotation of the eigen
 frame (Ozolins, Lai, Caflisch & Osher 2013); ``limit_frame`` is W1, the
-rotation-polished eigen frame.  Once the chain's last two winners approach
+rotation-polished eigen frame.  Once the previous winner and the winner of
+the next mu's configured starts, which the block has already run, approach
 W1 at order -1 in mu, a sweep predicts its next warm start along that line
 instead of starting at the previous winner as it stands (``warm_start``;
-predictor-corrector continuation, Allgower & Georg).  At the second mu,
-which has one winner before it, the order's second point is the winner of
-that mu's configured starts, which the block has already run.
+predictor-corrector continuation, Allgower & Georg).
 
 The objective's energy cannot tell apart rotations of a frame within its span;
 only the L1 term turns a frame in that direction, and slowly (the gauge
@@ -279,25 +278,23 @@ def solve_sweep(
     config: SolverConfig,
     eigs: EigenSystem | None = None,
 ) -> list[SolverResult]:
-    """One result per mu of ``schedule``, each warm-started from the previous winners.
+    """One result per mu of ``schedule``, each warm-started from the previous winner.
 
     The results equal those of the chain ``solve_cm(H, J, N, replace(config,
     mu=mu, starts=config.starts + (warm,)), eigs)``, where ``warm`` is
-    ``warm_start(winners, schedule so far, limit, configured)`` of the modes
-    of the earlier mu values' results (no warm start at the first mu): the
-    previous winner, or the frame predicted from the limit.  ``limit`` is
+    ``warm_start(previous, (mu_prev, mu), limit, configured)`` (no warm start
+    at the first mu): ``previous`` is the modes of the result at mu_prev,
+    ``configured`` those of ``solve_cm(H, J, N, replace(config, mu=mu),
+    eigs)``, the winner of the configured starts at mu, and ``limit`` is
     ``limit_frame(H, J, N, eigs)`` for a schedule of 3 or more mu values and
-    None otherwise.  ``configured`` is, at the second mu only, the modes of
-    ``solve_cm(H, J, N, replace(config, mu=mu), eigs)``, the winner of the
-    configured starts there.  Every mu is validated before any
-    factorization.  Then the configured starts of all mu values run as one
-    lockstep block (each start rotation-polished once, as the polish does not
-    depend on mu; the random ones are flagged for re-polishing), which gives
-    the second mu's configured winner before its warm start is made.  Last,
-    in schedule order, each later mu's warm start is polished from its frame
-    and runs alone.  A run is bitwise the same in any block, so these are the
-    chain's results.  The limit frame is the polished eigen start when
-    ``"eigen"`` is configured.
+    None otherwise.  Every mu is validated before any factorization.  Then
+    the configured starts of all mu values run as one lockstep block (each
+    start rotation-polished once, as the polish does not depend on mu; the
+    random ones are flagged for re-polishing), which gives every mu's
+    configured winner before any warm start is made.  Last, in schedule
+    order, each later mu's warm start is polished from its frame and runs
+    alone.  A run is bitwise the same in any block, so these are the chain's
+    results.
     """
     n = H.node_count
     if not 1 <= N <= n:
@@ -316,21 +313,16 @@ def solve_sweep(
     repolish = [isinstance(s, str) and s.startswith("random:") for s in config.starts]
     S = len(polished)
     # mu-major: every start at the first mu, then every start at the next one
-    configured = [(x, cfg.mu, r, f) for cfg, r in zip(configs, penalties) for x, f in zip(polished, repolish)]
-    block = _lockstep(H, J, w, configured, solvers, config.max_iters, config.tol)
+    block_starts = [(x, cfg.mu, r, f) for cfg, r in zip(configs, penalties) for x, f in zip(polished, repolish)]
+    block = _lockstep(H, J, w, block_starts, solvers, config.max_iters, config.tol)
 
-    limit = None
-    if len(configs) >= 3:
-        eigen = config.starts.index("eigen") if "eigen" in config.starts else None
-        limit = limit_frame(H, J, N, eigs) if eigen is None else ModeSet(H.grid, polished[eigen])
-    mus = [cfg.mu for cfg in configs]
+    limit = limit_frame(H, J, N, eigs) if len(configs) >= 3 else None
     results = []
     for i, (cfg, r) in enumerate(zip(configs, penalties)):
         runs, starts = block[i * S : (i + 1) * S], config.starts
         if results:
-            # at the second mu, the configured starts' winner there gives the order's second point
-            configured = _result(H.grid, starts, runs).modes if i == 1 else None
-            warm = warm_start([result.modes for result in results], mus[: i + 1], limit, configured)
+            configured = _result(H.grid, starts, runs).modes
+            warm = warm_start(results[-1].modes, (configs[i - 1].mu, cfg.mu), limit, configured)
             x = rotation_polish(_start_matrix(warm, H, N, eigs), w, J)
             runs += _lockstep(H, J, w, [(x, cfg.mu, r, False)], solvers, config.max_iters, config.tol)
             starts += (warm,)
@@ -377,44 +369,27 @@ def limit_order(distances, mus) -> float | None:
     return math.log(d2 / d1) / math.log(mu2 / mu1)
 
 
-def _on_limit_path(distances, mus, offset: float, N: int) -> bool:
-    """Whether a chain may predict its next warm start from the limit.
+def warm_start(previous: ModeSet, mus, limit: ModeSet | None, configured: ModeSet) -> ModeSet:
+    """The warm start of a sweep at ``mus[1]``, from ``previous``, its winner at ``mus[0]``.
 
-    ``distances`` are two frames' d at ``mus``, and their ``limit_order``
-    must be within ``LIMIT_ORDER_TOL`` of -1.  ``offset`` is (mu_prev /
-    mu_next) d_prev, the largest w-norm of a mode of the predicted frame
-    minus its mode of the aligned limit; offset sqrt(N) bounds the
-    spectral-norm distance of the predicted frame from that orthonormal
-    frame, and must be below 1, so that the predicted frame has full rank.
+    ``previous`` (F) as it stands, unless F and ``configured``, the winner of
+    the configured starts at ``mus[1]``, approach ``limit`` at order
+    (``limit_order``) within ``LIMIT_ORDER_TOL`` of -1: then the frame
+    A + (F - A) mu_0 / mu_1, where A is ``limit`` aligned to F, on which a
+    distance to the limit falling as 1/mu puts the next winner.  Its largest
+    w-norm of a mode minus its mode of A is (mu_0 / mu_1) d, with d F's
+    ``limit_distance``; times sqrt(N), that bounds its spectral-norm distance
+    from the orthonormal A, and must be below 1, so that the predicted frame
+    has full rank.  Without ``limit`` (a sweep of fewer than 3 mu values) the
+    warm start is F.
     """
-    order = limit_order(distances, mus)
-    return order is not None and abs(order + 1.0) <= LIMIT_ORDER_TOL and offset * math.sqrt(N) < 1.0
-
-
-def warm_start(winners, mus, limit: ModeSet | None, configured: ModeSet | None = None) -> ModeSet:
-    """The warm start of a sweep at ``mus[-1]``, from its winners at the mu values before it.
-
-    The previous winner F as it stands, unless the sweep approaches
-    ``limit`` at order -1 (``_on_limit_path``): then the frame
-    A + (F - A) mu_prev / mu_next, where A is ``limit`` aligned to F, on
-    which a distance to the limit falling as 1/mu puts the next winner.  The
-    order is read from the last two winners.  At the second mu, with one
-    winner, it is read from that winner and ``configured``, the winner of the
-    configured starts at ``mus[-1]``; without ``configured`` there is no
-    order.  Without ``limit`` (a sweep of fewer than 3 mu values) the warm
-    start is F.
-    """
-    previous = winners[-1]
-    if limit is None or (len(winners) < 2 and configured is None):
+    if limit is None:
         return previous
-    if len(winners) >= 2:  # the last two winners, at mus[-3] and mus[-2]
-        distances, at = [limit_distance(F, limit) for F in winners[-2:]], mus[-3:-1]
-        d = distances[1]
-    else:  # this winner at mus[-2], and the configured starts' winner at mus[-1]
-        d = limit_distance(previous, limit)
-        distances, at = [d, limit_distance(configured, limit)], mus[-2:]
-    step = mus[-2] / mus[-1]
-    if not _on_limit_path(distances, at, step * d, previous.count):
+    d = limit_distance(previous, limit)
+    order = limit_order([d, limit_distance(configured, limit)], mus)
+    step = mus[0] / mus[1]
+    on_path = order is not None and abs(order + 1.0) <= LIMIT_ORDER_TOL
+    if not (on_path and step * d * math.sqrt(previous.count) < 1.0):  # NaN never predicts
         return previous
     aligned = _aligned(limit, previous)
     return ModeSet(previous.grid, aligned + (previous.matrix - aligned) * step)

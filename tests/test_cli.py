@@ -841,7 +841,7 @@ def test_cmd_verify_violation_exits_1_naming_its_seeds(monkeypatch, capsys, fail
 
 def test_cmd_verify_nan_case_exits_1_naming_its_seed(monkeypatch, capsys):
     masses = iter([0.5] * 5 + [math.nan] + [0.5] * 14)
-    monkeypatch.setattr("cmlab.consistency._max_column_mass", lambda *args: next(masses))
+    monkeypatch.setattr("cmlab.consistency.column_mass_lemma_check", lambda *args: next(masses))
     assert main(["verify", "--cases", "20", "--seed", "3"]) == 1
     captured = capsys.readouterr()
     assert "max mass = nan" in captured.out

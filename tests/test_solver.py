@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,6 @@ from cmlab.solver import (
     _aligned,
     _build_shifted_solver,
     _lockstep,
-    _on_limit_path,
     _pair_angle,
     _splitting_run,
     _start_matrix,
@@ -842,9 +842,9 @@ def _assert_sweep_is_chain(swept, H, J, N, schedule, cfg, eigs=None):
     for i, (mu, result) in enumerate(zip(schedule, swept)):
         starts = cfg.starts
         if winners:
-            # at the second mu, the order's second point is the configured starts' winner there
-            configured = solve_cm(H, J, N, replace(cfg, mu=mu), eigs=eigs).modes if i == 1 else None
-            warm.append(warm_start(winners, schedule[: i + 1], limit, configured))
+            # the order's second point is the configured starts' winner at mu
+            configured = solve_cm(H, J, N, replace(cfg, mu=mu), eigs=eigs).modes
+            warm.append(warm_start(winners[-1], schedule[i - 1 : i + 1], limit, configured))
             starts += (warm[-1],)
         chained = solve_cm(H, J, N, replace(cfg, mu=mu, starts=starts), eigs=eigs)
         np.testing.assert_array_equal(result.modes.matrix, chained.modes.matrix)
@@ -888,61 +888,73 @@ def test_alignment_recovers_a_signed_column_permutation_of_the_limit(small_box_H
             assert limit_distance(ModeSet(small_box_H.grid, target), limit) == 0.0
 
 
+_GUARD_GRID = Grid(1, (1.0,), (16,), "dirichlet")
+
+
+def _offset_frame(d, N=2):
+    # mode k is the limit's plus d times a unit vector outside its span
+    return ModeSet(_GUARD_GRID, (np.eye(16)[:, :N] + d * np.eye(16)[:, 8 : 8 + N]) / np.sqrt(_GUARD_GRID.cell_volume))
+
+
+def _predicted(d0, d1, mus=(5.0, 10.0), N=2):
+    # the warm start from the previous winner at distance d0 (at mus[0]) and
+    # the configured starts' winner at d1 (at mus[1]); None when it is the
+    # previous winner as it stands
+    first = _offset_frame(d0, N)
+    warm = warm_start(first, mus, _offset_frame(0.0, N), _offset_frame(d1, N))
+    return None if warm is first else warm
+
+
 def test_limit_path_guard_accepts_order_minus_one_only():
-    mus = [10.0, 20.0, 40.0]
+    def at_order(order, mus=(5.0, 10.0)):
+        return _predicted(1e-3, 1e-3 * (mus[1] / mus[0]) ** order, mus)
 
-    def guard(distances, N=2):
-        # the last two winners, at 10 and 20, predict at 40 from the one at 20
-        return _on_limit_path(distances, mus[:2], mus[1] / mus[2] * distances[1], N)
-
-    def distances(order):
-        return [1e-3, 1e-3 * 2.0**order]
-
-    assert guard(distances(-1.0))
-    assert guard(distances(-1.0 + 0.9 * LIMIT_ORDER_TOL))
-    assert not guard(distances(-0.75))
-    assert not guard(distances(0.0))
-    assert not guard([1e-3, 0.0])
-    assert not guard([0.0, 0.0])
-    # order -1, but the predicted frame could lose rank: (20 / 40) 1 sqrt(N) >= 1
-    assert guard([2.0, 1.0])
-    assert not guard([2.0, 1.0], N=5)
-    # one winner gives no order: it is the warm start, and no limit is read
-    winner = ModeSet(Grid(1, (1.0,), (8,), "dirichlet"), np.eye(8)[:, :2])
-    assert warm_start([winner], mus[1:], None) is winner
+    for order in (-1.0, -1.0 - 0.9 * LIMIT_ORDER_TOL, -1.0 + 0.9 * LIMIT_ORDER_TOL):
+        assert at_order(order) is not None
+        assert at_order(order, (20.0, 60.0)) is not None
+    for order in (-0.75, -0.2, 0.0):  # -0.2 is the long box's order
+        assert at_order(order) is None
+        assert at_order(order, (20.0, 60.0)) is None
+    # a zero distance on either side gives no order, and a NaN one a NaN order
+    assert _predicted(1e-3, 0.0) is None
+    assert _predicted(0.0, 1e-3) is None
+    assert _predicted(0.0, 0.0) is None
+    assert _predicted(1e-3, math.nan) is None
+    # order -1, but (5 / 10) d0 sqrt(N) >= 1: the predicted frame could lose rank
+    assert _predicted(1.0, 0.5) is not None
+    assert _predicted(2.0, 1.0) is None
+    assert _predicted(1.0, 0.5, N=5) is None
 
 
 def test_second_mu_guard_reads_the_order_from_the_configured_winner():
-    # frames at known distances from the limit: mode k is the limit's plus d
-    # times a unit vector outside its span.  At the second mu the order runs
-    # from the first winner (d0, at mu = 5) to the configured starts' winner
-    # at mu = 10 (d1), and the predicted frame, A + (F - A) / 2, lies
-    # (5 / 10) d0 from the limit
-    grid = Grid(1, (1.0,), (8,), "dirichlet")
-    mus = [5.0, 10.0]
+    # the order runs from the previous winner (d0, at mus[0]) to the
+    # configured starts' winner at mus[1] (d1), at the second mu and at every
+    # later one, and the predicted frame, A + (F - A) mus[0] / mus[1], lies
+    # (mus[0] / mus[1]) d0 from the limit
+    np.testing.assert_allclose(_predicted(1e-3, 5e-4).matrix, _offset_frame(5e-4).matrix, rtol=0, atol=1e-15)
+    # a later mu pair, whose step is 20 / 60
+    later = _predicted(1e-3, 1e-3 / 3.0, (20.0, 60.0))
+    np.testing.assert_allclose(later.matrix, _offset_frame(1e-3 / 3.0).matrix, rtol=0, atol=1e-15)
+    # no limit (a sweep of fewer than 3 mu values): the previous winner is the warm start
+    first = _offset_frame(1e-3)
+    assert warm_start(first, (5.0, 10.0), None, _offset_frame(5e-4)) is first
 
-    def frame(d):
-        return ModeSet(grid, (np.eye(8)[:, :2] + d * np.eye(8)[:, [5, 6]]) / np.sqrt(grid.cell_volume))
 
-    limit = frame(0.0)
-
-    def predicted(d0, d1):
-        first = frame(d0)
-        warm = warm_start([first], mus, limit, frame(d1))
-        return None if warm is first else warm
-
-    np.testing.assert_allclose(predicted(1e-3, 5e-4).matrix, frame(5e-4).matrix, rtol=0, atol=1e-15)
-    assert predicted(1e-3, 1e-3 * 2.0 ** (-1.0 - 0.9 * LIMIT_ORDER_TOL)) is not None
-    assert predicted(1e-3, 1e-3 * 2.0**-0.2) is None  # the long box's order
-    assert predicted(1e-3, 0.0) is None
-    assert predicted(0.0, 1e-3) is None
-    # order -1, but (5 / 10) d0 sqrt(2) >= 1: the predicted frame could lose rank
-    assert predicted(1.0, 0.5) is not None
-    assert predicted(2.0, 1.0) is None
-    # no configured winner or no limit: no order, and the first winner is the warm start
-    first = frame(1e-3)
-    assert warm_start([first], mus, limit) is first
-    assert warm_start([first], mus, None, frame(5e-4)) is first
+def test_two_mu_sweep_warm_starts_from_the_first_winner():
+    # the box of the predicting sweep above: with two mu values there is no
+    # limit frame, so the warm start at mu = 10 is the winner at mu = 5 as it stands
+    H = HamiltonianOperator(Grid(1, (1.0,), (64,), "dirichlet"))
+    eigs = reference_eigenpairs(H, 2)
+    schedule = [5.0, 10.0]
+    cfg = SolverConfig(mu=schedule[0], max_iters=800, starts=("eigen",))
+    swept = solve_sweep(H, L1, 2, schedule, cfg, eigs=eigs)
+    # with the limit frame, the warm start would be predicted
+    configured = solve_cm(H, L1, 2, replace(cfg, mu=10.0), eigs=eigs).modes
+    limit = limit_frame(H, L1, 2, eigs)
+    assert warm_start(swept[0].modes, schedule, limit, configured) is not swept[0].modes
+    chained = solve_cm(H, L1, 2, replace(cfg, mu=10.0, starts=cfg.starts + (swept[0].modes,)), eigs=eigs)
+    np.testing.assert_array_equal(swept[1].modes.matrix, chained.modes.matrix)
+    assert replace(swept[1], modes=None) == replace(chained, modes=None)
 
 
 def test_degenerate_sweep_keeps_the_plain_warm_chain():
