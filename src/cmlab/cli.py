@@ -388,6 +388,8 @@ def cmd_verify(cases: int, seed: int) -> int:
         raise ConfigError("--cases must be at least 1")
     if seed < 0:
         raise ConfigError("--seed must be non-negative")
+    if seed + cases > consistency.CASE_SEED_LIMIT:
+        raise ConfigError("--seed + --cases - 1 must be below 2**128, the Philox key range of a case seed")
     worst_mass, mass_violations = consistency.column_mass_suite(cases, seed)
     print(f"column_mass: {cases} draws, max mass = {reports.fmt(worst_mass)} (limit 1 + 1e-10)")
 

@@ -13,6 +13,8 @@ lockstep block, then the warm-start chain one start at a time.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from scipy.linalg import lapack
 
@@ -38,6 +40,7 @@ COLUMN_MASS_TOL = 1e-10
 COLUMN_MASS_MAX_ROWS = 8
 COLUMN_MASS_MAX_COLS = 64
 GAP_BOUND_SLACK_LIMIT = 1e-8
+CASE_SEED_LIMIT = 2**128  # a case seed is a Philox key, two 64-bit words
 
 
 class AlignmentError(RuntimeError):
@@ -150,11 +153,41 @@ def _haar_rows(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _seeded_cases(cases: int, seed: int, value, limit: float):
-    """(worst, violating seeds) of ``value(seed + i)`` over i < ``cases``; a case draws only from its seed.
+# the one generator every case re-keys (``_case_rng``): a Generator built per
+# case (a SeedSequence hash, a new bit generator) took about 40% of a
+# column-mass case's time.  A re-key sets its whole state, so no case sees
+# another's draws; no two threads run cases at once in cmlab.
+_CASE_RNG = np.random.Generator(np.random.Philox(0))  # seeded: no OS entropy at import
+_ZERO_WORDS = (0, 0, 0, 0)
 
-    A case violates unless its value is ``<= limit``, so a NaN case violates,
-    and the worst value is NaN whenever any case is NaN.
+
+def _case_rng(seed: int) -> np.random.Generator:
+    """The module's one Generator, re-keyed to case ``seed``: bitwise ``Generator(Philox(key=seed))``.
+
+    The key words are (seed mod 2^64, seed >> 64), the counter is 0, and the
+    output buffer is empty, so nothing an earlier case drew is left in it.
+    """
+    seed = operator.index(seed)  # numpy integers too, never a float
+    if not 0 <= seed < CASE_SEED_LIMIT:
+        raise ValueError(f"case seed must be in [0, 2**128), got {seed}")
+    _CASE_RNG.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": (seed & 0xFFFFFFFFFFFFFFFF, seed >> 64)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _CASE_RNG
+
+
+def _seeded_cases(cases: int, seed: int, value, limit: float):
+    """(worst, violating seeds) of ``value(seed + i)`` over i < ``cases``.
+
+    A case draws only from its seed, which keys ``_case_rng``: no case sees
+    another's draws, and any case replays alone.  A case violates unless its
+    value is ``<= limit``, so a NaN case violates, and the worst value is NaN
+    whenever any case is NaN.
     """
     if cases < 1:
         raise ValueError("cases must be at least 1")
@@ -173,14 +206,16 @@ def column_mass_lemma_check(rows: int, cols: int, seed: int) -> float:
 
     Takes the first ``rows`` rows of a Haar-random ``cols x cols`` orthogonal
     matrix Q and returns max_k sum_i q_ik^2, which must never exceed 1.  The
-    rows come from ``_haar_rows`` on ``default_rng(seed)``: the orthonormal
+    rows come from ``_haar_rows`` on the Philox stream keyed by ``seed``
+    (``_case_rng``; bitwise ``Generator(Philox(key=seed))``): the orthonormal
     factor of a thin ``cols x rows`` Gaussian, which has their law; Q itself
-    is never drawn.  It replays case s of ``column_mass_suite`` as
+    is never drawn.  ``seed`` must be in [0, 2**128); anything else raises
+    ``ValueError``.  It replays case s of ``column_mass_suite`` as
     ``column_mass_lemma_check(*column_mass_case_sizes(s), s)``.
     """
     if rows < 1 or cols < rows:
         raise ValueError("need 1 <= rows <= cols")
-    return float((_haar_rows(rows, cols, np.random.default_rng(seed)) ** 2).sum(axis=1).max())
+    return float((_haar_rows(rows, cols, _case_rng(seed)) ** 2).sum(axis=1).max())
 
 
 def column_mass_suite(cases: int, seed: int):
@@ -198,7 +233,8 @@ def gap_bound_suite(H: HamiltonianOperator, N: int, cases: int, seed: int):
 
     Frames are drawn inside the span of the first 4N eigenfunctions, where
     the bound must sit below the energy excess up to roundoff; case s draws
-    from ``default_rng(s)``.  Returns (max_slack, violating_seeds) with slack
+    from the Philox stream keyed by s (``_case_rng``), as a column-mass case
+    does.  Returns (max_slack, violating_seeds) with slack
     defined as bound - |E(F) - E0| (positive slack is a violation).
     """
     K = 4 * N
@@ -207,7 +243,7 @@ def gap_bound_suite(H: HamiltonianOperator, N: int, cases: int, seed: int):
     e0 = float(eigs.eigenvalues[:N].sum())
 
     def slack(s):
-        frame = ModeSet(H.grid, basis @ _haar_rows(N, K, np.random.default_rng(s)))
+        frame = ModeSet(H.grid, basis @ _haar_rows(N, K, _case_rng(s)))
         bound = gap_lower_bound(coefficients(frame, eigs, K), eigs, N)
         return bound - abs(float(mode_energies(H, frame).sum()) - e0)
 

@@ -547,10 +547,11 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
     of it, its best frame is rotation-polished, and if that lowers its best
     objective by more than ``REPOLISH_GAIN`` (relative), the start restarts
     from the polished frame as if it started there (Q = P = best = polished,
-    zero multipliers, that objective).  Otherwise P_k is polished to P', and if
-    that lowers its objective, the start turns by R = w P' P_k^T (rows
-    storage): Q, b, B become R Q, R b, R B, P_k becomes P', and P' becomes its
-    best if it is below the best.  Either way the start keeps its count,
+    zero multipliers, that objective).  Otherwise P_k is polished to P' (the
+    best frame's polish, if P_k is bitwise the best frame), and if that lowers
+    its objective, the start turns by R = w P' P_k^T (rows storage): Q, b, B
+    become R Q, R b, R B, P_k becomes P', and P' becomes its best if it is
+    below the best.  Either way the start keeps its count,
     trace and streak.
 
     A running start's state is one entry of each array in one fixed-order
@@ -674,8 +675,11 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
                     continue
                 # or turn the whole state by the rotation R that polishes P:
                 # the solve acts on nodes and the projection is equivariant, so
-                # only the prox tells the turned state apart from R times the old
-                rows, value = polished(P[i], mu[i])
+                # only the prox tells the turned state apart from R times the old;
+                # when P_k is bitwise the best frame (always, while best is P),
+                # its polish is the one just made
+                if best is not P and best[i].tobytes() != P[i].tobytes():
+                    rows, value = polished(P[i], mu[i])
                 if value < obj[i]:
                     R = w * (rows @ P[i].T)
                     Q[i], b[i], B[i] = R @ Q[i], R @ b[i], R @ B[i]

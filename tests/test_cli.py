@@ -823,6 +823,14 @@ def test_cmd_verify_zero_cases_usage_error(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_cmd_verify_seed_past_the_philox_key_range_usage_error(capsys):
+    # the last case seed, seed + cases - 1, must be a Philox key: below 2**128
+    assert main(["verify", "--cases", "2", "--seed", str(2**128 - 1)]) == 2
+    assert "2**128" in capsys.readouterr().err
+    assert main(["verify", "--cases", "1", "--seed", str(2**128 - 1)]) == 0
+    assert capsys.readouterr().out.endswith("verify: PASS\n")
+
+
 @pytest.mark.parametrize(
     "failing",
     [("column_mass_suite",), ("gap_bound_suite",), ("column_mass_suite", "gap_bound_suite")],

@@ -29,6 +29,7 @@ from cmlab import (
 from cmlab.consistency import (
     COLUMN_MASS_MAX_COLS,
     COLUMN_MASS_MAX_ROWS,
+    _case_rng,
     _haar_rows,
     _seeded_cases,
     default_gap_threshold,
@@ -37,6 +38,11 @@ from conftest import l1_total
 
 L1 = make_regularizer("l1")
 ZERO = make_regularizer("zero")
+
+
+def _keyed(seed):
+    """A fresh Generator on the Philox stream keyed by ``seed``: what case ``seed`` of a suite draws from."""
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _rotated(frame, rot):
@@ -227,7 +233,7 @@ def test_gap_bound_suite_worst_and_violations_are_its_case_draws(box_H, monkeypa
     e0 = float(eigs.eigenvalues[:N].sum())
     slacks = {}
     for case_seed in range(seed, seed + cases):
-        rot = _haar_rows(N, K, np.random.default_rng(case_seed))
+        rot = _haar_rows(N, K, _keyed(case_seed))
         frame = ModeSet(box_H.grid, eigs.modes.matrix[:, :K] @ rot)
         bound = gap_lower_bound(coefficients(frame, eigs, K), eigs, N)
         slacks[case_seed] = bound - abs(float(mode_energies(box_H, frame).sum()) - e0)
@@ -285,7 +291,7 @@ def _column_mass_cases(draw):
 @example((8, 64, 9))
 def test_column_mass_matches_the_explicit_haar_rows(case):
     rows, cols, seed = case
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((rows, cols)).T)
+    q, r = np.linalg.qr(_keyed(seed).standard_normal((rows, cols)).T)
     a = q * np.sign(np.diag(r))
     expected = float((a**2).sum(axis=1).max())
     assert abs(column_mass_lemma_check(rows, cols, seed) - expected) <= 1e-14
@@ -376,6 +382,33 @@ def test_column_mass_validation():
         column_mass_lemma_check(5, 4, 0)
     with pytest.raises(ValueError):
         column_mass_suite(0, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 5, 2**64 + 3, 2**128 - 1])
+def test_case_rng_is_the_fresh_keyed_philox_stream(seed):
+    # an odd count of 32-bit draws, then normals, leaves a half-used word and
+    # buffered output behind: the re-key must drop both
+    earlier = _case_rng(7)
+    earlier.integers(2**32, size=3, dtype=np.uint32)
+    earlier.standard_normal(5)
+    left = earlier.bit_generator.state
+    assert left["has_uint32"] == 1 and left["buffer_pos"] < 4
+    got, fresh = _case_rng(seed), _keyed(seed)
+    words = [rng.integers(2**32, size=5, dtype=np.uint32) for rng in (got, fresh)]
+    np.testing.assert_array_equal(*words)
+    np.testing.assert_array_equal(got.standard_normal(64), fresh.standard_normal(64))
+    np.testing.assert_array_equal(got.random(7), fresh.random(7))
+
+
+def test_case_seeds_are_philox_keys_never_wrapped():
+    for seed in (-1, 2**128, 2**128 + 3):
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            column_mass_lemma_check(2, 8, seed)
+    with pytest.raises(ValueError):
+        column_mass_suite(2, 2**128 - 1)
+    # the high key word counts: seed 2^64 + 3 is not case 3
+    assert column_mass_lemma_check(2, 8, 2**64 + 3) != column_mass_lemma_check(2, 8, 3)
+    assert column_mass_lemma_check(2, 8, np.int64(3)) == column_mass_lemma_check(2, 8, 3)
 
 
 # --- localization -------------------------------------------------------------

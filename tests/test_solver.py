@@ -764,30 +764,42 @@ def _turning_box():
 
 def test_a_turn_rotates_the_iterate_within_its_span(monkeypatch):
     # a drift check's polish of the current iterate P, which follows the
-    # polish of the best frame when that does not restart the start: the run
-    # turns where it lowers the objective, and the turned frame has P's
-    # energy sum and orthonormality defect
+    # polish of the best frame when that does not restart the start (or is
+    # that polish, when P is bitwise the best frame): the run turns where it
+    # lowers the objective, and the turned frame has P's energy sum and
+    # orthonormality defect
     H, eigs, penalty = _turning_box()
     w, cfg = H.grid.cell_volume, SolverConfig(mu=10.0, max_iters=800)
     x = rotation_polish(_start_matrix("random:2", H, 2, eigs), w, L1)
-    events, polish, off_span = [], solver.rotation_polish, solver._off_span
+    checks, polish, off_span = [], solver.rotation_polish, solver._off_span
 
     def polished(matrix, w, J):
         out = polish(matrix, w, J)
-        events.append((matrix.copy(), out))
+        checks[-1].append((matrix.copy(), out))
         return out
 
     def checked(*args):
-        events.append(None)  # a flagged start due at a drift check
+        checks.append([])  # a flagged start due at a drift check, then its polishes
         return off_span(*args)
 
     monkeypatch.setattr(solver, "rotation_polish", polished)
     monkeypatch.setattr(solver, "_off_span", checked)
     run = _solo(H, L1, cfg, (x, cfg.mu, penalty, True), _build_shifted_solver(H, penalty))
     assert (run.restarts, run.turns, run.converged) == (1, 1, True)
-    # the second of two polishes at one check is P's
-    polishes = [b for a, b in zip(events, events[1:]) if a is not None and b is not None]
-    assert polishes
+
+    def gain(frame, rotated):
+        before = objective(H, L1, cfg.mu, ModeSet(H.grid, frame))
+        return (before - objective(H, L1, cfg.mu, ModeSet(H.grid, rotated))) / abs(before)
+
+    # the last polish of a check is P's, unless the best frame's restarted the start
+    restarted = [len(c) == 1 and gain(*c[0]) > solver.REPOLISH_GAIN for c in checks]
+    kept = [c for c, r in zip(checks, restarted) if c and not r]
+    polishes = [c[-1] for c in kept]
+    assert sum(restarted) == run.restarts
+    # P is polished apart only when it is not the best frame, and here one
+    # check reuses the best frame's polish
+    assert all(c[0][0].tobytes() != c[1][0].tobytes() for c in kept if len(c) == 2)
+    assert any(len(c) == 1 for c in kept)
     turned = 0
     for frame, rotated in polishes:
         before, after = ModeSet(H.grid, frame), ModeSet(H.grid, rotated)
