@@ -286,8 +286,8 @@ def solve_sweep(
     at the first mu): ``previous`` is the modes of the result at mu_prev,
     ``configured`` those of ``solve_cm(H, J, N, replace(config, mu=mu),
     eigs)``, the winner of the configured starts at mu, and ``limit`` is
-    ``limit_frame(H, J, N, eigs)`` for a schedule of 3 or more mu values and
-    None otherwise.  Every mu is validated before any factorization.  Then
+    ``limit_frame(H, J, N, eigs)``, built once for a schedule that makes a
+    warm start.  Every mu is validated before any factorization.  Then
     the configured starts of all mu values run as one lockstep block (each
     start rotation-polished once, as the polish does not depend on mu; the
     random ones are flagged for re-polishing), which gives every mu's
@@ -316,7 +316,7 @@ def solve_sweep(
     block_starts = [(x, cfg.mu, r, f) for cfg, r in zip(configs, penalties) for x, f in zip(polished, repolish)]
     block = _lockstep(H, J, w, block_starts, solvers, config.max_iters, config.tol)
 
-    limit = limit_frame(H, J, N, eigs) if len(configs) >= 3 else None
+    limit = limit_frame(H, J, N, eigs) if len(configs) > 1 else None
     results = []
     for i, (cfg, r) in enumerate(zip(configs, penalties)):
         runs, starts = block[i * S : (i + 1) * S], config.starts
@@ -369,7 +369,7 @@ def limit_order(distances, mus) -> float | None:
     return math.log(d2 / d1) / math.log(mu2 / mu1)
 
 
-def warm_start(previous: ModeSet, mus, limit: ModeSet | None, configured: ModeSet) -> ModeSet:
+def warm_start(previous: ModeSet, mus, limit: ModeSet, configured: ModeSet) -> ModeSet:
     """The warm start of a sweep at ``mus[1]``, from ``previous``, its winner at ``mus[0]``.
 
     ``previous`` (F) as it stands, unless F and ``configured``, the winner of
@@ -380,11 +380,8 @@ def warm_start(previous: ModeSet, mus, limit: ModeSet | None, configured: ModeSe
     w-norm of a mode minus its mode of A is (mu_0 / mu_1) d, with d F's
     ``limit_distance``; times sqrt(N), that bounds its spectral-norm distance
     from the orthonormal A, and must be below 1, so that the predicted frame
-    has full rank.  Without ``limit`` (a sweep of fewer than 3 mu values) the
-    warm start is F.
+    has full rank.
     """
-    if limit is None:
-        return previous
     d = limit_distance(previous, limit)
     order = limit_order([d, limit_distance(configured, limit)], mus)
     step = mus[0] / mus[1]
@@ -547,12 +544,11 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
     of it, its best frame is rotation-polished, and if that lowers its best
     objective by more than ``REPOLISH_GAIN`` (relative), the start restarts
     from the polished frame as if it started there (Q = P = best = polished,
-    zero multipliers, that objective).  Otherwise P_k is polished to P' (the
-    best frame's polish, if P_k is bitwise the best frame), and if that lowers
-    its objective, the start turns by R = w P' P_k^T (rows storage): Q, b, B
-    become R Q, R b, R B, P_k becomes P', and P' becomes its best if it is
-    below the best.  Either way the start keeps its count,
-    trace and streak.
+    zero multipliers, that objective).  Otherwise P_k is polished to P', and
+    if that lowers its objective, the start turns by R = w P' P_k^T (rows
+    storage): Q, b, B become R Q, R b, R B, P_k becomes P', and P' becomes its
+    best if it is below the best.  Either way the start keeps its count, trace
+    and streak.
 
     A running start's state is one entry of each array in one fixed-order
     list, all aligned with the block: its slabs of Q, P, b, B and of its best
@@ -675,11 +671,8 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
                     continue
                 # or turn the whole state by the rotation R that polishes P:
                 # the solve acts on nodes and the projection is equivariant, so
-                # only the prox tells the turned state apart from R times the old;
-                # when P_k is bitwise the best frame (always, while best is P),
-                # its polish is the one just made
-                if best is not P and best[i].tobytes() != P[i].tobytes():
-                    rows, value = polished(P[i], mu[i])
+                # only the prox tells the turned state apart from R times the old
+                rows, value = polished(P[i], mu[i])
                 if value < obj[i]:
                     R = w * (rows @ P[i].T)
                     Q[i], b[i], B[i] = R @ Q[i], R @ b[i], R @ B[i]
