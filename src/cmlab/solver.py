@@ -38,20 +38,19 @@ predictor-corrector continuation, Allgower & Georg).
 The objective's energy cannot tell apart rotations of a frame within its span;
 only the L1 term turns a frame in that direction, and slowly (the gauge
 freedom of maximally localized Wannier functions, Marzari & Vanderbilt 1997).
-A random start that has found the span can drift inside it with a step above
-``tol`` for thousands of iterations.  So every ``REPOLISH_EVERY`` iterations,
-a random start whose step lies within the span it left (at most
-``REPOLISH_SPAN`` of it outside) has its best frame rotation-polished, and
-restarts from the polished frame if that lowers its best objective by more
-than ``REPOLISH_GAIN`` (relative).  Otherwise its current iterate is polished,
-and if that lowers its objective, the start's whole splitting state turns by
-the polishing rotation (a gauge turn, multipliers kept): the shifted solve
-acts on nodes and the polar projection is equivariant, so the turned state
-iterates as the rotated old one but for the prox, which is not equivariant;
-hence the turn is taken only when it lowers the objective.  The decisions are
-the start's own, so its run stays the same in any block.  Eigen and warm
-starts are never re-polished or turned: measured, re-polishing raised some of
-their results.
+A start that has found the span can drift inside it with a step above ``tol``
+for thousands of iterations.  So every ``REPOLISH_EVERY`` iterations, a start
+whose step lies within the span it left (at most ``REPOLISH_SPAN`` of it
+outside) has its best frame rotation-polished, and restarts from the polished
+frame if that lowers its best objective by more than ``REPOLISH_GAIN``
+(relative).  Otherwise its current iterate is polished, and if that lowers its
+objective, the start's whole splitting state turns by the polishing rotation
+(a gauge turn, multipliers kept): the shifted solve acts on nodes and the
+polar projection is equivariant, so the turned state iterates as the rotated
+old one but for the prox, which is not equivariant; hence the turn is taken
+only when it lowers the objective.  The drift belongs to the span, not to how
+a start was made, so eigen, random and warm starts share the rule; its
+decisions are the start's own, so its run stays the same in any block.
 
 The problem is non-convex, so nothing certifies global optimality.  What the
 solver does certify: every returned frame is feasible (orthonormal to 1e-8),
@@ -64,6 +63,7 @@ consistency experiments lean on.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 
@@ -81,7 +81,7 @@ from .regularizer import Regularizer, ZeroRegularizer
 OBJECTIVE_REL_TOL = 1e-10
 STREAK_REQUIRED = 3
 POLISH_SWEEPS = 30
-# the drift re-polish of random starts (see ``_lockstep``)
+# the drift re-polish of every start (see ``_lockstep``)
 REPOLISH_EVERY = 25
 REPOLISH_SPAN = 0.01
 REPOLISH_GAIN = 1e-9
@@ -131,14 +131,19 @@ class SolverConfig:
     starts: tuple[str | ModeSet, ...] = ("eigen", "random:1", "random:2")
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.penalty is not None and self.penalty <= 0:
-            raise ValueError("penalty must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError("mu must be positive and finite")
+        if self.penalty is not None and not (math.isfinite(self.penalty) and self.penalty > 0):
+            raise ValueError("penalty must be positive and finite")
+        try:  # numpy integers too, but not a bool
+            max_iters = None if isinstance(self.max_iters, bool) else operator.index(self.max_iters)
+        except TypeError:
+            max_iters = None
+        if max_iters is None or max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters", max_iters)
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
         object.__setattr__(self, "starts", tuple(self.starts))
         if not self.starts:
             raise ValueError("need at least one start")
@@ -206,13 +211,13 @@ def rotation_polish(matrix: np.ndarray, w: float, J: Regularizer) -> np.ndarray:
     never increases the objective; it jump-starts the splitting iteration at
     the well-localized rotation instead of leaving that (energy-neutral,
     hence weakly forced) direction to the slow shrinkage dynamics.  Every
-    start is polished once before it runs, and a random start's best frame
-    (then, maybe, its current iterate) again whenever its run drifts inside
-    its span (see ``_lockstep``).  Up to
-    ``POLISH_SWEEPS`` greedy sweeps of pairwise Givens rotations: the L1 sum
-    of a turned pair is concave in the angle between the breakpoints where one
-    of its rows turns onto an axis, so its exact minimum is at one of them
-    (``_pair_angle``), and the pair turns there if that saves over 1e-13.
+    start is polished once before it runs, and its best frame (then, maybe,
+    its current iterate) again whenever its run drifts inside its span (see
+    ``_lockstep``).  Up to ``POLISH_SWEEPS`` greedy sweeps of pairwise Givens
+    rotations: the L1 sum of a turned pair is concave in the angle between the
+    breakpoints where one of its rows turns onto an axis, so its exact minimum
+    is at one of them (``_pair_angle``), and the pair turns there if that saves
+    over 1e-13.
     """
     if matrix.shape[1] < 2 or isinstance(J, ZeroRegularizer):
         return matrix
@@ -289,12 +294,11 @@ def solve_sweep(
     ``limit_frame(H, J, N, eigs)``, built once for a schedule that makes a
     warm start.  Every mu is validated before any factorization.  Then
     the configured starts of all mu values run as one lockstep block (each
-    start rotation-polished once, as the polish does not depend on mu; the
-    random ones are flagged for re-polishing), which gives every mu's
-    configured winner before any warm start is made.  Last, in schedule
-    order, each later mu's warm start is polished from its frame and runs
-    alone.  A run is bitwise the same in any block, so these are the chain's
-    results.
+    start rotation-polished once, as the polish does not depend on mu), which
+    gives every mu's configured winner before any warm start is made.  Last,
+    in schedule order, each later mu's warm start is polished from its frame
+    and runs alone, under the drift rule of every start.  A run is bitwise the
+    same in any block, so these are the chain's results.
     """
     n = H.node_count
     if not 1 <= N <= n:
@@ -310,10 +314,9 @@ def solve_sweep(
     w = H.grid.cell_volume
 
     polished = [rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in config.starts]
-    repolish = [isinstance(s, str) and s.startswith("random:") for s in config.starts]
     S = len(polished)
     # mu-major: every start at the first mu, then every start at the next one
-    block_starts = [(x, cfg.mu, r, f) for cfg, r in zip(configs, penalties) for x, f in zip(polished, repolish)]
+    block_starts = [(x, cfg.mu, r) for cfg, r in zip(configs, penalties) for x in polished]
     block = _lockstep(H, J, w, block_starts, solvers, config.max_iters, config.tol)
 
     limit = limit_frame(H, J, N, eigs) if len(configs) > 1 else None
@@ -324,7 +327,7 @@ def solve_sweep(
             configured = _result(H.grid, starts, runs).modes
             warm = warm_start(results[-1].modes, (configs[i - 1].mu, cfg.mu), limit, configured)
             x = rotation_polish(_start_matrix(warm, H, N, eigs), w, J)
-            runs += _lockstep(H, J, w, [(x, cfg.mu, r, False)], solvers, config.max_iters, config.tol)
+            runs += _lockstep(H, J, w, [(x, cfg.mu, r)], solvers, config.max_iters, config.tol)
             starts += (warm,)
         results.append(_result(H.grid, starts, runs))
     return results
@@ -518,14 +521,14 @@ def _off_span(moved: np.ndarray, frame: np.ndarray, w: float) -> float:
 
 
 def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> _Run:
-    """One splitting iteration chain from one (node_count, N) start, never re-polished."""
+    """One splitting iteration chain from one (node_count, N) start: ``_lockstep`` of that start alone."""
     _shrink_step(config.mu, penalty)
     solvers = {penalty: shifted_solve}
-    return _lockstep(H, J, w, [(x0, config.mu, penalty, False)], solvers, config.max_iters, config.tol)[0]
+    return _lockstep(H, J, w, [(x0, config.mu, penalty)], solvers, config.max_iters, config.tol)[0]
 
 
 def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
-    """Splitting iteration chains from (start (node_count, N), mu, penalty, repolish) tuples, in lockstep.
+    """Splitting iteration chains from (start (node_count, N), mu, penalty) tuples, in lockstep.
 
     ``solvers`` maps each penalty to the shifted solve of H + penalty I.  The
     block holds one (N, node_count) slab per running start, one mode per row,
@@ -538,8 +541,8 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
     trace, and leaves the block when it stops.  The runs come back in the order
     of ``starts``.
 
-    When k is a multiple of ``REPOLISH_EVERY``, each start with ``repolish``
-    set is checked: if its step P_k - P_{k-1} is above ``tol`` and the largest
+    When k is a multiple of ``REPOLISH_EVERY``, every running start whose step
+    P_k - P_{k-1} is above ``tol`` is due for a drift check: if the largest
     w-norm of a mode's step outside span(P_{k-1}) is at most ``REPOLISH_SPAN``
     of it, its best frame is rotation-polished, and if that lowers its best
     objective by more than ``REPOLISH_GAIN`` (relative), the start restarts
@@ -552,15 +555,15 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
 
     A running start's state is one entry of each array in one fixed-order
     list, all aligned with the block: its slabs of Q, P, b, B and of its best
-    iterate, then its index in ``starts``, mu, penalty, repolish flag, restart
-    and turn counts, objective, best objective and convergence streak, then
-    its rows of the objective and defect traces, whose columns grow
-    geometrically with the iterations run.  The list is built once, and
-    whenever a start leaves, one mask drops it from every array.  While the
-    block runs, only the iteration's own names hold its arrays, which are
-    updated in place where that keeps the order of operations; while a mask
-    drops a start, only the list holds them, and each array is freed as its
-    masked copy replaces it.  So few copies of the block are alive at once.
+    iterate, then its index in ``starts``, mu, penalty, restart and turn
+    counts, objective, best objective and convergence streak, then its rows
+    of the objective and defect traces, whose columns grow geometrically with
+    the iterations run.  The list is built once, and whenever a start leaves,
+    one mask drops it from every array.  While the block runs, only the
+    iteration's own names hold its arrays, which are updated in place where
+    that keeps the order of operations; while a mask drops a start, only the
+    list holds them, and each array is freed as its masked copy replaces it.
+    So few copies of the block are alive at once.
     """
     n, N = starts[0][0].shape
     eye = np.eye(N)
@@ -588,20 +591,19 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
     # the transposed frames (as np.stack keeps them) rounds differently
     P = np.array([s[0].T for s in starts])
     mu, penalty = (np.array([s[j] for s in starts], dtype=float) for j in (1, 2))
-    repolish = np.array([s[3] for s in starts], dtype=bool)
     obj = feasible_objectives(P, mu)
     zeros, trace = np.zeros(len(starts), dtype=int), np.empty((len(starts), min(max_iters, 64)))
-    # Q, P, b, B, best; index, mu, penalty, repolish, restarts, turns; obj,
-    # best_obj, streak; the objective and defect trace rows
+    # Q, P, b, B, best; index, mu, penalty, restarts, turns; obj, best_obj,
+    # streak; the objective and defect trace rows
     state = [P.copy(), P, np.zeros_like(P), np.zeros_like(P), P.copy()]
-    state += [np.arange(len(starts)), mu, penalty, repolish, zeros, zeros.copy()]
+    state += [np.arange(len(starts)), mu, penalty, zeros, zeros.copy()]
     state += [obj, obj.copy(), zeros.copy(), trace, trace.copy()]
     runs = [None] * len(starts)  # each set when its start leaves
     k = 0  # the iterations run by every start in the block
 
     while True:  # once per change to the block
-        Q, P, b, B, best, index, mu, penalty, repolish, restarts, turns = state[:11]
-        obj, best_obj, streak, objectives, defects = state[11:]
+        Q, P, b, B, best, index, mu, penalty, restarts, turns = state[:10]
+        obj, best_obj, streak, objectives, defects = state[10:]
         del state  # the iteration's names alone hold the block while it runs
         if not index.size:
             return runs
@@ -640,9 +642,9 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
             change = np.sqrt(w * np.vecdot(moved, moved)).max(axis=1)
             drifting = []
             if k % REPOLISH_EVERY == 0:
-                # the flagged starts whose step, above tol, lies within the span
-                # they left: they drift in it
-                due = np.flatnonzero(repolish & (change > tol)).tolist()
+                # the starts whose step, above tol, lies within the span they
+                # left: they drift in it
+                due = np.flatnonzero(change > tol).tolist()
                 drifting = [i for i in due if _off_span(moved[i], P[i], w) <= REPOLISH_SPAN * change[i]]
             del moved
             P = next_P
@@ -700,7 +702,7 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
                 defects=defects[i, :k].copy(),  # keeps a whole trace buffer alive
             )
         keep = ~done
-        state = [Q, P, b, B, best, index, mu, penalty, repolish, restarts, turns]
+        state = [Q, P, b, B, best, index, mu, penalty, restarts, turns]
         state += [obj, best_obj, streak, objectives, defects]
         del Q, P, b, B, best  # the list alone holds the block while the mask drops
         for i in range(len(state)):

@@ -407,6 +407,19 @@ def test_solver_config_validation():
         SolverConfig(mu=1.0, tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(mu=1.0, starts=())
+    # non-finite numbers, which would otherwise run every start to the cap
+    # (tol) or fail inside the run, after the eigensolve (mu, penalty)
+    for field in ("mu", "penalty", "tol"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+                SolverConfig(**{"mu": 1.0, field: bad})
+    # an iteration cap is an integer: not a float, even a whole one, nor a bool
+    for bad in (100.0, True, False, "100", None, np.float64(5.0)):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            SolverConfig(mu=1.0, max_iters=bad)
+    for count in (np.int64(5), np.uint8(5)):
+        cap = SolverConfig(mu=1.0, max_iters=count).max_iters
+        assert cap == 5 and type(cap) is int
     # the one statement of the start syntax: the config parser reports the same text
     for start in ("random:-1", "warm", 3, "random:", "eigen "):
         for starts in ((start,), ("eigen", start)):
@@ -557,8 +570,8 @@ def _lockstep_cases(draw):
     starts = tuple(draw(st.lists(start, min_size=3, max_size=4)))
     cfg = SolverConfig(
         mu=draw(st.floats(0.5, 200.0)),
-        # enough for one start to leave while others run, and for the drift
-        # checks at 50, 100 and 150
+        # enough for one start to leave while others run, and for two to
+        # eight drift checks, one every 25 iterations
         max_iters=draw(st.integers(60, 200)),
         starts=starts,
     )
@@ -567,16 +580,17 @@ def _lockstep_cases(draw):
 
 
 def _solo(H, J, cfg, start, solve):
-    """The run of one (frame, mu, penalty, repolish) start alone in its block."""
-    return _lockstep(H, J, H.grid.cell_volume, [start], {start[2]: solve}, cfg.max_iters, cfg.tol)[0]
+    """The run of one (frame, mu, penalty) start alone: ``_splitting_run``, the form the tracer wraps."""
+    frame, mu, penalty = start
+    return _splitting_run(H, J, replace(cfg, mu=mu), penalty, solve, H.grid.cell_volume, frame)
 
 
 def _lockstep_matches_solo_runs(H, J, cfg, starts):
     """The runs of one block of ``starts``.
 
-    Each (frame, mu, penalty, repolish) start's run must be bitwise its solo run.
+    Each (frame, mu, penalty) start's run must be bitwise its solo run.
     """
-    solvers = {r: _build_shifted_solver(H, r) for _, _, r, _ in starts}
+    solvers = {r: _build_shifted_solver(H, r) for _, _, r in starts}
     runs = _lockstep(H, J, H.grid.cell_volume, starts, solvers, cfg.max_iters, cfg.tol)
     assert len(runs) == len(starts)
     for run, start in zip(runs, starts):
@@ -600,23 +614,20 @@ def test_lockstep_runs_match_solo_runs(case, data):
     cfg = replace(cfg, penalty=penalty)
     w = H.grid.cell_volume
     x0 = [rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in cfg.starts]
-    repolish = [s.startswith("random:") for s in cfg.starts]  # as solve_cm flags them
     # one to three multiples of the default penalty, taken by the starts in
     # turn, so that the block must group interleaved penalties; and a distinct
     # mu per start, so that a slab that took another's mu shows
     factors = data.draw(st.permutations([1.0, 2.0, 0.5]), label="factors")[: data.draw(st.integers(1, 3))]
     mus = [cfg.mu * f for f in data.draw(st.permutations([1.0, 3.0, 0.3, 10.0]), label="mu factors")]
-    starts = [
-        (x, mus[i], penalty * factors[i % len(factors)], f) for i, (x, f) in enumerate(zip(x0, repolish))
-    ]
+    starts = [(x, mus[i], penalty * factors[i % len(factors)]) for i, x in enumerate(x0)]
     runs = _lockstep_matches_solo_runs(H, J, cfg, starts)
 
     # each start's run at the configured mu and the default penalty, which
     # solve_cm gives them all
     solve = _build_shifted_solver(H, penalty)
     at_default = [
-        run if (m, r) == (cfg.mu, penalty) else _solo(H, J, cfg, (x, cfg.mu, penalty, f), solve)
-        for run, (x, m, r, f) in zip(runs, starts)
+        run if (m, r) == (cfg.mu, penalty) else _solo(H, J, cfg, (x, cfg.mu, penalty), solve)
+        for run, (x, m, r) in zip(runs, starts)
     ]
     res = solve_cm(H, J, N, cfg, eigs=eigs)
     assert res.start_objectives == tuple(run.best_objective for run in at_default)
@@ -653,7 +664,7 @@ def test_lockstep_groups_interleaved_penalties_at_block_build(dim, boundary):
     names = ("eigen", "random:1", "random:2", "random:3", "random:4")
     x0 = [_start_matrix(s, H, 2, eigs) for s in names]
     penalties = [penalty * f for f in (1.0, 2.0, 0.5, 2.0, 0.5)]
-    starts = [(x, cfg.mu, r, False) for x, r in zip(x0, penalties)]
+    starts = [(x, cfg.mu, r) for x, r in zip(x0, penalties)]
     runs = _lockstep_matches_solo_runs(H, L1, cfg, starts)
     assert runs[0].converged and runs[0].iterations < min(run.iterations for run in runs[1:])
 
@@ -689,7 +700,7 @@ def test_trace_buffers_grow_past_first_block(small_box_H):
     assert tuple(solo.trace) == res.trace and solo.best_objective == res.objective
 
 
-# --- drift: a random start re-polished inside its span ----------------------------------
+# --- drift: a start re-polished inside its span ----------------------------------------
 
 
 def test_repolished_slabs_restart_mid_run_as_they_would_alone():
@@ -705,59 +716,53 @@ def test_repolished_slabs_restart_mid_run_as_they_would_alone():
     x0 = [rotation_polish(_start_matrix(s, H, 3, eigs), w, L1) for s in names]
     mus = (10.0, 5.0, 20.0, 40.0, 10.0, 7.0)
     factors = (1.0, 2.0, 0.5, 1.0, 2.0, 0.5)
-    starts = [(x, mu, penalty * f, s != "eigen") for x, mu, f, s in zip(x0, mus, factors, names)]
+    starts = [(x, mu, penalty * f) for x, mu, f in zip(x0, mus, factors)]
     runs = _lockstep_matches_solo_runs(H, L1, cfg, starts)
     assert [run.restarts for run in runs] == [0, 1, 1, 1, 1, 1]
     assert all(run.converged for run in runs)
     assert runs[0].iterations < min(run.iterations for run in runs[1:])
 
 
-def test_repolished_reference_start_converges_below_its_unflagged_run(box_H, box_eigs):
-    # random:11 at mu = 5 on the reference box: unflagged it drifts inside the
-    # eigen span until the cap; re-polished, it converges lower
+def test_reference_start_alone_is_its_sweep_run(box_H, box_eigs):
+    # random:11 at mu = 5 on the reference box, run alone, is the sweep's
+    # run: it drifts inside the eigen span, restarts twice from its
+    # re-polished best frame, turns once and converges
     cfg = SolverConfig(mu=5.0, max_iters=1500)
     w = box_H.grid.cell_volume
     penalty = default_penalty(cfg.mu, float(box_eigs.eigenvalues[1]))
-    solve = _build_shifted_solver(box_H, penalty)
     x = rotation_polish(_start_matrix("random:11", box_H, 2, box_eigs), w, L1)
-    plain, repolished = (_solo(box_H, L1, cfg, (x, cfg.mu, penalty, f), solve) for f in (False, True))
-    assert (plain.iterations, plain.converged, plain.restarts) == (1500, False, 0)
-    assert repolished.converged and repolished.iterations < 1500 and repolished.restarts >= 1
-    assert repolished.best_objective <= plain.best_objective
+    run = _solo(box_H, L1, cfg, (x, cfg.mu, penalty), _build_shifted_solver(box_H, penalty))
+    assert (run.iterations, run.restarts, run.turns, run.converged) == (298, 2, 1, True)
+    assert run.best_objective == pytest.approx(24.991966531897788, rel=1e-12, abs=0)
 
 
-def test_eigen_and_warm_starts_are_never_repolished():
-    # re-polished, the eigen start at mu = 5 and 10 would each restart and end
-    # higher (by about 1.7e-9); the warm start at mu = 10, predicted from the
-    # limit frame, converges in 95 iterations either way.  In a sweep they run
-    # exactly as they do unflagged, never restarting or turning
+def test_eigen_start_restarts_from_its_repolished_best_frame():
+    # the drift check takes every start: on a 128-node box with N = 3 the
+    # eigen start at mu = 5 drifts, restarts once from its re-polished best
+    # frame, converges in 161 iterations and still wins
     H = HamiltonianOperator(Grid(1, (1.0,), (128,), "dirichlet"))
     eigs = reference_eigenpairs(H, 3)
-    cfg = SolverConfig(mu=5.0, max_iters=1500, starts=("eigen", "random:1"))
-    swept = solve_sweep(H, L1, 3, [5.0, 10.0], cfg, eigs=eigs)
-    configured = solve_cm(H, L1, 3, replace(cfg, mu=10.0), eigs=eigs).modes
-    warm = warm_start(swept[0].modes, (5.0, 10.0), limit_frame(H, L1, 3, eigs), configured)
-    assert warm is not swept[0].modes
-    w = H.grid.cell_volume
-    frames = [("eigen", 0, 0), ("eigen", 1, 0), (warm, 1, 2)]  # (start, mu index, run index)
-    for start, i, k in frames:
-        mu = (5.0, 10.0)[i]
-        penalty = default_penalty(mu, float(eigs.eigenvalues[2]))
-        solve = _build_shifted_solver(H, penalty)
-        x = rotation_polish(_start_matrix(start, H, 3, eigs), w, L1)
-        plain, repolished = (_solo(H, L1, cfg, (x, mu, penalty, f), solve) for f in (False, True))
-        result = swept[i]
-        assert result.start_restarts[k] == plain.restarts == 0
-        assert result.start_turns[k] == plain.turns == 0
-        assert result.start_objectives[k] == plain.best_objective
-        assert result.start_iterations[k] == plain.iterations
-        if k == result.start_labels.index(result.winner_start):
-            np.testing.assert_array_equal(result.modes.matrix, plain.best_matrix)
-            assert result.trace == tuple(plain.trace)
-        if k == 0:
-            assert repolished.restarts == 1 and repolished.best_objective > plain.best_objective
-        else:
-            assert (repolished.restarts, repolished.best_objective) == (0, plain.best_objective)
+    schedule = [5.0, 10.0]
+    cfg = SolverConfig(mu=schedule[0], max_iters=1500, starts=("eigen", "random:1"))
+    swept = solve_sweep(H, L1, 3, schedule, cfg, eigs=eigs)
+    _assert_sweep_is_chain(swept, H, L1, 3, schedule, cfg, eigs)
+    first = swept[0]
+    assert (first.start_restarts[0], first.start_iterations[0]) == (1, 161)
+    assert first.winner_start == "eigen" and first.converged
+
+
+def test_warm_start_restarts_from_its_repolished_best_frame():
+    # the warm starts too: on a 64-node box with N = 2 the predicted warm
+    # start restarts once at mu = 10 and once at mu = 20
+    H = HamiltonianOperator(Grid(1, (1.0,), (64,), "dirichlet"))
+    eigs = reference_eigenpairs(H, 2)
+    schedule = [5.0, 10.0, 20.0, 40.0]
+    cfg = SolverConfig(mu=schedule[0], max_iters=1500, starts=("eigen", "random:1", "random:2"))
+    swept = solve_sweep(H, L1, 2, schedule, cfg, eigs=eigs)
+    _assert_sweep_is_chain(swept, H, L1, 2, schedule, cfg, eigs)
+    assert [r.start_labels[3] for r in swept[1:]] == ["warm"] * 3
+    assert [r.start_restarts[3] for r in swept[1:]] == [1, 1, 0]
+    assert all(r.start_converged[3] for r in swept[1:])
 
 
 def _turning_box():
@@ -784,12 +789,12 @@ def test_a_turn_rotates_the_iterate_within_its_span(monkeypatch):
         return out
 
     def checked(*args):
-        checks.append([])  # a flagged start due at a drift check, then its polishes
+        checks.append([])  # a start due at a drift check, then its polishes
         return off_span(*args)
 
     monkeypatch.setattr(solver, "rotation_polish", polished)
     monkeypatch.setattr(solver, "_off_span", checked)
-    run = _solo(H, L1, cfg, (x, cfg.mu, penalty, True), _build_shifted_solver(H, penalty))
+    run = _solo(H, L1, cfg, (x, cfg.mu, penalty), _build_shifted_solver(H, penalty))
     assert (run.restarts, run.turns, run.converged) == (1, 1, True)
 
     def gain(frame, rotated):
@@ -825,7 +830,7 @@ def test_turning_slabs_match_their_solo_runs():
     x0 = [rotation_polish(_start_matrix(s, H, 2, eigs), w, L1) for s in names]
     mus = (10.0, 5.0, 10.0, 20.0, 40.0, 80.0)
     factors = (1.0, 2.0, 1.0, 0.5, 1.0, 2.0)
-    starts = [(x, mu, penalty * f, s != "eigen") for x, mu, f, s in zip(x0, mus, factors, names)]
+    starts = [(x, mu, penalty * f) for x, mu, f in zip(x0, mus, factors)]
     runs = _lockstep_matches_solo_runs(H, L1, cfg, starts)
     assert runs[0].turns == 0 and sum(run.turns > 0 for run in runs) >= 3
     assert all(run.converged for run in runs)
