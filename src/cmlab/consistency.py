@@ -9,6 +9,11 @@ regularization weight fades; the sweep's report is the ``sweep.json``
 document itself, a plain dict.  The sweep's solves come from
 ``solver.solve_sweep``, which runs the configured starts of every mu as one
 lockstep block, then the warm-start chain one start at a time.
+
+The two property suites of ``cmlab verify`` (column masses, gap bound) run
+through one seeded-case loop: case s draws only from the Philox stream keyed
+by s, and the check arithmetic runs once per chunk of cases, on the cases'
+draws joined into one stack, with the bits each case gets alone.
 """
 
 from __future__ import annotations
@@ -41,6 +46,11 @@ COLUMN_MASS_MAX_ROWS = 8
 COLUMN_MASS_MAX_COLS = 64
 GAP_BOUND_SLACK_LIMIT = 1e-8
 CASE_SEED_LIMIT = 2**128  # a case seed is a Philox key, two 64-bit words
+# cases per stacked pass of each verify suite.  Against these sizes, the peak
+# RSS of ``cmlab verify --cases 2500`` rose by about 0.6 MB with 64-frame
+# gap-bound chunks, and by about 4 MB with all 2,500 column-mass cases in one
+COLUMN_MASS_CHUNK = 256
+GAP_BOUND_CHUNK = 16
 
 
 class AlignmentError(RuntimeError):
@@ -97,7 +107,11 @@ def procrustes_align(F: ModeSet, Phi: ModeSet) -> tuple[np.ndarray, float, ModeS
 
 
 def coefficients(F: ModeSet, eigs: EigenSystem, K: int) -> np.ndarray:
-    """The (N, K) coefficients a_ik = <f_i, phi_k> up to expansion depth K."""
+    """The (N, K) coefficients a_ik = <f_i, phi_k> up to expansion depth K.
+
+    One row per column of ``F``: the columns of several frames side by side
+    give their coefficient rows stacked.
+    """
     if K < 1 or K > eigs.count:
         raise ValueError(f"depth K must be in [1, {eigs.count}], got {K}")
     if F.grid != eigs.modes.grid:
@@ -106,31 +120,34 @@ def coefficients(F: ModeSet, eigs: EigenSystem, K: int) -> np.ndarray:
     return w * (F.matrix.T @ eigs.modes.matrix[:, :K])
 
 
-def gap_lower_bound(coeffs: np.ndarray, eigs: EigenSystem, N: int) -> float:
+def gap_lower_bound(coeffs: np.ndarray, eigs: EigenSystem, N: int) -> float | np.ndarray:
     """sum_{l<=N} (1 - b_l)(lambda_{N+1} - lambda_l), from the (N, K) ``coefficients``.
 
     ``b_l``, the sum over modes of the squared coefficients of eigenfunction
     l, is the mass the frame captures from it.  Each summand is nonnegative
     by the ordering of the eigenvalues and the column-mass bound b_l <= 1;
     tiny negative excursions (roundoff) are clamped, anything beyond 1e-10 is
-    an error.
+    an error.  ``coeffs`` may be a stack (..., N, K) of frames' coefficients:
+    each frame is bounded on its own, with the same bits as alone, and the
+    bounds come back as an array of shape (...); one frame gives a float.
     """
     if eigs.count < N + 1:
         raise ValueError(f"need at least {N + 1} eigenpairs, have {eigs.count}")
-    if coeffs.shape[1] < N:
+    if coeffs.shape[-1] < N:
         raise ValueError("coefficient depth is smaller than N")
-    col_mass = (coeffs**2).sum(axis=0)
+    col_mass = (coeffs**2).sum(axis=-2)[..., :N]
     lam = eigs.eigenvalues
-    total = 0.0
-    for l in range(N):
-        deficit = 1.0 - float(col_mass[l])
-        gap_l = float(lam[N] - lam[l])
-        if deficit < -COLUMN_MASS_TOL:
-            raise ValueError(f"column mass {col_mass[l]} exceeds 1 beyond tolerance")
-        if gap_l < -COLUMN_MASS_TOL:
-            raise ValueError("eigenvalues are not sorted nondecreasing")
-        total += max(deficit, 0.0) * max(gap_l, 0.0)
-    return total
+    deficit = 1.0 - col_mass
+    gap = lam[N] - lam[:N]
+    if (deficit < -COLUMN_MASS_TOL).any():
+        raise ValueError(f"column mass {col_mass[deficit < -COLUMN_MASS_TOL][0]} exceeds 1 beyond tolerance")
+    if (gap < -COLUMN_MASS_TOL).any():
+        raise ValueError("eigenvalues are not sorted nondecreasing")
+    terms = np.maximum(deficit, 0.0) * np.maximum(gap, 0.0)
+    total = np.zeros(terms.shape[:-1])
+    for l in range(N):  # summed in mode order
+        total += terms[..., l]
+    return float(total) if total.ndim == 0 else total
 
 
 def _haar_rows(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -181,24 +198,56 @@ def _case_rng(seed: int) -> np.random.Generator:
     return _CASE_RNG
 
 
-def _seeded_cases(cases: int, seed: int, value, limit: float):
-    """(worst, violating seeds) of ``value(seed + i)`` over i < ``cases``.
+def _seeded_cases(cases: int, seed: int, values, limit: float, chunk: int):
+    """(worst, violating seeds) of the cases ``seed`` to ``seed + cases - 1``.
 
-    A case draws only from its seed, which keys ``_case_rng``: no case sees
-    another's draws, and any case replays alone.  A case violates unless its
-    value is ``<= limit``, so a NaN case violates, and the worst value is NaN
-    whenever any case is NaN.
+    ``values`` takes a range of at most ``chunk`` consecutive case seeds and
+    returns their values in order, so each suite checks a chunk of cases in
+    one stacked pass.  A case still draws only from its seed, which keys
+    ``_case_rng``: no case sees another's draws, and any case replays alone,
+    as a range of one, with the same bits.  Only the running worst value and
+    the violating seeds are kept, not a value per case.  A case violates
+    unless its value is ``<= limit``, so a NaN case violates, and the worst
+    value is NaN whenever any case is NaN.
     """
     if cases < 1:
         raise ValueError("cases must be at least 1")
-    values = np.array([value(seed + i) for i in range(cases)])
-    return float(values.max()), [seed + i for i, v in enumerate(values) if not v <= limit]
+    worst, violations = -np.inf, []
+    end = seed + cases
+    for start in range(seed, end, chunk):
+        seeds = range(start, min(start + chunk, end))
+        batch = values(seeds)
+        worst = np.maximum(worst, batch.max())  # a NaN stays the worst
+        violations += [seeds[i] for i in np.flatnonzero(~(batch <= limit))]
+    return float(worst), violations
 
 
 def column_mass_case_sizes(seed: int) -> tuple[int, int]:
     """(rows, cols) of column-mass case ``seed``, uniform over runs of seeds (37 is prime to each 65 - rows)."""
     rows = 1 + seed % COLUMN_MASS_MAX_ROWS
     return rows, rows + (seed // COLUMN_MASS_MAX_ROWS) * 37 % (COLUMN_MASS_MAX_COLS + 1 - rows)
+
+
+def _column_masses(cases) -> np.ndarray:
+    """Max column mass of each ``(rows, cols, seed)`` case, one stacked pass per rows value.
+
+    Each case draws its rows alone (``_haar_rows`` on ``_case_rng(seed)``).
+    The cases of one rows value are joined side by side, as the rows x cols
+    blocks of one C-ordered rows x total array, whose column sums run down
+    the rows in order, as they do for a case alone: a pairwise sum along
+    the rows would move the bits.  A case's mass is the exact maximum of its
+    own column sums, so it has the same bits in any batch.
+    """
+    blocks = [_haar_rows(rows, cols, _case_rng(seed)).T for rows, cols, seed in cases]
+    groups = {}
+    for i, block in enumerate(blocks):
+        groups.setdefault(block.shape[0], []).append(i)
+    masses = np.empty(len(blocks))
+    for members in groups.values():
+        sums = (np.concatenate([blocks[i] for i in members], axis=1) ** 2).sum(axis=0)
+        starts = np.cumsum([0] + [blocks[i].shape[1] for i in members[:-1]])
+        masses[members] = np.maximum.reduceat(sums, starts)
+    return masses
 
 
 def column_mass_lemma_check(rows: int, cols: int, seed: int) -> float:
@@ -210,12 +259,13 @@ def column_mass_lemma_check(rows: int, cols: int, seed: int) -> float:
     (``_case_rng``; bitwise ``Generator(Philox(key=seed))``): the orthonormal
     factor of a thin ``cols x rows`` Gaussian, which has their law; Q itself
     is never drawn.  ``seed`` must be in [0, 2**128); anything else raises
-    ``ValueError``.  It replays case s of ``column_mass_suite`` as
-    ``column_mass_lemma_check(*column_mass_case_sizes(s), s)``.
+    ``ValueError``.  It is the suite's stacked check on a batch of one, so
+    ``column_mass_lemma_check(*column_mass_case_sizes(s), s)`` replays case
+    s of ``column_mass_suite`` bit for bit.
     """
     if rows < 1 or cols < rows:
         raise ValueError("need 1 <= rows <= cols")
-    return float((_haar_rows(rows, cols, _case_rng(seed)) ** 2).sum(axis=1).max())
+    return float(_column_masses([(rows, cols, seed)])[0])
 
 
 def column_mass_suite(cases: int, seed: int):
@@ -223,9 +273,29 @@ def column_mass_suite(cases: int, seed: int):
 
     Case s, for s from ``seed`` to ``seed + cases - 1``, is exactly
     ``column_mass_lemma_check(*column_mass_case_sizes(s), s)``: no draw decides its sizes.
+    ``COLUMN_MASS_CHUNK`` cases are checked per stacked pass.
     """
-    mass = lambda s: column_mass_lemma_check(*column_mass_case_sizes(s), s)
-    return _seeded_cases(cases, seed, mass, 1.0 + COLUMN_MASS_TOL)
+    masses = lambda seeds: _column_masses([(*column_mass_case_sizes(s), s) for s in seeds])
+    return _seeded_cases(cases, seed, masses, 1.0 + COLUMN_MASS_TOL, COLUMN_MASS_CHUNK)
+
+
+def _gap_bound_slacks(H: HamiltonianOperator, eigs: EigenSystem, N: int, seeds) -> np.ndarray:
+    """bound - |E(F) - E0| of the frame of each case seed, in one stacked pass.
+
+    Frame s is the first K = ``eigs.count`` eigenfunctions times
+    ``_haar_rows(N, K, _case_rng(s))``, drawn alone.  The frames are joined
+    as the columns of one ``ModeSet``, so one product forms them all, one
+    ``coefficients`` product and one ``H.apply_array`` serve them all, and
+    ``gap_lower_bound`` bounds their stack.  No column's arithmetic reads
+    another frame's, and a batch of one is the frame alone, which the tests
+    compare bit for bit across a chunk boundary.
+    """
+    K = eigs.count
+    rotations = np.concatenate([_haar_rows(N, K, _case_rng(s)) for s in seeds], axis=1)
+    frames = ModeSet(H.grid, eigs.modes.matrix @ rotations)
+    bounds = gap_lower_bound(coefficients(frames, eigs, K).reshape(-1, N, K), eigs, N)
+    energies = mode_energies(H, frames).reshape(-1, N).sum(axis=1)
+    return bounds - np.abs(energies - float(eigs.eigenvalues[:N].sum()))
 
 
 def gap_bound_suite(H: HamiltonianOperator, N: int, cases: int, seed: int):
@@ -234,20 +304,13 @@ def gap_bound_suite(H: HamiltonianOperator, N: int, cases: int, seed: int):
     Frames are drawn inside the span of the first 4N eigenfunctions, where
     the bound must sit below the energy excess up to roundoff; case s draws
     from the Philox stream keyed by s (``_case_rng``), as a column-mass case
-    does.  Returns (max_slack, violating_seeds) with slack
-    defined as bound - |E(F) - E0| (positive slack is a violation).
+    does, and ``GAP_BOUND_CHUNK`` frames are checked per stacked pass.
+    Returns (max_slack, violating_seeds) with slack defined as
+    bound - |E(F) - E0| (positive slack is a violation).
     """
-    K = 4 * N
-    eigs = reference_eigenpairs(H, K)
-    basis = eigs.modes.matrix[:, :K]
-    e0 = float(eigs.eigenvalues[:N].sum())
-
-    def slack(s):
-        frame = ModeSet(H.grid, basis @ _haar_rows(N, K, _case_rng(s)))
-        bound = gap_lower_bound(coefficients(frame, eigs, K), eigs, N)
-        return bound - abs(float(mode_energies(H, frame).sum()) - e0)
-
-    return _seeded_cases(cases, seed, slack, GAP_BOUND_SLACK_LIMIT)
+    eigs = reference_eigenpairs(H, 4 * N)
+    slacks = lambda seeds: _gap_bound_slacks(H, eigs, N, seeds)
+    return _seeded_cases(cases, seed, slacks, GAP_BOUND_SLACK_LIMIT, GAP_BOUND_CHUNK)
 
 
 def localization(F: ModeSet) -> np.ndarray:

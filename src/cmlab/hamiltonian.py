@@ -39,11 +39,14 @@ def multiwell(grid: Grid, centers, depth: float, width: float) -> np.ndarray:
 
     V(x) = -depth * sum_c exp(-|x - c|^2 / (2 width^2)).  Spatially separated
     wells give the localized low-energy structure the sparse modes latch onto.
+    On a periodic box x - c is taken to the nearest periodic image of c, so V
+    is periodic: a well near one end of an axis reaches across to the other.
     A well too far out for |x - c|^2 to be a double adds its exp(-inf) = 0.
     """
     if depth <= 0 or width <= 0:
         raise ValueError("depth and width must be positive")
     coords = grid.coordinates()
+    period = np.asarray(grid.extent) if grid.boundary == PERIODIC else None
     v = np.zeros(grid.node_count)
     with np.errstate(over="ignore"):  # as in harmonic_well
         spread = 2.0 * np.float64(width) ** 2
@@ -52,7 +55,10 @@ def multiwell(grid: Grid, centers, depth: float, width: float) -> np.ndarray:
         for c in centers:
             if len(c) != grid.dim:
                 raise ValueError("centers must each have one coordinate per grid axis")
-            d2 = ((coords - np.asarray(c)) ** 2).sum(axis=1)
+            d = coords - np.asarray(c)
+            if period is not None:
+                d -= period * np.round(d / period)
+            d2 = (d**2).sum(axis=1)
             v -= depth * np.exp(-d2 / spread)
     if not within_scale(v, grid.cell_volume):
         raise ValueError(f"depth {depth:g} puts the sum of the wells out of floating-point range")

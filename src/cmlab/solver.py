@@ -183,7 +183,11 @@ def start_fields(result: SolverResult) -> dict:
 
 
 def mode_energies(H: HamiltonianOperator, F: ModeSet) -> np.ndarray:
-    """Per-mode Rayleigh quotients <f_i, H f_i> (not normalized)."""
+    """Per-mode Rayleigh quotients <f_i, H f_i> (not normalized).
+
+    One per column, each from its own column: the columns of several frames
+    side by side give their energies side by side.
+    """
     if F.grid != H.grid:
         raise GridMismatchError("modes live on a different grid than the operator")
     hf = H.apply_array(F.matrix)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlab import make_regularizer, objective, reference_eigenpairs, reports
+from cmlab import consistency, make_regularizer, objective, reference_eigenpairs, reports
 from cmlab.cli import ConfigError, build_operator, load_config, main, parse_config
 from conftest import CONFIG_DIR, config_path, l1_total
 
@@ -848,8 +848,15 @@ def test_cmd_verify_violation_exits_1_naming_its_seeds(monkeypatch, capsys, fail
 
 
 def test_cmd_verify_nan_case_exits_1_naming_its_seed(monkeypatch, capsys):
-    masses = iter([0.5] * 5 + [math.nan] + [0.5] * 14)
-    monkeypatch.setattr("cmlab.consistency.column_mass_lemma_check", lambda *args: next(masses))
+    # the draw of case 8, told by the key of the stream it draws from, is all NaN
+    haar_rows = consistency._haar_rows
+
+    def nan_at_seed_8(rows, cols, rng):
+        key = rng.bit_generator.state["state"]["key"]
+        q = haar_rows(rows, cols, rng)
+        return np.full_like(q, math.nan) if key.tolist() == [8, 0] else q
+
+    monkeypatch.setattr("cmlab.consistency._haar_rows", nan_at_seed_8)
     assert main(["verify", "--cases", "20", "--seed", "3"]) == 1
     captured = capsys.readouterr()
     assert "max mass = nan" in captured.out

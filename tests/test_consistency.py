@@ -27,9 +27,12 @@ from cmlab import (
     reference_eigenpairs,
 )
 from cmlab.consistency import (
+    COLUMN_MASS_CHUNK,
     COLUMN_MASS_MAX_COLS,
     COLUMN_MASS_MAX_ROWS,
+    GAP_BOUND_CHUNK,
     _case_rng,
+    _gap_bound_slacks,
     _haar_rows,
     _seeded_cases,
     default_gap_threshold,
@@ -227,7 +230,9 @@ def test_gap_lower_bound_random_frames(box_H):
 
 
 def test_gap_bound_suite_worst_and_violations_are_its_case_draws(box_H, monkeypatch):
-    N, seed, cases = 2, 30, 12
+    # the cases end 3 past a chunk boundary; each frame, formed and bounded
+    # alone by the public per-frame functions, is its batch-of-one replay
+    N, seed, cases = 2, 30, GAP_BOUND_CHUNK + 3
     K = 4 * N
     eigs = reference_eigenpairs(box_H, K)
     e0 = float(eigs.eigenvalues[:N].sum())
@@ -237,6 +242,7 @@ def test_gap_bound_suite_worst_and_violations_are_its_case_draws(box_H, monkeypa
         frame = ModeSet(box_H.grid, eigs.modes.matrix[:, :K] @ rot)
         bound = gap_lower_bound(coefficients(frame, eigs, K), eigs, N)
         slacks[case_seed] = bound - abs(float(mode_energies(box_H, frame).sum()) - e0)
+        assert _gap_bound_slacks(box_H, eigs, N, [case_seed]).tolist() == [slacks[case_seed]]
     worst, violations = gap_bound_suite(box_H, N, cases, seed)
     assert worst == max(slacks.values())
     assert violations == []
@@ -246,7 +252,18 @@ def test_gap_bound_suite_worst_and_violations_are_its_case_draws(box_H, monkeypa
     monkeypatch.setattr("cmlab.consistency.GAP_BOUND_SLACK_LIMIT", cut)
     above = [s for s, slack in slacks.items() if slack > cut]
     assert 0 < len(above) < cases
+    assert any(s >= seed + GAP_BOUND_CHUNK for s in above)
     assert gap_bound_suite(box_H, N, cases, seed)[1] == above
+
+
+def test_gap_lower_bound_of_a_stack_is_each_frames_bound(box_eigs, rng):
+    basis = box_eigs.modes.matrix[:, :4]
+    frames = [ModeSet(box_eigs.modes.grid, basis @ _haar_rows(2, 4, rng)) for _ in range(5)]
+    coeffs = np.stack([coefficients(f, box_eigs, 4) for f in frames])
+    bounds = gap_lower_bound(coeffs, box_eigs, 2)
+    assert bounds.shape == (5,)
+    assert bounds.tolist() == [gap_lower_bound(c, box_eigs, 2) for c in coeffs]
+    assert isinstance(gap_lower_bound(coeffs[0], box_eigs, 2), float)
 
 
 def test_gap_lower_bound_degenerate_pair_contributes_nothing(periodic_H, periodic_eigs):
@@ -321,18 +338,33 @@ def test_haar_rows_max_column_mass_has_the_law_of_the_explicit_draw(rows, cols):
     [([1.0, np.nan, 0.5], np.nan, [1]), ([np.nan, 1.0, 0.5], np.nan, [0]), ([0.5, 2.0, 1.0], 2.0, [1])],
 )
 def test_seeded_cases_nan_case_violates_and_is_the_worst(values, worst, violations):
+    # chunks of two: the last case is checked in a chunk of its own
     stub = iter(values)
-    got_worst, got_violations = _seeded_cases(len(values), 0, lambda rng: next(stub), 1.0)
+    batch = lambda seeds: np.array([next(stub) for _ in seeds])
+    got_worst, got_violations = _seeded_cases(len(values), 0, batch, 1.0, 2)
     np.testing.assert_equal(got_worst, worst)
     assert got_violations == violations
 
 
+def test_seeded_cases_hands_out_consecutive_chunks():
+    seen = []
+    values = lambda seeds: seen.append(seeds) or np.array([s - 5.0 for s in seeds])
+    assert _seeded_cases(10, 5, values, 6.5, 4) == (9.0, [12, 13, 14])
+    assert seen == [range(5, 9), range(9, 13), range(13, 15)]
+
+
 def test_column_mass_suite_worst_and_violations_are_its_case_draws(monkeypatch):
-    seed, cases = 40, 30
+    # the cases end 9 past a chunk boundary, so both chunks take all 8 row counts
+    seed, cases = 40, COLUMN_MASS_CHUNK + 9
+    assert {column_mass_case_sizes(s)[0] for s in range(seed + COLUMN_MASS_CHUNK, seed + cases)} == set(
+        range(1, COLUMN_MASS_MAX_ROWS + 1)
+    )
     masses = {}
     for case_seed in range(seed, seed + cases):
         rows, cols = column_mass_case_sizes(case_seed)
         masses[case_seed] = column_mass_lemma_check(rows, cols, case_seed)
+        alone = float((_haar_rows(rows, cols, _keyed(case_seed)) ** 2).sum(axis=1).max())
+        assert masses[case_seed] == alone
     worst, violations = column_mass_suite(cases, seed)
     assert worst == max(masses.values())
     assert violations == []
@@ -341,6 +373,7 @@ def test_column_mass_suite_worst_and_violations_are_its_case_draws(monkeypatch):
     monkeypatch.setattr("cmlab.consistency.COLUMN_MASS_TOL", -0.5)
     above = [s for s, mass in masses.items() if mass > 0.5]
     assert 0 < len(above) < cases
+    assert any(s >= seed + COLUMN_MASS_CHUNK for s in above)
     assert column_mass_suite(cases, seed)[1] == above
 
 

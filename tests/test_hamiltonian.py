@@ -158,6 +158,24 @@ def test_far_well_adds_nothing_and_warns_nothing():
     np.testing.assert_array_equal(both, near)
 
 
+def test_periodic_multiwell_is_invariant_under_its_lattice_shift():
+    # 8 wells 3.0 apart on a periodic box of length 24: the 32-node shift maps
+    # the lattice onto itself, and the end wells reach across the seam
+    g = Grid(1, (24.0,), (256,), "periodic")
+    centers = [(1.5 + 3.0 * i,) for i in range(8)]
+    v = multiwell(g, centers=centers, depth=3.0, width=0.7)
+    assert np.abs(np.roll(v, 32) - v).max() <= 1e-15
+    x = g.coordinates()[:, 0]
+    images = [np.exp(-((x - c + k * 24.0) ** 2) / 0.98) for (c,) in centers for k in (-1, 0, 1)]
+    assert np.abs(v + 3.0 * np.sum(images, axis=0)).max() <= 1e-14
+
+    g2 = Grid(2, (12.0, 6.0), (48, 24), "periodic")
+    centers2 = [(1.5 + 3.0 * i, 1.5 + 3.0 * j) for i in range(4) for j in range(2)]
+    v2 = multiwell(g2, centers=centers2, depth=3.0, width=0.7).reshape(48, 24)
+    for axis in (0, 1):  # 3.0 along either axis is 12 nodes
+        assert np.abs(np.roll(v2, 12, axis=axis) - v2).max() <= 1e-15
+
+
 def test_tabulated_size_mismatch_raises():
     g = Grid(1, (1.0,), (16,), "dirichlet")
     for values in (np.arange(15.0), np.zeros((16, 1))):
