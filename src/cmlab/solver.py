@@ -151,34 +151,71 @@ class SolverConfig:
             check_start(start)
 
 
-@dataclass(frozen=True)
-class SolverResult:
-    modes: ModeSet
-    objective: float
+@dataclass(frozen=True, eq=False)  # its arrays have no truth value
+class StartRun:
+    """What one start's splitting run did: its best feasible frame, its stop state and its trace."""
+
+    best_matrix: np.ndarray
+    best_objective: float
     iterations: int
     converged: bool
-    trace: tuple[tuple[float, float], ...]
-    winner_start: str
-    start_labels: tuple[str, ...]
-    start_objectives: tuple[float, ...]
-    start_iterations: tuple[int, ...]
-    start_converged: tuple[bool, ...]
-    start_restarts: tuple[int, ...]
-    start_turns: tuple[int, ...]
+    restarts: int  # restarts from a re-polished best frame
+    turns: int  # turns of the whole state by the rotation that polishes P
+    objectives: np.ndarray  # feasible objective per iteration
+    defects: np.ndarray  # orthonormality defect of F per iteration
+
+
+@dataclass(frozen=True, eq=False)  # its runs hold arrays
+class SolverResult:
+    """The runs of one solve, one per start in start order, and the winner's frame.
+
+    ``labels[k]`` names start k (``"warm"`` for a frame start), ``runs[k]`` is
+    its run, and ``winner`` indexes the first run of the lowest best objective,
+    whose best frame is ``modes``; the winner's values are read from its run.
+    """
+
+    labels: tuple[str, ...]
+    runs: tuple[StartRun, ...]
+    winner: int
+    modes: ModeSet
+
+    @property
+    def objective(self) -> float:
+        return self.runs[self.winner].best_objective
+
+    @property
+    def iterations(self) -> int:
+        return self.runs[self.winner].iterations
+
+    @property
+    def converged(self) -> bool:
+        return self.runs[self.winner].converged
+
+    @property
+    def trace(self) -> tuple[tuple[float, float], ...]:
+        run = self.runs[self.winner]
+        return tuple(zip(run.objectives.tolist(), run.defects.tolist()))
+
+    @property
+    def winner_start(self) -> str:
+        return self.labels[self.winner]
 
 
 def start_fields(result: SolverResult) -> dict:
     """The per-start keys of ``solve.json`` and of each ``sweep.json`` record, in report order."""
+    per_run = {  # report key: the ``StartRun`` attribute it lists, one entry per start
+        "start_objectives": "best_objective",
+        "start_iterations": "iterations",
+        "start_converged": "converged",
+        "start_restarts": "restarts",
+        "start_turns": "turns",
+    }
     return {
         "iterations": result.iterations,
         "converged": result.converged,
         "winner_start": result.winner_start,
-        "start_labels": list(result.start_labels),
-        "start_objectives": list(result.start_objectives),
-        "start_iterations": list(result.start_iterations),
-        "start_converged": list(result.start_converged),
-        "start_restarts": list(result.start_restarts),
-        "start_turns": list(result.start_turns),
+        "start_labels": list(result.labels),
+        **{key: [getattr(run, name) for run in result.runs] for key, name in per_run.items()},
     }
 
 
@@ -324,16 +361,18 @@ def solve_sweep(
     block = _lockstep(H, J, w, block_starts, solvers, config.max_iters, config.tol)
 
     limit = limit_frame(H, J, N, eigs) if len(configs) > 1 else None
+    configured_labels = tuple("warm" if isinstance(start, ModeSet) else start for start in config.starts)
     results = []
     for i, (cfg, r) in enumerate(zip(configs, penalties)):
-        runs, starts = block[i * S : (i + 1) * S], config.starts
+        runs, labels = block[i * S : (i + 1) * S], configured_labels
         if results:
-            configured = _result(H.grid, starts, runs).modes
+            configured = ModeSet(H.grid, runs[_winner(runs)].best_matrix)
             warm = warm_start(results[-1].modes, (configs[i - 1].mu, cfg.mu), limit, configured)
             x = rotation_polish(_start_matrix(warm, H, N, eigs), w, J)
             runs += _lockstep(H, J, w, [(x, cfg.mu, r)], solvers, config.max_iters, config.tol)
-            starts += (warm,)
-        results.append(_result(H.grid, starts, runs))
+            labels += ("warm",)
+        winner = _winner(runs)
+        results.append(SolverResult(labels, tuple(runs), winner, ModeSet(H.grid, runs[winner].best_matrix)))
     return results
 
 
@@ -399,44 +438,9 @@ def warm_start(previous: ModeSet, mus, limit: ModeSet, configured: ModeSet) -> M
     return ModeSet(previous.grid, aligned + (previous.matrix - aligned) * step)
 
 
-@dataclass
-class _Run:
-    best_matrix: np.ndarray
-    best_objective: float
-    iterations: int
-    converged: bool
-    restarts: int  # restarts from a re-polished best frame
-    turns: int  # turns of the whole state by the rotation that polishes P
-    objectives: np.ndarray  # feasible objective per iteration
-    defects: np.ndarray  # orthonormality defect of F per iteration
-
-    @property
-    def trace(self) -> list[tuple[float, float]]:
-        return list(zip(self.objectives.tolist(), self.defects.tolist()))
-
-
-def _result(grid, starts, runs) -> SolverResult:
-    """The result of one solve from its runs, one per start; a frame start is ``"warm"``.
-
-    The winner is the run of the lowest best objective, the first of a tie.
-    """
-    winner = min(range(len(runs)), key=lambda k: runs[k].best_objective)
-    run = runs[winner]
-    labels = tuple("warm" if isinstance(start, ModeSet) else start for start in starts)
-    return SolverResult(
-        modes=ModeSet(grid, run.best_matrix),
-        objective=run.best_objective,
-        iterations=run.iterations,
-        converged=run.converged,
-        trace=tuple(run.trace),
-        winner_start=labels[winner],
-        start_labels=labels,
-        start_objectives=tuple(r.best_objective for r in runs),
-        start_iterations=tuple(r.iterations for r in runs),
-        start_converged=tuple(r.converged for r in runs),
-        start_restarts=tuple(r.restarts for r in runs),
-        start_turns=tuple(r.turns for r in runs),
-    )
+def _winner(runs) -> int:
+    """The index of the run of the lowest best objective, the first of a tie."""
+    return min(range(len(runs)), key=lambda k: runs[k].best_objective)
 
 
 def _start_matrix(start: str | ModeSet, H: HamiltonianOperator, N: int, eigs) -> np.ndarray:
@@ -524,14 +528,14 @@ def _off_span(moved: np.ndarray, frame: np.ndarray, w: float) -> float:
     return float(np.sqrt(w * np.vecdot(off, off)).max())
 
 
-def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> _Run:
+def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> StartRun:
     """One splitting iteration chain from one (node_count, N) start: ``_lockstep`` of that start alone."""
     _shrink_step(config.mu, penalty)
     solvers = {penalty: shifted_solve}
     return _lockstep(H, J, w, [(x0, config.mu, penalty)], solvers, config.max_iters, config.tol)[0]
 
 
-def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
+def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[StartRun]:
     """Splitting iteration chains from (start (node_count, N), mu, penalty) tuples, in lockstep.
 
     ``solvers`` maps each penalty to the shifted solve of H + penalty I.  The
@@ -695,7 +699,7 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[_Run]:
                 break
 
         for i in np.flatnonzero(done).tolist():
-            runs[index[i]] = _Run(
+            runs[index[i]] = StartRun(
                 best_matrix=np.ascontiguousarray(best[i].T),
                 best_objective=float(best_obj[i]),
                 iterations=k,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from dataclasses import replace
@@ -34,6 +35,7 @@ from cmlab.solver import (
     LIMIT_ORDER_TOL,
     IndefinitePenaltyError,
     ShrinkStepError,
+    StartRun,
     _aligned,
     _build_shifted_solver,
     _lockstep,
@@ -375,7 +377,7 @@ def test_warm_start_config_and_run(box_H, box_eigs):
     first = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
     warm_cfg = SolverConfig(mu=20.0, max_iters=800, starts=("eigen", first.modes))
     second = solve_cm(box_H, L1, 2, warm_cfg, eigs=box_eigs)
-    assert second.start_labels == ("eigen", "warm")
+    assert second.labels == ("eigen", "warm")
     assert second.converged
     assert second.objective <= objective(box_H, L1, 20.0, first.modes) + 1e-8
 
@@ -445,10 +447,10 @@ def test_indefinite_penalty_raises(multiwell_H, multiwell_eigs):
 def test_start_labels_and_winner(box_H, box_eigs):
     cfg = SolverConfig(mu=10.0, max_iters=300)
     res = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
-    assert res.start_labels == ("eigen", "random:1", "random:2")
-    assert res.winner_start in res.start_labels
-    assert len(res.start_objectives) == 3
-    assert res.objective == pytest.approx(min(res.start_objectives), abs=1e-10)
+    assert res.labels == ("eigen", "random:1", "random:2")
+    assert res.winner_start in res.labels
+    assert len(res.runs) == 3
+    assert res.objective == pytest.approx(min(run.best_objective for run in res.runs), abs=1e-10)
 
 
 def test_starts_match_solo_runs(box_H, box_eigs):
@@ -457,9 +459,10 @@ def test_starts_match_solo_runs(box_H, box_eigs):
     cfg = SolverConfig(mu=10.0, max_iters=200)
     together = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
     assert len(cfg.starts) == 3
-    for start, best in zip(cfg.starts, together.start_objectives):
+    for start, run in zip(cfg.starts, together.runs, strict=True):
         solo = solve_cm(box_H, L1, 2, replace(cfg, starts=(start,)), eigs=box_eigs)
-        assert solo.start_objectives == (best,)
+        assert len(solo.runs) == 1
+        _assert_runs_equal(solo.runs[0], run)
         if start == together.winner_start:
             np.testing.assert_array_equal(solo.modes.matrix, together.modes.matrix)
 
@@ -489,14 +492,14 @@ def test_huge_mu_or_penalty_raises_shrink_step_error(box_H, box_eigs):
 def test_start_record_eigen_converges_randoms_cap(box_H, box_eigs):
     cfg = SolverConfig(mu=5.0, max_iters=100)
     res = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
-    assert res.start_labels == ("eigen", "random:1", "random:2")
-    assert res.start_converged == (True, False, False)
-    assert res.start_iterations[1:] == (100, 100)
-    assert res.start_iterations[0] == res.iterations < 100
+    assert res.labels == ("eigen", "random:1", "random:2")
+    assert [run.converged for run in res.runs] == [True, False, False]
+    assert [run.iterations for run in res.runs[1:]] == [100, 100]
+    assert res.runs[0].iterations == res.iterations < 100
     assert res.winner_start == "eigen"
-    for start, iterations, converged in zip(cfg.starts, res.start_iterations, res.start_converged):
+    for start, run in zip(cfg.starts, res.runs, strict=True):
         solo = solve_cm(box_H, L1, 2, replace(cfg, starts=(start,)), eigs=box_eigs)
-        assert (solo.iterations, solo.converged) == (iterations, converged)
+        assert (solo.iterations, solo.converged) == (run.iterations, run.converged)
 
 
 # --- the shifted solve: a tridiagonal factor where the matrix allows one ----------
@@ -585,6 +588,25 @@ def _solo(H, J, cfg, start, solve):
     return _splitting_run(H, J, replace(cfg, mu=mu), penalty, solve, H.grid.cell_volume, frame)
 
 
+def _assert_runs_equal(run, other):
+    """Every field of two ``StartRun`` records equal, bit for bit: ``==`` for scalars, arrays entry by entry."""
+    for field in dataclasses.fields(StartRun):
+        value, expected = getattr(run, field.name), getattr(other, field.name)
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(value, expected, strict=True, err_msg=field.name)
+        else:
+            assert value == expected, field.name
+
+
+def _assert_results_equal(result, other):
+    """Two ``SolverResult``s equal, bit for bit: labels, winner, frame and every run."""
+    assert (result.labels, result.winner) == (other.labels, other.winner)
+    np.testing.assert_array_equal(result.modes.matrix, other.modes.matrix, strict=True)
+    assert len(result.runs) == len(other.runs)
+    for run, again in zip(result.runs, other.runs):
+        _assert_runs_equal(run, again)
+
+
 def _lockstep_matches_solo_runs(H, J, cfg, starts):
     """The runs of one block of ``starts``.
 
@@ -594,13 +616,7 @@ def _lockstep_matches_solo_runs(H, J, cfg, starts):
     runs = _lockstep(H, J, H.grid.cell_volume, starts, solvers, cfg.max_iters, cfg.tol)
     assert len(runs) == len(starts)
     for run, start in zip(runs, starts):
-        solo = _solo(H, J, cfg, start, solvers[start[2]])
-        assert run.best_objective == solo.best_objective
-        assert run.iterations == solo.iterations
-        assert run.converged == solo.converged
-        assert (run.restarts, run.turns) == (solo.restarts, solo.turns)
-        np.testing.assert_array_equal(run.best_matrix, solo.best_matrix)
-        assert run.trace == solo.trace
+        _assert_runs_equal(run, _solo(H, J, cfg, start, solvers[start[2]]))
     return runs
 
 
@@ -630,22 +646,15 @@ def test_lockstep_runs_match_solo_runs(case, data):
         for run, (x, m, r) in zip(runs, starts)
     ]
     res = solve_cm(H, J, N, cfg, eigs=eigs)
-    assert res.start_objectives == tuple(run.best_objective for run in at_default)
-    assert res.start_iterations == tuple(run.iterations for run in at_default)
-    assert res.start_restarts == tuple(run.restarts for run in at_default)
-    assert res.start_turns == tuple(run.turns for run in at_default)
-    assert res.objective == min(res.start_objectives)
+    assert len(res.runs) == len(at_default)
+    for run, expected in zip(res.runs, at_default):
+        _assert_runs_equal(run, expected)
+    assert res.objective == min(run.best_objective for run in res.runs)
     assert res.modes.ortho_defect <= 1e-8
     if "eigen" in cfg.starts:
         eigen = objective(H, J, cfg.mu, eigs.modes.take(N))
         assert res.objective <= eigen + 1e-12 * max(1.0, abs(eigen))
-    again = solve_cm(H, J, N, cfg, eigs=eigs)
-    np.testing.assert_array_equal(again.modes.matrix, res.modes.matrix)
-    assert (again.objective, again.trace, again.start_objectives) == (
-        res.objective,
-        res.trace,
-        res.start_objectives,
-    )
+    _assert_results_equal(solve_cm(H, J, N, cfg, eigs=eigs), res)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -697,7 +706,7 @@ def test_trace_buffers_grow_past_first_block(small_box_H):
     penalty = default_penalty(cfg.mu, float(eigs.eigenvalues[0]))
     solve, w = _build_shifted_solver(H, penalty), H.grid.cell_volume
     solo = _splitting_run(H, L1, cfg, penalty, solve, w, _start_matrix("random:4", H, 1, eigs))
-    assert tuple(solo.trace) == res.trace and solo.best_objective == res.objective
+    _assert_runs_equal(solo, res.runs[0])
 
 
 # --- drift: a start re-polished inside its span ----------------------------------------
@@ -747,7 +756,7 @@ def test_eigen_start_restarts_from_its_repolished_best_frame():
     swept = solve_sweep(H, L1, 3, schedule, cfg, eigs=eigs)
     _assert_sweep_is_chain(swept, H, L1, 3, schedule, cfg, eigs)
     first = swept[0]
-    assert (first.start_restarts[0], first.start_iterations[0]) == (1, 161)
+    assert (first.runs[0].restarts, first.runs[0].iterations) == (1, 161)
     assert first.winner_start == "eigen" and first.converged
 
 
@@ -760,9 +769,9 @@ def test_warm_start_restarts_from_its_repolished_best_frame():
     cfg = SolverConfig(mu=schedule[0], max_iters=1500, starts=("eigen", "random:1", "random:2"))
     swept = solve_sweep(H, L1, 2, schedule, cfg, eigs=eigs)
     _assert_sweep_is_chain(swept, H, L1, 2, schedule, cfg, eigs)
-    assert [r.start_labels[3] for r in swept[1:]] == ["warm"] * 3
-    assert [r.start_restarts[3] for r in swept[1:]] == [1, 1, 0]
-    assert all(r.start_converged[3] for r in swept[1:])
+    assert [r.labels[3] for r in swept[1:]] == ["warm"] * 3
+    assert [r.runs[3].restarts for r in swept[1:]] == [1, 1, 0]
+    assert all(r.runs[3].converged for r in swept[1:])
 
 
 def _turning_box():
@@ -867,8 +876,7 @@ def _assert_sweep_is_chain(swept, H, J, N, schedule, cfg, eigs=None):
             warm.append(warm_start(winners[-1], schedule[i - 1 : i + 1], limit, configured))
             starts += (warm[-1],)
         chained = solve_cm(H, J, N, replace(cfg, mu=mu, starts=starts), eigs=eigs)
-        np.testing.assert_array_equal(result.modes.matrix, chained.modes.matrix)
-        assert replace(result, modes=None) == replace(chained, modes=None)
+        _assert_results_equal(result, chained)
         winners.append(chained.modes)
     return winners, warm
 
@@ -985,8 +993,7 @@ def test_degenerate_sweep_keeps_the_plain_warm_chain():
     for mu, result in zip(schedule, swept):
         starts = solver_cfg.starts if previous is None else solver_cfg.starts + (previous,)
         chained = solve_cm(H, J, N, replace(solver_cfg, mu=mu, starts=starts), eigs=eigs)
-        np.testing.assert_array_equal(result.modes.matrix, chained.modes.matrix)
-        assert replace(result, modes=None) == replace(chained, modes=None)
+        _assert_results_equal(result, chained)
         previous = chained.modes
 
 
