@@ -336,7 +336,7 @@ def cmd_solve(cfg: dict) -> int:
         raise ConfigError("problem.mu is required for solve")
     H = build_operator(cfg)
     J = make_regularizer(problem["regularizer"])
-    result = solve_cm(H, J, problem["N"], build_solver_config(cfg, problem["mu"]))
+    result = solve_cm(H, J, problem["N"], build_solver_config(cfg, problem["mu"]), trace=output["trace"])
     widths = consistency.localization(result.modes)
     energy = float(np.trace(consistency.interaction_matrix(H, result.modes)))
     if "csv" in output["formats"]:

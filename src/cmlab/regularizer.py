@@ -32,7 +32,7 @@ class L1Regularizer:
         ``step`` is a number or an array that broadcasts against ``values``,
         such as one step per frame of a stack.
         """
-        if np.less_equal(step, 0).any():
+        if not np.greater(step, 0).all():  # NaN is not positive either
             raise ValueError("prox step must be positive")
         out = np.abs(values)
         out -= step
@@ -49,7 +49,7 @@ class ZeroRegularizer:
 
     def prox_array(self, values: np.ndarray, step) -> np.ndarray:
         """A copy of ``values``: callers may update either one in place."""
-        if np.less_equal(step, 0).any():
+        if not np.greater(step, 0).all():  # NaN is not positive either
             raise ValueError("prox step must be positive")
         return values.copy()
 

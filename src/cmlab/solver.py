@@ -161,8 +161,8 @@ class StartRun:
     converged: bool
     restarts: int  # restarts from a re-polished best frame
     turns: int  # turns of the whole state by the rotation that polishes P
-    objectives: np.ndarray  # feasible objective per iteration
-    defects: np.ndarray  # orthonormality defect of F per iteration
+    objectives: np.ndarray  # feasible objective per iteration; empty for an untraced run
+    defects: np.ndarray  # orthonormality defect of F per iteration; empty for an untraced run
 
 
 @dataclass(frozen=True, eq=False)  # its runs hold arrays
@@ -171,7 +171,8 @@ class SolverResult:
 
     ``labels[k]`` names start k (``"warm"`` for a frame start), ``runs[k]`` is
     its run, and ``winner`` indexes the first run of the lowest best objective,
-    whose best frame is ``modes``; the winner's values are read from its run.
+    whose best frame is ``modes``; the winner's values are read from its run,
+    ``trace`` too: its (objective, defect) per iteration, ``()`` untraced.
     """
 
     labels: tuple[str, ...]
@@ -233,8 +234,8 @@ def mode_energies(H: HamiltonianOperator, F: ModeSet) -> np.ndarray:
 
 def objective(H: HamiltonianOperator, J: Regularizer, mu: float, F: ModeSet) -> float:
     """sum_i (1/mu) J(f_i) + <f_i, H f_i>, evaluated from scratch."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError("mu must be positive and finite")
     energies = mode_energies(H, F)
     jvals = J.evaluate_columns(F.matrix, H.grid.cell_volume)
     return float(energies.sum() + jvals.sum() / mu)
@@ -290,8 +291,9 @@ def _pair_angle(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     b = np.arctan2(y, x) % (np.pi / 2)
     order = np.argsort(b)
     b = b[order]
-    z = np.hypot(x, y)[order] * np.exp(1j * b)
-    total, turn = z.sum(), np.exp(-1j * b)
+    unit = np.exp(1j * b)
+    z = np.hypot(x, y)[order] * unit
+    total, turn = z.sum(), unit.conj()  # e^{-i b}, from the one exponential
     costs = (turn * total).real + (turn * (total - 2.0 * np.cumsum(z))).imag
     k = int(np.argmin(costs))
     return float(b[k]), float(costs[k])
@@ -303,6 +305,7 @@ def solve_cm(
     N: int,
     config: SolverConfig,
     eigs: EigenSystem | None = None,
+    trace: bool = False,
 ) -> SolverResult:
     """Best feasible frame over all configured starts.
 
@@ -311,9 +314,12 @@ def solve_cm(
     so does a fixed penalty that leaves H + penalty I indefinite, and a
     ``mu * penalty`` whose shrinkage step is not a positive finite number.
     ``eigs`` can carry precomputed reference eigenpairs to avoid a redundant
-    eigensolve when the caller already has them.  This is the one-mu sweep.
+    eigensolve when the caller already has them.  ``trace`` records each
+    start's objective and orthonormality defect per iteration; untraced, a
+    run's trace arrays are empty and the defect is never computed.  Nothing
+    else depends on it.  This is the one-mu sweep.
     """
-    return solve_sweep(H, J, N, (config.mu,), config, eigs)[0]
+    return solve_sweep(H, J, N, (config.mu,), config, eigs, trace)[0]
 
 
 def solve_sweep(
@@ -323,11 +329,12 @@ def solve_sweep(
     schedule,
     config: SolverConfig,
     eigs: EigenSystem | None = None,
+    trace: bool = False,
 ) -> list[SolverResult]:
     """One result per mu of ``schedule``, each warm-started from the previous winner.
 
     The results equal those of the chain ``solve_cm(H, J, N, replace(config,
-    mu=mu, starts=config.starts + (warm,)), eigs)``, where ``warm`` is
+    mu=mu, starts=config.starts + (warm,)), eigs, trace)``, where ``warm`` is
     ``warm_start(previous, (mu_prev, mu), limit, configured)`` (no warm start
     at the first mu): ``previous`` is the modes of the result at mu_prev,
     ``configured`` those of ``solve_cm(H, J, N, replace(config, mu=mu),
@@ -358,7 +365,7 @@ def solve_sweep(
     S = len(polished)
     # mu-major: every start at the first mu, then every start at the next one
     block_starts = [(x, cfg.mu, r) for cfg, r in zip(configs, penalties) for x in polished]
-    block = _lockstep(H, J, w, block_starts, solvers, config.max_iters, config.tol)
+    block = _lockstep(H, J, w, block_starts, solvers, config.max_iters, config.tol, trace)
 
     limit = limit_frame(H, J, N, eigs) if len(configs) > 1 else None
     configured_labels = tuple("warm" if isinstance(start, ModeSet) else start for start in config.starts)
@@ -369,7 +376,7 @@ def solve_sweep(
             configured = ModeSet(H.grid, runs[_winner(runs)].best_matrix)
             warm = warm_start(results[-1].modes, (configs[i - 1].mu, cfg.mu), limit, configured)
             x = rotation_polish(_start_matrix(warm, H, N, eigs), w, J)
-            runs += _lockstep(H, J, w, [(x, cfg.mu, r)], solvers, config.max_iters, config.tol)
+            runs += _lockstep(H, J, w, [(x, cfg.mu, r)], solvers, config.max_iters, config.tol, trace)
             labels += ("warm",)
         winner = _winner(runs)
         results.append(SolverResult(labels, tuple(runs), winner, ModeSet(H.grid, runs[winner].best_matrix)))
@@ -529,13 +536,13 @@ def _off_span(moved: np.ndarray, frame: np.ndarray, w: float) -> float:
 
 
 def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> StartRun:
-    """One splitting iteration chain from one (node_count, N) start: ``_lockstep`` of that start alone."""
+    """One traced splitting iteration chain from one (node_count, N) start: ``_lockstep`` of that start alone."""
     _shrink_step(config.mu, penalty)
     solvers = {penalty: shifted_solve}
-    return _lockstep(H, J, w, [(x0, config.mu, penalty)], solvers, config.max_iters, config.tol)[0]
+    return _lockstep(H, J, w, [(x0, config.mu, penalty)], solvers, config.max_iters, config.tol, True)[0]
 
 
-def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[StartRun]:
+def _lockstep(H, J, w, starts, solvers, max_iters, tol, trace) -> list[StartRun]:
     """Splitting iteration chains from (start (node_count, N), mu, penalty) tuples, in lockstep.
 
     ``solvers`` maps each penalty to the shifted solve of H + penalty I.  The
@@ -545,9 +552,12 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[StartRun]:
     right-hand side of one shifted solve, so the callers give the starts of one
     penalty next to each other.  The block's starts start together, so one
     iteration count k (at most ``max_iters``) is every running start's; each
-    start keeps its own mu, penalty, stop rule, best feasible iterate and
-    trace, and leaves the block when it stops.  The runs come back in the order
-    of ``starts``.
+    start keeps its own mu, penalty, stop rule, best feasible iterate and,
+    when ``trace`` is set, its objective and defect trace, and leaves the
+    block when it stops.  The runs come back in the order of ``starts``.  The
+    stop rule's objective change is read only at an iteration where some
+    start has its step at most ``tol`` for ``STREAK_REQUIRED`` iterations in
+    a row, or at ``max_iters``: no start can stop at any other.
 
     When k is a multiple of ``REPOLISH_EVERY``, every running start whose step
     P_k - P_{k-1} is above ``tol`` is due for a drift check: if the largest
@@ -566,8 +576,8 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[StartRun]:
     iterate, then its index in ``starts``, mu, penalty, restart and turn
     counts, objective, best objective and convergence streak, then its rows
     of the objective and defect traces, whose columns grow geometrically with
-    the iterations run.  The list is built once, and whenever a start leaves,
-    one mask drops it from every array.  While the block runs, only the
+    the iterations run (none untraced).  The list is built once, and whenever
+    a start leaves, one mask drops it from every array.  While the block runs, only the
     iteration's own names hold its arrays, which are updated in place where
     that keeps the order of operations; while a mask drops a start, only the
     list holds them, and each array is freed as its masked copy replaces it.
@@ -600,12 +610,13 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[StartRun]:
     P = np.array([s[0].T for s in starts])
     mu, penalty = (np.array([s[j] for s in starts], dtype=float) for j in (1, 2))
     obj = feasible_objectives(P, mu)
-    zeros, trace = np.zeros(len(starts), dtype=int), np.empty((len(starts), min(max_iters, 64)))
+    zeros = np.zeros(len(starts), dtype=int)
+    trace_rows = np.empty((len(starts), min(max_iters, 64) if trace else 0))
     # Q, P, b, B, best; index, mu, penalty, restarts, turns; obj, best_obj,
     # streak; the objective and defect trace rows
     state = [P.copy(), P, np.zeros_like(P), np.zeros_like(P), P.copy()]
     state += [np.arange(len(starts)), mu, penalty, zeros, zeros.copy()]
-    state += [obj, obj.copy(), zeros.copy(), trace, trace.copy()]
+    state += [obj, obj.copy(), zeros.copy(), trace_rows, trace_rows.copy()]
     runs = [None] * len(starts)  # each set when its start leaves
     k = 0  # the iterations run by every start in the block
 
@@ -619,7 +630,7 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[StartRun]:
 
         while True:  # until some start stops
             k += 1
-            if k > objectives.shape[1]:
+            if trace and k > objectives.shape[1]:
                 more = min(max_iters, 2 * objectives.shape[1]) - objectives.shape[1]
                 objectives = np.concatenate((objectives, np.empty((index.size, more))), axis=1)
                 defects = np.concatenate((defects, np.empty((index.size, more))), axis=1)
@@ -635,8 +646,9 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[StartRun]:
                 solution = solve(rhs)
                 if solution is not rhs:  # the LU factor's solve returns a new array
                     rhs[...] = solution
-            gram = np.vecdot(F[:, :, None, :], F[:, None, :, :])  # mode pairs, one dot each
-            defects[:, k - 1] = np.abs(w * gram - eye).max(axis=(1, 2))
+            if trace:
+                gram = np.vecdot(F[:, :, None, :], F[:, None, :, :])  # mode pairs, one dot each
+                defects[:, k - 1] = np.abs(w * gram - eye).max(axis=(1, 2))
             # the multiplier updates b + F - Q and B + F - P, with b + F and B + F
             # formed in place as the arguments of the prox and the projection
             b += F
@@ -659,7 +671,8 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[StartRun]:
             B -= P
 
             prev_obj, obj = obj, feasible_objectives(P, mu)
-            objectives[:, k - 1] = obj
+            if trace:
+                objectives[:, k - 1] = obj
             better = obj < best_obj
             if better.all():
                 best, best_obj = P, obj  # shared: where a drift check writes P[i], it is the best
@@ -691,12 +704,14 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol) -> list[StartRun]:
                         best[i], best_obj[i] = rows, value
                     turns[i] += 1
 
-            rel_obj = np.abs(obj - prev_obj) / np.maximum(1.0, np.abs(obj))
             streak = np.where(change <= tol, streak + 1, 0)
-            converged = (streak >= STREAK_REQUIRED) & (rel_obj <= OBJECTIVE_REL_TOL)
-            done = converged | (k == max_iters)  # at the cap a start leaves with its best
-            if done.any():
-                break
+            settled = streak >= STREAK_REQUIRED
+            if k == max_iters or settled.any():
+                rel_obj = np.abs(obj - prev_obj) / np.maximum(1.0, np.abs(obj))
+                converged = settled & (rel_obj <= OBJECTIVE_REL_TOL)
+                done = converged | (k == max_iters)  # at the cap a start leaves with its best
+                if done.any():
+                    break
 
         for i in np.flatnonzero(done).tolist():
             runs[index[i]] = StartRun(

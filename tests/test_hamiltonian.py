@@ -47,6 +47,27 @@ def test_apply_zero_is_zero():
     assert np.all(out == 0.0)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(1, (1.0,), (64,), "dirichlet"),
+        Grid(1, (3.0,), (37,), "periodic"),
+        Grid(2, (1.0, 1.5), (9, 11), "dirichlet"),
+    ],
+    ids=["dirichlet_1d", "periodic_1d", "dirichlet_2d"],
+)
+def test_apply_is_bitwise_the_scipy_product(grid):
+    # apply_array calls scipy's private CSR kernel directly: it must stay the
+    # kernel ``matrix @ x`` calls, on 1-D, C-ordered and F-ordered inputs
+    rng = np.random.default_rng(7)
+    H = HamiltonianOperator(grid, rng.standard_normal(grid.node_count))
+    n = grid.node_count
+    for x in (rng.standard_normal(n), rng.standard_normal((n, 5)), np.asfortranarray(rng.standard_normal((n, 6)))):
+        out, expected = H.apply_array(x), H.matrix @ x
+        assert out.shape == expected.shape
+        np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
 def test_apply_matches_discrete_sine_eigenrelation():
     g = Grid(1, (1.0,), (64,), "dirichlet")
     H = HamiltonianOperator(g)

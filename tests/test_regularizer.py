@@ -49,6 +49,13 @@ def test_prox_zero_is_identity(rng):
         J.prox_array(u, 0.0)
 
 
+@pytest.mark.parametrize("kind", ["l1", "zero"])
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, np.array([[0.5], [math.nan]])])
+def test_prox_rejects_a_step_that_is_not_positive(kind, step):
+    with pytest.raises(ValueError, match="prox step must be positive"):
+        make_regularizer(kind).prox_array(np.ones((2, 3)), step)
+
+
 def test_prox_nodewise_optimality_against_scan(rng):
     # the prox output must minimize step*|v| + 0.5*(v - u)^2 at every node
     J = make_regularizer("l1")

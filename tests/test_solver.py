@@ -22,6 +22,7 @@ from cmlab import (
     localization,
     make_regularizer,
     mode_energies,
+    mu_sweep,
     objective,
     orthonormal_columns,
     procrustes_align,
@@ -29,7 +30,7 @@ from cmlab import (
     solve_cm,
     solve_sweep,
 )
-from cmlab import solver
+from cmlab import consistency, solver
 from cmlab.cli import build_operator, build_solver_config, load_config
 from cmlab.solver import (
     LIMIT_ORDER_TOL,
@@ -204,6 +205,12 @@ def test_objective_grid_mismatch(box_H):
         objective(box_H, L1, 1.0, frame)
 
 
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+def test_objective_rejects_a_mu_that_is_not_positive_and_finite(box_H, box_eigs, mu):
+    with pytest.raises(ValueError, match="mu must be positive and finite"):
+        objective(box_H, L1, mu, box_eigs.modes.take(2))
+
+
 # --- rotation polish ----------------------------------------------------------
 
 
@@ -330,8 +337,8 @@ def test_objective_recomputation_matches(box_H, box_eigs):
 
 def test_solver_is_deterministic(box_H, box_eigs):
     cfg = SolverConfig(mu=15.0, max_iters=400)
-    a = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
-    b = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
+    a = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs, trace=True)
+    b = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs, trace=True)
     np.testing.assert_array_equal(a.modes.matrix, b.modes.matrix)
     assert a.objective == b.objective
     assert a.trace == b.trace
@@ -347,12 +354,52 @@ def test_non_convergence_reported_not_raised(box_H, box_eigs):
 
 def test_trace_records_objective_and_defect(box_H, box_eigs):
     cfg = SolverConfig(mu=10.0, max_iters=50, starts=("eigen",))
-    res = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
+    res = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs, trace=True)
     assert len(res.trace) == res.iterations
     objs = [t[0] for t in res.trace]
     defects = [t[1] for t in res.trace]
     assert min(objs) >= res.objective - 1e-10
     assert all(d >= 0 for d in defects)
+
+
+def test_tracing_changes_only_the_trace(box_H, box_eigs):
+    # an untraced solve is the traced one less its trace arrays, which are
+    # empty; the eigen start converges, the random ones cap
+    cfg = SolverConfig(mu=5.0, max_iters=100)
+    traced = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs, trace=True)
+    untraced = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
+    assert (untraced.labels, untraced.winner) == (traced.labels, traced.winner)
+    assert untraced.trace == () and len(traced.trace) == traced.iterations
+    empty = np.empty(0)
+    for run, full in zip(untraced.runs, traced.runs, strict=True):
+        assert len(full.objectives) == len(full.defects) == full.iterations
+        _assert_runs_equal(run, replace(full, objectives=empty, defects=empty))
+
+
+def test_mu_sweep_runs_untraced(monkeypatch, small_box_H):
+    # the sweep report reads no trace, so its solves build none
+    sweeps, solve_sweep = [], consistency.solve_sweep
+
+    def recorded(*args, **kwargs):
+        sweeps.append(solve_sweep(*args, **kwargs))
+        return sweeps[-1]
+
+    monkeypatch.setattr(consistency, "solve_sweep", recorded)
+    mu_sweep(small_box_H, L1, 2, [5.0, 10.0], SolverConfig(mu=5.0, max_iters=300))
+    (results,) = sweeps
+    assert [len(result.runs) for result in results] == [3, 4]
+    for run in (run for result in results for run in result.runs):
+        assert run.iterations > 0 and run.objectives.size == run.defects.size == 0
+
+
+def test_stop_rule_reads_the_objective_only_once_a_streak_is_long_enough(box_H, box_eigs):
+    # the eigen start at mu = 5 on the reference box converges at iteration
+    # 43, where its streak first reaches STREAK_REQUIRED: a cap there stops it
+    # converged, a cap one iteration earlier stops it unconverged
+    for cap, converged in ((43, True), (42, False)):
+        cfg = SolverConfig(mu=5.0, max_iters=cap, starts=("eigen",))
+        res = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
+        assert (res.iterations, res.converged) == (cap, converged)
 
 
 def test_multiwell_modes_localize(multiwell_H, multiwell_eigs):
@@ -457,10 +504,10 @@ def test_starts_match_solo_runs(box_H, box_eigs):
     # each start's run is independent of the others: a multi-start solve
     # reports, per start, exactly what that start gives when run alone
     cfg = SolverConfig(mu=10.0, max_iters=200)
-    together = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
+    together = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs, trace=True)
     assert len(cfg.starts) == 3
     for start, run in zip(cfg.starts, together.runs, strict=True):
-        solo = solve_cm(box_H, L1, 2, replace(cfg, starts=(start,)), eigs=box_eigs)
+        solo = solve_cm(box_H, L1, 2, replace(cfg, starts=(start,)), eigs=box_eigs, trace=True)
         assert len(solo.runs) == 1
         _assert_runs_equal(solo.runs[0], run)
         if start == together.winner_start:
@@ -613,7 +660,7 @@ def _lockstep_matches_solo_runs(H, J, cfg, starts):
     Each (frame, mu, penalty) start's run must be bitwise its solo run.
     """
     solvers = {r: _build_shifted_solver(H, r) for _, _, r in starts}
-    runs = _lockstep(H, J, H.grid.cell_volume, starts, solvers, cfg.max_iters, cfg.tol)
+    runs = _lockstep(H, J, H.grid.cell_volume, starts, solvers, cfg.max_iters, cfg.tol, True)
     assert len(runs) == len(starts)
     for run, start in zip(runs, starts):
         _assert_runs_equal(run, _solo(H, J, cfg, start, solvers[start[2]]))
@@ -645,7 +692,7 @@ def test_lockstep_runs_match_solo_runs(case, data):
         run if (m, r) == (cfg.mu, penalty) else _solo(H, J, cfg, (x, cfg.mu, penalty), solve)
         for run, (x, m, r) in zip(runs, starts)
     ]
-    res = solve_cm(H, J, N, cfg, eigs=eigs)
+    res = solve_cm(H, J, N, cfg, eigs=eigs, trace=True)
     assert len(res.runs) == len(at_default)
     for run, expected in zip(res.runs, at_default):
         _assert_runs_equal(run, expected)
@@ -654,7 +701,7 @@ def test_lockstep_runs_match_solo_runs(case, data):
     if "eigen" in cfg.starts:
         eigen = objective(H, J, cfg.mu, eigs.modes.take(N))
         assert res.objective <= eigen + 1e-12 * max(1.0, abs(eigen))
-    _assert_results_equal(solve_cm(H, J, N, cfg, eigs=eigs), res)
+    _assert_results_equal(solve_cm(H, J, N, cfg, eigs=eigs, trace=True), res)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -689,7 +736,7 @@ def test_lockstep_groups_interleaved_penalties_at_block_build(dim, boundary):
         return call
 
     solvers = {r: counted(r) for r in penalties}
-    _lockstep(H, L1, H.grid.cell_volume, starts, solvers, 1, cfg.tol)
+    _lockstep(H, L1, H.grid.cell_volume, starts, solvers, 1, cfg.tol, False)
     assert calls == [(r, 2) for r in penalties]
 
 
@@ -698,9 +745,9 @@ def test_trace_buffers_grow_past_first_block(small_box_H):
     H = small_box_H
     eigs = reference_eigenpairs(H, 1)
     cfg = SolverConfig(mu=10.0, max_iters=2100, tol=1e-300, starts=("random:4",))
-    res = solve_cm(H, L1, 1, cfg, eigs=eigs)
+    res = solve_cm(H, L1, 1, cfg, eigs=eigs, trace=True)
     assert res.iterations == len(res.trace) == 2100
-    short = solve_cm(H, L1, 1, replace(cfg, max_iters=1024), eigs=eigs)
+    short = solve_cm(H, L1, 1, replace(cfg, max_iters=1024), eigs=eigs, trace=True)
     assert res.trace[:1024] == short.trace
     # ``_splitting_run``, the one-start run that perfbench's tracer wraps, runs it alike
     penalty = default_penalty(cfg.mu, float(eigs.eigenvalues[0]))
@@ -753,7 +800,7 @@ def test_eigen_start_restarts_from_its_repolished_best_frame():
     eigs = reference_eigenpairs(H, 3)
     schedule = [5.0, 10.0]
     cfg = SolverConfig(mu=schedule[0], max_iters=1500, starts=("eigen", "random:1"))
-    swept = solve_sweep(H, L1, 3, schedule, cfg, eigs=eigs)
+    swept = solve_sweep(H, L1, 3, schedule, cfg, eigs=eigs, trace=True)
     _assert_sweep_is_chain(swept, H, L1, 3, schedule, cfg, eigs)
     first = swept[0]
     assert (first.runs[0].restarts, first.runs[0].iterations) == (1, 161)
@@ -767,7 +814,7 @@ def test_warm_start_restarts_from_its_repolished_best_frame():
     eigs = reference_eigenpairs(H, 2)
     schedule = [5.0, 10.0, 20.0, 40.0]
     cfg = SolverConfig(mu=schedule[0], max_iters=1500, starts=("eigen", "random:1", "random:2"))
-    swept = solve_sweep(H, L1, 2, schedule, cfg, eigs=eigs)
+    swept = solve_sweep(H, L1, 2, schedule, cfg, eigs=eigs, trace=True)
     _assert_sweep_is_chain(swept, H, L1, 2, schedule, cfg, eigs)
     assert [r.labels[3] for r in swept[1:]] == ["warm"] * 3
     assert [r.runs[3].restarts for r in swept[1:]] == [1, 1, 0]
@@ -863,7 +910,8 @@ def _sweep_cases(draw):
 def _assert_sweep_is_chain(swept, H, J, N, schedule, cfg, eigs=None):
     """``swept`` must equal, bit for bit, a chain of ``solve_cm`` calls warm-started by ``warm_start``.
 
-    Returns the chain's winners and its warm frames (one per mu after the first).
+    Both are traced, so their traces are compared too.  Returns the chain's
+    winners and its warm frames (one per mu after the first).
     """
     assert len(swept) == len(schedule)
     limit = limit_frame(H, J, N, reference_eigenpairs(H, N) if eigs is None else eigs)
@@ -875,7 +923,7 @@ def _assert_sweep_is_chain(swept, H, J, N, schedule, cfg, eigs=None):
             configured = solve_cm(H, J, N, replace(cfg, mu=mu), eigs=eigs).modes
             warm.append(warm_start(winners[-1], schedule[i - 1 : i + 1], limit, configured))
             starts += (warm[-1],)
-        chained = solve_cm(H, J, N, replace(cfg, mu=mu, starts=starts), eigs=eigs)
+        chained = solve_cm(H, J, N, replace(cfg, mu=mu, starts=starts), eigs=eigs, trace=True)
         _assert_results_equal(result, chained)
         winners.append(chained.modes)
     return winners, warm
@@ -886,7 +934,8 @@ def _assert_sweep_is_chain(swept, H, J, N, schedule, cfg, eigs=None):
 def test_sweep_matches_solve_cm_chain(case):
     H, J, N, schedule, cfg = case
     eigs = reference_eigenpairs(H, N)
-    _assert_sweep_is_chain(solve_sweep(H, J, N, schedule, cfg, eigs=eigs), H, J, N, schedule, cfg, eigs)
+    swept = solve_sweep(H, J, N, schedule, cfg, eigs=eigs, trace=True)
+    _assert_sweep_is_chain(swept, H, J, N, schedule, cfg, eigs)
 
 
 def test_sweep_predicts_warm_starts_from_the_limit_as_its_chain_does():
@@ -897,7 +946,7 @@ def test_sweep_predicts_warm_starts_from_the_limit_as_its_chain_does():
     eigs = reference_eigenpairs(H, 2)
     schedule = [5.0, 10.0, 20.0, 40.0]
     cfg = SolverConfig(mu=schedule[0], max_iters=800, starts=("eigen",))
-    swept = solve_sweep(H, L1, 2, schedule, cfg, eigs=eigs)
+    swept = solve_sweep(H, L1, 2, schedule, cfg, eigs=eigs, trace=True)
     winners, warm = _assert_sweep_is_chain(swept, H, L1, 2, schedule, cfg, eigs)
     assert [frame is winner for frame, winner in zip(warm, winners)] == [False, False, False]
     assert [r.winner_start for r in swept] == ["eigen", "warm", "warm", "warm"]
@@ -973,7 +1022,7 @@ def test_two_mu_sweep_predicts_its_warm_start_as_its_chain_does():
     eigs = reference_eigenpairs(H, 2)
     schedule = [5.0, 10.0]
     cfg = SolverConfig(mu=schedule[0], max_iters=800, starts=("eigen",))
-    swept = solve_sweep(H, L1, 2, schedule, cfg, eigs=eigs)
+    swept = solve_sweep(H, L1, 2, schedule, cfg, eigs=eigs, trace=True)
     winners, warm = _assert_sweep_is_chain(swept, H, L1, 2, schedule, cfg, eigs)
     assert warm[0] is not winners[0]
     assert [r.winner_start for r in swept] == ["eigen", "warm"]
@@ -988,11 +1037,11 @@ def test_degenerate_sweep_keeps_the_plain_warm_chain():
     N, schedule = problem["N"], problem["mu_schedule"]
     solver_cfg = build_solver_config(cfg, schedule[0])
     eigs = reference_eigenpairs(H, N + 1)  # as ``mu_sweep`` gives them
-    swept = solve_sweep(H, J, N, schedule, solver_cfg, eigs=eigs)
+    swept = solve_sweep(H, J, N, schedule, solver_cfg, eigs=eigs, trace=True)
     previous = None
     for mu, result in zip(schedule, swept):
         starts = solver_cfg.starts if previous is None else solver_cfg.starts + (previous,)
-        chained = solve_cm(H, J, N, replace(solver_cfg, mu=mu, starts=starts), eigs=eigs)
+        chained = solve_cm(H, J, N, replace(solver_cfg, mu=mu, starts=starts), eigs=eigs, trace=True)
         _assert_results_equal(result, chained)
         previous = chained.modes
 
@@ -1017,7 +1066,7 @@ def test_sweep_warm_start_comes_from_a_late_winner(monkeypatch):
     schedule = [120.4, 125.9, 199.9]
     cfg = SolverConfig(mu=schedule[0], max_iters=194, starts=("eigen", "random:1"))
     calls = _count_lockstep_starts(monkeypatch)
-    swept = solve_sweep(H, L1, 2, schedule, cfg)
+    swept = solve_sweep(H, L1, 2, schedule, cfg, trace=True)
     assert calls == [6, 1, 1]  # the block, then each later mu's warm start alone
     assert swept[0].winner_start == "random:1"
     monkeypatch.undo()
