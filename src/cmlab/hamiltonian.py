@@ -18,8 +18,27 @@ from scipy.sparse import _sparsetools  # private: tests pin that its kernel is t
 from .grid import PERIODIC, Grid, GridMismatchError
 
 
+def _offsets(grid: Grid, coords: np.ndarray, c) -> np.ndarray:
+    """x - c at every node x of ``coords`` (the grid's), to c's nearest periodic image on a periodic box.
+
+    There c is first reduced into the box, which ``np.mod`` does exactly, so
+    a center far outside it keeps its place in the lattice instead of
+    swallowing x.
+    """
+    if grid.boundary != PERIODIC:
+        return coords - np.asarray(c)
+    period = np.asarray(grid.extent)
+    d = coords - np.mod(c, period)
+    d -= period * np.round(d / period)
+    return d
+
+
 def harmonic_well(grid: Grid, omega: float, center=None) -> np.ndarray:
-    """V(x) = 1/2 * omega^2 * |x - center|^2, centered at the box midpoint by default."""
+    """V(x) = 1/2 * omega^2 * |x - center|^2, centered at the box midpoint by default.
+
+    On a periodic box x - center is taken to the nearest periodic image of the
+    center, as in ``multiwell``, so V is periodic.
+    """
     if omega <= 0:
         raise ValueError("omega must be positive")
     if center is None:
@@ -27,7 +46,7 @@ def harmonic_well(grid: Grid, omega: float, center=None) -> np.ndarray:
     if len(center) != grid.dim:
         raise ValueError("center dimension does not match grid")
     with np.errstate(over="ignore", invalid="ignore"):  # np.float64 overflows to inf, named below
-        d2 = ((grid.coordinates() - np.asarray(center)) ** 2).sum(axis=1)
+        d2 = (_offsets(grid, grid.coordinates(), center) ** 2).sum(axis=1)
         values = 0.5 * np.float64(omega) ** 2 * d2
     if not within_scale(values, grid.cell_volume):
         name = "center" if not within_scale(d2, grid.cell_volume) else "omega"
@@ -47,7 +66,6 @@ def multiwell(grid: Grid, centers, depth: float, width: float) -> np.ndarray:
     if depth <= 0 or width <= 0:
         raise ValueError("depth and width must be positive")
     coords = grid.coordinates()
-    period = np.asarray(grid.extent) if grid.boundary == PERIODIC else None
     v = np.zeros(grid.node_count)
     with np.errstate(over="ignore"):  # as in harmonic_well
         spread = 2.0 * np.float64(width) ** 2
@@ -56,10 +74,7 @@ def multiwell(grid: Grid, centers, depth: float, width: float) -> np.ndarray:
         for c in centers:
             if len(c) != grid.dim:
                 raise ValueError("centers must each have one coordinate per grid axis")
-            d = coords - np.asarray(c)
-            if period is not None:
-                d -= period * np.round(d / period)
-            d2 = (d**2).sum(axis=1)
+            d2 = (_offsets(grid, coords, c) ** 2).sum(axis=1)
             v -= depth * np.exp(-d2 / spread)
     if not within_scale(v, grid.cell_volume):
         raise ValueError(f"depth {depth:g} puts the sum of the wells out of floating-point range")

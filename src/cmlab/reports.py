@@ -9,6 +9,7 @@ import tempfile
 
 from .eigensolver import EigenSystem
 from .modes import ModeSet
+from .solver import TRACE_COLUMNS
 
 
 def fmt(x: float) -> str:
@@ -63,9 +64,10 @@ def modes_csv(modes: ModeSet) -> str:
 
 
 def trace_csv(trace) -> str:
-    lines = ["iter,objective,ortho_defect"]
-    for i, (obj, defect) in enumerate(trace, start=1):
-        lines.append(f"{i},{fmt(obj)},{fmt(defect)}")
+    """One line per row of a run's trace (``SolverResult.trace``): its iteration, then its ``TRACE_COLUMNS``."""
+    lines = [",".join(("iter", *TRACE_COLUMNS))]
+    for i, row in enumerate(trace, start=1):
+        lines.append(",".join((str(i), *map(fmt, row))))
     return "\n".join(lines) + "\n"
 
 

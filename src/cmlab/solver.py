@@ -88,6 +88,8 @@ REPOLISH_GAIN = 1e-9
 # how far from -1 the order of the winners' approach to the limit frame may be
 # for a sweep to predict its warm start from that frame (see ``warm_start``)
 LIMIT_ORDER_TOL = 0.15
+# the columns of a traced run's trace, one row per iteration, in ``trace.csv`` order
+TRACE_COLUMNS = ("objective", "ortho_defect")
 
 
 class IndefinitePenaltyError(ValueError):
@@ -116,7 +118,9 @@ class SolverConfig:
     """Knobs of one solve.
 
     ``penalty`` is the quadratic coupling strength of the splitting; ``None``
-    picks 10 * (1/mu + lambda_N estimate).  ``tol`` bounds the per-mode L2
+    picks 10 * (1/mu + max(lambda_N, 0)), at least 1e-6, plus 2 |lambda_1|
+    when lambda_1 < 0 (lambda_k the k-th reference eigenvalue), so that
+    H + penalty I is positive definite.  ``tol`` bounds the per-mode L2
     change between successive feasible iterates; convergence additionally
     requires the relative objective change to settle below 1e-10.  Each
     start is ``"eigen"`` (the first N reference eigenfunctions),
@@ -161,8 +165,7 @@ class StartRun:
     converged: bool
     restarts: int  # restarts from a re-polished best frame
     turns: int  # turns of the whole state by the rotation that polishes P
-    objectives: np.ndarray  # feasible objective per iteration; empty for an untraced run
-    defects: np.ndarray  # orthonormality defect of F per iteration; empty for an untraced run
+    trace: np.ndarray  # one row per iteration, one column per ``TRACE_COLUMNS`` name; 0 rows untraced
 
 
 @dataclass(frozen=True, eq=False)  # its runs hold arrays
@@ -172,7 +175,7 @@ class SolverResult:
     ``labels[k]`` names start k (``"warm"`` for a frame start), ``runs[k]`` is
     its run, and ``winner`` indexes the first run of the lowest best objective,
     whose best frame is ``modes``; the winner's values are read from its run,
-    ``trace`` too: its (objective, defect) per iteration, ``()`` untraced.
+    ``trace`` too: its (iterations, ``len(TRACE_COLUMNS)``) array, 0 rows untraced.
     """
 
     labels: tuple[str, ...]
@@ -193,9 +196,8 @@ class SolverResult:
         return self.runs[self.winner].converged
 
     @property
-    def trace(self) -> tuple[tuple[float, float], ...]:
-        run = self.runs[self.winner]
-        return tuple(zip(run.objectives.tolist(), run.defects.tolist()))
+    def trace(self) -> np.ndarray:
+        return self.runs[self.winner].trace
 
     @property
     def winner_start(self) -> str:
@@ -239,11 +241,6 @@ def objective(H: HamiltonianOperator, J: Regularizer, mu: float, F: ModeSet) -> 
     energies = mode_energies(H, F)
     jvals = J.evaluate_columns(F.matrix, H.grid.cell_volume)
     return float(energies.sum() + jvals.sum() / mu)
-
-
-def default_penalty(mu: float, lambda_top: float) -> float:
-    r = 10.0 * (1.0 / mu + max(lambda_top, 0.0))
-    return max(r, 1e-6)
 
 
 def rotation_polish(matrix: np.ndarray, w: float, J: Regularizer) -> np.ndarray:
@@ -315,8 +312,8 @@ def solve_cm(
     ``mu * penalty`` whose shrinkage step is not a positive finite number.
     ``eigs`` can carry precomputed reference eigenpairs to avoid a redundant
     eigensolve when the caller already has them.  ``trace`` records each
-    start's objective and orthonormality defect per iteration; untraced, a
-    run's trace arrays are empty and the defect is never computed.  Nothing
+    start's ``TRACE_COLUMNS`` per iteration; untraced, a run's trace has 0
+    rows and the orthonormality defect is never computed.  Nothing
     else depends on it.  This is the one-mu sweep.
     """
     return solve_sweep(H, J, N, (config.mu,), config, eigs, trace)[0]
@@ -494,7 +491,7 @@ def _build_shifted_solver(H: HamiltonianOperator, penalty: float):
 
 
 def _penalty(config: SolverConfig, N: int, eigs: EigenSystem) -> float:
-    """The penalty of a solve at ``config.mu``, validated.
+    """The penalty of a solve at ``config.mu``: the configured one or the rule ``SolverConfig`` states, validated.
 
     The shifted operator H + penalty I must be positive definite: the
     quadratic step is a minimization only then, and the factorization relies
@@ -510,7 +507,7 @@ def _penalty(config: SolverConfig, N: int, eigs: EigenSystem) -> float:
                 f"eigenvalue of H is {lam_min:.6g}, so the penalty must exceed {-lam_min:.6g}"
             )
     else:
-        penalty = default_penalty(config.mu, float(eigs.eigenvalues[N - 1]))
+        penalty = max(10.0 * (1.0 / config.mu + max(float(eigs.eigenvalues[N - 1]), 0.0)), 1e-6)
         if lam_min < 0:
             penalty += 2.0 * (-lam_min)
     _shrink_step(config.mu, penalty)
@@ -553,11 +550,12 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, trace) -> list[StartRun]
     penalty next to each other.  The block's starts start together, so one
     iteration count k (at most ``max_iters``) is every running start's; each
     start keeps its own mu, penalty, stop rule, best feasible iterate and,
-    when ``trace`` is set, its objective and defect trace, and leaves the
-    block when it stops.  The runs come back in the order of ``starts``.  The
-    stop rule's objective change is read only at an iteration where some
-    start has its step at most ``tol`` for ``STREAK_REQUIRED`` iterations in
-    a row, or at ``max_iters``: no start can stop at any other.
+    when ``trace`` is set, its trace, one row of ``TRACE_COLUMNS`` per
+    iteration, and leaves the block when it stops.  The runs come back in the
+    order of ``starts``.  The stop rule's objective change is read only at an
+    iteration where some start has its step at most ``tol`` for
+    ``STREAK_REQUIRED`` iterations in a row, or at ``max_iters``: no start
+    can stop at any other.
 
     When k is a multiple of ``REPOLISH_EVERY``, every running start whose step
     P_k - P_{k-1} is above ``tol`` is due for a drift check: if the largest
@@ -574,14 +572,15 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, trace) -> list[StartRun]
     A running start's state is one entry of each array in one fixed-order
     list, all aligned with the block: its slabs of Q, P, b, B and of its best
     iterate, then its index in ``starts``, mu, penalty, restart and turn
-    counts, objective, best objective and convergence streak, then its rows
-    of the objective and defect traces, whose columns grow geometrically with
-    the iterations run (none untraced).  The list is built once, and whenever
-    a start leaves, one mask drops it from every array.  While the block runs, only the
-    iteration's own names hold its arrays, which are updated in place where
-    that keeps the order of operations; while a mask drops a start, only the
-    list holds them, and each array is freed as its masked copy replaces it.
-    So few copies of the block are alive at once.
+    counts, objective, best objective and convergence streak, then its slab
+    of the trace buffer, one column per ``TRACE_COLUMNS`` name, whose rows
+    grow geometrically with the iterations run (none untraced).  The list is
+    built once, and whenever a start leaves, one mask drops it from every
+    array.  While the block runs, only the iteration's own names hold its
+    arrays, which are updated in place where that keeps the order of
+    operations; while a mask drops a start, only the list holds them, and
+    each array is freed as its masked copy replaces it.  So few copies of the
+    block are alive at once.
     """
     n, N = starts[0][0].shape
     eye = np.eye(N)
@@ -611,18 +610,17 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, trace) -> list[StartRun]
     mu, penalty = (np.array([s[j] for s in starts], dtype=float) for j in (1, 2))
     obj = feasible_objectives(P, mu)
     zeros = np.zeros(len(starts), dtype=int)
-    trace_rows = np.empty((len(starts), min(max_iters, 64) if trace else 0))
-    # Q, P, b, B, best; index, mu, penalty, restarts, turns; obj, best_obj,
-    # streak; the objective and defect trace rows
+    trace_rows = np.empty((len(starts), min(max_iters, 64) if trace else 0, len(TRACE_COLUMNS)))
+    # Q, P, b, B, best; index, mu, penalty, restarts, turns; obj, best_obj, streak; the trace buffer
     state = [P.copy(), P, np.zeros_like(P), np.zeros_like(P), P.copy()]
     state += [np.arange(len(starts)), mu, penalty, zeros, zeros.copy()]
-    state += [obj, obj.copy(), zeros.copy(), trace_rows, trace_rows.copy()]
+    state += [obj, obj.copy(), zeros.copy(), trace_rows]
     runs = [None] * len(starts)  # each set when its start leaves
     k = 0  # the iterations run by every start in the block
 
     while True:  # once per change to the block
         Q, P, b, B, best, index, mu, penalty, restarts, turns = state[:10]
-        obj, best_obj, streak, objectives, defects = state[10:]
+        obj, best_obj, streak, trace_rows = state[10:]
         del state  # the iteration's names alone hold the block while it runs
         if not index.size:
             return runs
@@ -630,10 +628,9 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, trace) -> list[StartRun]
 
         while True:  # until some start stops
             k += 1
-            if trace and k > objectives.shape[1]:
-                more = min(max_iters, 2 * objectives.shape[1]) - objectives.shape[1]
-                objectives = np.concatenate((objectives, np.empty((index.size, more))), axis=1)
-                defects = np.concatenate((defects, np.empty((index.size, more))), axis=1)
+            if trace and k > trace_rows.shape[1]:
+                more = min(max_iters, 2 * trace_rows.shape[1]) - trace_rows.shape[1]
+                trace_rows = np.concatenate((trace_rows, np.empty((index.size, more, len(TRACE_COLUMNS)))), axis=1)
             # the right-hand side 0.5 r (Q - b + P - B), built in the memory of Q
             # (which the prox recomputes), then the solution in its place
             F = Q
@@ -648,7 +645,7 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, trace) -> list[StartRun]
                     rhs[...] = solution
             if trace:
                 gram = np.vecdot(F[:, :, None, :], F[:, None, :, :])  # mode pairs, one dot each
-                defects[:, k - 1] = np.abs(w * gram - eye).max(axis=(1, 2))
+                trace_rows[:, k - 1, TRACE_COLUMNS.index("ortho_defect")] = np.abs(w * gram - eye).max(axis=(1, 2))
             # the multiplier updates b + F - Q and B + F - P, with b + F and B + F
             # formed in place as the arguments of the prox and the projection
             b += F
@@ -672,7 +669,7 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, trace) -> list[StartRun]
 
             prev_obj, obj = obj, feasible_objectives(P, mu)
             if trace:
-                objectives[:, k - 1] = obj
+                trace_rows[:, k - 1, TRACE_COLUMNS.index("objective")] = obj
             better = obj < best_obj
             if better.all():
                 best, best_obj = P, obj  # shared: where a drift check writes P[i], it is the best
@@ -721,12 +718,11 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, trace) -> list[StartRun]
                 converged=bool(converged[i]),
                 restarts=int(restarts[i]),
                 turns=int(turns[i]),
-                objectives=objectives[i, :k].copy(),  # copies, so that no run
-                defects=defects[i, :k].copy(),  # keeps a whole trace buffer alive
+                trace=trace_rows[i, :k].copy(),  # a copy, so that no run keeps the whole buffer alive
             )
         keep = ~done
         state = [Q, P, b, B, best, index, mu, penalty, restarts, turns]
-        state += [obj, best_obj, streak, objectives, defects]
+        state += [obj, best_obj, streak, trace_rows]
         del Q, P, b, B, best  # the list alone holds the block while the mask drops
         for i in range(len(state)):
             state[i] = state[i][keep]

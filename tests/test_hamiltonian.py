@@ -197,6 +197,29 @@ def test_periodic_multiwell_is_invariant_under_its_lattice_shift():
         assert np.abs(np.roll(v2, 12, axis=axis) - v2).max() <= 1e-15
 
 
+def test_off_center_periodic_harmonic_well_is_periodic():
+    # moving the center by one cell moves V by one node, across the seam too:
+    # x - center is taken to the nearest periodic image, as in multiwell
+    g = Grid(1, (1.0,), (64,), "periodic")
+    v = harmonic_well(g, omega=3.0, center=(0.1,))
+    shifted = harmonic_well(g, omega=3.0, center=(0.1 + 1.0 / 64,))
+    assert np.abs(np.roll(shifted, -1) - v).max() <= 1e-14
+
+    g2 = Grid(2, (1.0, 1.5), (16, 24), "periodic")
+    v2 = harmonic_well(g2, omega=3.0, center=(0.1, 1.3)).reshape(16, 24)
+    for axis, step in ((0, (1.0 / 16, 0.0)), (1, (0.0, 1.5 / 24))):
+        center = (0.1 + step[0], 1.3 + step[1])
+        shifted2 = harmonic_well(g2, omega=3.0, center=center).reshape(16, 24)
+        assert np.abs(np.roll(shifted2, -1, axis=axis) - v2).max() <= 1e-14
+
+    # a center a whole number of periods out is the same center, for both potentials
+    far = 2.0**60  # a multiple of the unit period
+    at_zero = harmonic_well(g, omega=3.0, center=(0.0,))
+    np.testing.assert_array_equal(harmonic_well(g, omega=3.0, center=(far,)), at_zero)
+    near = multiwell(g, centers=((0.0,),), depth=2.0, width=0.1)
+    np.testing.assert_array_equal(multiwell(g, centers=((far,),), depth=2.0, width=0.1), near)
+
+
 def test_tabulated_size_mismatch_raises():
     g = Grid(1, (1.0,), (16,), "dirichlet")
     for values in (np.arange(15.0), np.zeros((16, 1))):

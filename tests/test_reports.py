@@ -5,7 +5,7 @@ import stat
 import numpy as np
 import pytest
 
-from cmlab import reference_eigenpairs
+from cmlab import SolverConfig, make_regularizer, reference_eigenpairs, solve_cm
 from cmlab.reports import (
     eigs_csv,
     fmt,
@@ -15,6 +15,7 @@ from cmlab.reports import (
     trace_csv,
     write_atomic,
 )
+from cmlab.solver import TRACE_COLUMNS
 
 
 def test_fmt_roundtrips():
@@ -52,6 +53,17 @@ def test_trace_csv_layout():
     assert lines[0] == "iter,objective,ortho_defect"
     assert lines[1].startswith("1,1.5,")
     assert lines[2].startswith("2,1.25,")
+
+
+def test_trace_csv_writes_the_winners_trace_table(box_H, box_eigs):
+    # the header is iter and TRACE_COLUMNS; line i is the winner's row i, each value through fmt
+    cfg = SolverConfig(mu=10.0, max_iters=60)
+    result = solve_cm(box_H, make_regularizer("l1"), 2, cfg, eigs=box_eigs, trace=True)
+    lines = trace_csv(result.trace).split("\n")
+    assert lines[0] == ",".join(("iter", *TRACE_COLUMNS))
+    assert lines[-1] == "" and len(lines) == result.iterations + 2
+    for i, row in enumerate(result.runs[result.winner].trace, start=1):
+        assert lines[i] == f"{i}," + ",".join(fmt(v) for v in row)
 
 
 def test_sweep_csv_header_and_rows(reference_sweep):

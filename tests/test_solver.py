@@ -34,6 +34,7 @@ from cmlab import consistency, solver
 from cmlab.cli import build_operator, build_solver_config, load_config
 from cmlab.solver import (
     LIMIT_ORDER_TOL,
+    TRACE_COLUMNS,
     IndefinitePenaltyError,
     ShrinkStepError,
     StartRun,
@@ -41,9 +42,9 @@ from cmlab.solver import (
     _build_shifted_solver,
     _lockstep,
     _pair_angle,
+    _penalty,
     _splitting_run,
     _start_matrix,
-    default_penalty,
     limit_distance,
     limit_frame,
     rotation_polish,
@@ -341,7 +342,7 @@ def test_solver_is_deterministic(box_H, box_eigs):
     b = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs, trace=True)
     np.testing.assert_array_equal(a.modes.matrix, b.modes.matrix)
     assert a.objective == b.objective
-    assert a.trace == b.trace
+    np.testing.assert_array_equal(a.trace, b.trace, strict=True)
 
 
 def test_non_convergence_reported_not_raised(box_H, box_eigs):
@@ -355,25 +356,25 @@ def test_non_convergence_reported_not_raised(box_H, box_eigs):
 def test_trace_records_objective_and_defect(box_H, box_eigs):
     cfg = SolverConfig(mu=10.0, max_iters=50, starts=("eigen",))
     res = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs, trace=True)
-    assert len(res.trace) == res.iterations
-    objs = [t[0] for t in res.trace]
-    defects = [t[1] for t in res.trace]
+    assert res.trace.shape == (res.iterations, len(TRACE_COLUMNS))
+    objs = res.trace[:, TRACE_COLUMNS.index("objective")]
+    defects = res.trace[:, TRACE_COLUMNS.index("ortho_defect")]
     assert min(objs) >= res.objective - 1e-10
     assert all(d >= 0 for d in defects)
 
 
 def test_tracing_changes_only_the_trace(box_H, box_eigs):
-    # an untraced solve is the traced one less its trace arrays, which are
-    # empty; the eigen start converges, the random ones cap
+    # an untraced solve is the traced one less its trace, which has 0 rows;
+    # the eigen start converges, the random ones cap
     cfg = SolverConfig(mu=5.0, max_iters=100)
     traced = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs, trace=True)
     untraced = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
     assert (untraced.labels, untraced.winner) == (traced.labels, traced.winner)
-    assert untraced.trace == () and len(traced.trace) == traced.iterations
-    empty = np.empty(0)
+    assert untraced.trace.shape == (0, len(TRACE_COLUMNS))
+    assert traced.trace.shape == (traced.iterations, len(TRACE_COLUMNS))
     for run, full in zip(untraced.runs, traced.runs, strict=True):
-        assert len(full.objectives) == len(full.defects) == full.iterations
-        _assert_runs_equal(run, replace(full, objectives=empty, defects=empty))
+        assert full.trace.shape == (full.iterations, len(TRACE_COLUMNS))
+        _assert_runs_equal(run, replace(full, trace=np.empty((0, len(TRACE_COLUMNS)))))
 
 
 def test_mu_sweep_runs_untraced(monkeypatch, small_box_H):
@@ -389,7 +390,7 @@ def test_mu_sweep_runs_untraced(monkeypatch, small_box_H):
     (results,) = sweeps
     assert [len(result.runs) for result in results] == [3, 4]
     for run in (run for result in results for run in result.runs):
-        assert run.iterations > 0 and run.objectives.size == run.defects.size == 0
+        assert run.iterations > 0 and run.trace.shape == (0, len(TRACE_COLUMNS))
 
 
 def test_stop_rule_reads_the_objective_only_once_a_streak_is_long_enough(box_H, box_eigs):
@@ -663,6 +664,7 @@ def _lockstep_matches_solo_runs(H, J, cfg, starts):
     runs = _lockstep(H, J, H.grid.cell_volume, starts, solvers, cfg.max_iters, cfg.tol, True)
     assert len(runs) == len(starts)
     for run, start in zip(runs, starts):
+        assert run.trace.shape == (run.iterations, len(TRACE_COLUMNS))
         _assert_runs_equal(run, _solo(H, J, cfg, start, solvers[start[2]]))
     return runs
 
@@ -673,7 +675,7 @@ def test_lockstep_runs_match_solo_runs(case, data):
     H, J, N, cfg = case
     eigs = reference_eigenpairs(H, N)
     # fixed, so that solve_cm below runs with the same one
-    penalty = default_penalty(cfg.mu, float(eigs.eigenvalues[N - 1])) - 2.0 * min(eigs.eigenvalues[0], 0.0)
+    penalty = _penalty(cfg, N, eigs)
     cfg = replace(cfg, penalty=penalty)
     w = H.grid.cell_volume
     x0 = [rotation_polish(_start_matrix(s, H, N, eigs), w, J) for s in cfg.starts]
@@ -716,7 +718,7 @@ def test_lockstep_groups_interleaved_penalties_at_block_build(dim, boundary):
     H = HamiltonianOperator(grid, harmonic_well(grid, omega=10.0, center=(0.5, 0.7)[:dim]))
     eigs = reference_eigenpairs(H, 2)
     cfg = SolverConfig(mu=80.0, max_iters=120)
-    penalty = default_penalty(cfg.mu, float(eigs.eigenvalues[1]))
+    penalty = _penalty(cfg, 2, eigs)
     names = ("eigen", "random:1", "random:2", "random:3", "random:4")
     x0 = [_start_matrix(s, H, 2, eigs) for s in names]
     penalties = [penalty * f for f in (1.0, 2.0, 0.5, 2.0, 0.5)]
@@ -746,11 +748,11 @@ def test_trace_buffers_grow_past_first_block(small_box_H):
     eigs = reference_eigenpairs(H, 1)
     cfg = SolverConfig(mu=10.0, max_iters=2100, tol=1e-300, starts=("random:4",))
     res = solve_cm(H, L1, 1, cfg, eigs=eigs, trace=True)
-    assert res.iterations == len(res.trace) == 2100
+    assert res.trace.shape == (2100, len(TRACE_COLUMNS)) and res.iterations == 2100
     short = solve_cm(H, L1, 1, replace(cfg, max_iters=1024), eigs=eigs, trace=True)
-    assert res.trace[:1024] == short.trace
+    np.testing.assert_array_equal(res.trace[:1024], short.trace, strict=True)
     # ``_splitting_run``, the one-start run that perfbench's tracer wraps, runs it alike
-    penalty = default_penalty(cfg.mu, float(eigs.eigenvalues[0]))
+    penalty = _penalty(cfg, 1, eigs)
     solve, w = _build_shifted_solver(H, penalty), H.grid.cell_volume
     solo = _splitting_run(H, L1, cfg, penalty, solve, w, _start_matrix("random:4", H, 1, eigs))
     _assert_runs_equal(solo, res.runs[0])
@@ -767,7 +769,7 @@ def test_repolished_slabs_restart_mid_run_as_they_would_alone():
     eigs = reference_eigenpairs(H, 3)
     cfg = SolverConfig(mu=10.0, max_iters=800)
     w = H.grid.cell_volume
-    penalty = default_penalty(cfg.mu, float(eigs.eigenvalues[2]))
+    penalty = _penalty(cfg, 3, eigs)
     names = ("eigen", "random:1", "random:2", "random:5", "random:1", "random:2")
     x0 = [rotation_polish(_start_matrix(s, H, 3, eigs), w, L1) for s in names]
     mus = (10.0, 5.0, 20.0, 40.0, 10.0, 7.0)
@@ -785,7 +787,7 @@ def test_reference_start_alone_is_its_sweep_run(box_H, box_eigs):
     # re-polished best frame, turns once and converges
     cfg = SolverConfig(mu=5.0, max_iters=1500)
     w = box_H.grid.cell_volume
-    penalty = default_penalty(cfg.mu, float(box_eigs.eigenvalues[1]))
+    penalty = _penalty(cfg, 2, box_eigs)
     x = rotation_polish(_start_matrix("random:11", box_H, 2, box_eigs), w, L1)
     run = _solo(box_H, L1, cfg, (x, cfg.mu, penalty), _build_shifted_solver(box_H, penalty))
     assert (run.iterations, run.restarts, run.turns, run.converged) == (298, 2, 1, True)
@@ -826,7 +828,7 @@ def _turning_box():
     # restart, and most of them turn
     H = HamiltonianOperator(Grid(1, (1.0,), (96,), "dirichlet"))
     eigs = reference_eigenpairs(H, 2)
-    return H, eigs, default_penalty(10.0, float(eigs.eigenvalues[1]))
+    return H, eigs, _penalty(SolverConfig(mu=10.0), 2, eigs)
 
 
 def test_a_turn_rotates_the_iterate_within_its_span(monkeypatch):

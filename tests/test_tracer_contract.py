@@ -21,7 +21,7 @@ def test_tracer_installs_over_the_solver_and_counts_its_runs(monkeypatch):
     H = HamiltonianOperator(Grid(1, (1.0,), (32,), "dirichlet"))
     J, eigs = make_regularizer("l1"), reference_eigenpairs(H, 2)
     cfg = SolverConfig(mu=10.0, max_iters=200, starts=("eigen",))
-    penalty = solver.default_penalty(cfg.mu, float(eigs.eigenvalues[1]))
+    penalty = solver._penalty(cfg, 2, eigs)
     x0 = solver._start_matrix("eigen", H, 2, eigs)
     solve_cm, splitting_run = solver.solve_cm, solver._splitting_run
 
