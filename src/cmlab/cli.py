@@ -299,10 +299,6 @@ def build_operator(cfg: dict) -> HamiltonianOperator:
         raise ConfigError(too_large)
 
 
-def build_solver_config(cfg: dict, mu: float) -> SolverConfig:
-    return SolverConfig(mu=mu, **cfg["solver"])
-
-
 def _write(cfg: dict, name: str, text: str) -> None:
     """Write one output file into ``output.dir``; a failure is a config error."""
     out = cfg["output"]["dir"]
@@ -336,7 +332,7 @@ def cmd_solve(cfg: dict) -> int:
         raise ConfigError("problem.mu is required for solve")
     H = build_operator(cfg)
     J = make_regularizer(problem["regularizer"])
-    result = solve_cm(H, J, problem["N"], build_solver_config(cfg, problem["mu"]), trace=output["trace"])
+    result = solve_cm(H, J, problem["N"], SolverConfig(mu=problem["mu"], **cfg["solver"]), trace=output["trace"])
     widths = consistency.localization(result.modes)
     energy = float(np.trace(consistency.interaction_matrix(H, result.modes)))
     if "csv" in output["formats"]:
@@ -370,7 +366,7 @@ def cmd_sweep(cfg: dict) -> int:
         raise ConfigError(f"sweep needs N + 1 = {N + 1} eigenpairs, the grid has {nodes} nodes")
     H = build_operator(cfg)
     J = make_regularizer(problem["regularizer"])
-    report = consistency.mu_sweep(H, J, N, schedule, build_solver_config(cfg, schedule[0]))
+    report = consistency.mu_sweep(H, J, N, schedule, SolverConfig(mu=schedule[0], **cfg["solver"]))
     if "csv" in output["formats"]:
         _write(cfg, "sweep.csv", reports.sweep_csv(report))
     if "json" in output["formats"]:

@@ -76,10 +76,6 @@ class Grid:
         object.__setattr__(self, "spacing", spacing)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.points_per_axis
-
-    @property
     def node_count(self) -> int:
         return math.prod(self.points_per_axis)
 

@@ -99,7 +99,7 @@ class HamiltonianOperator:
         values.setflags(write=False)
         self.potential_values = values
         periodic = grid.boundary == PERIODIC
-        kinetic = [_kinetic_1d(n, h, periodic) for n, h in zip(grid.shape, grid.spacing)]
+        kinetic = [_kinetic_1d(n, h, periodic) for n, h in zip(grid.points_per_axis, grid.spacing)]
         if grid.dim == 1:
             lap = kinetic[0]
         else:

@@ -38,7 +38,6 @@ class ModeSet:
         mat.setflags(write=False)
         self.grid = grid
         self.matrix = mat
-        self._gram: np.ndarray | None = None
 
     @property
     def count(self) -> int:
@@ -46,11 +45,7 @@ class ModeSet:
 
     def gram(self) -> np.ndarray:
         """Weighted Gram matrix of the columns."""
-        if self._gram is None:
-            g = self.grid.cell_volume * (self.matrix.T @ self.matrix)
-            g.setflags(write=False)
-            self._gram = g
-        return self._gram
+        return self.grid.cell_volume * (self.matrix.T @ self.matrix)
 
     @property
     def ortho_defect(self) -> float:

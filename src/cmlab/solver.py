@@ -97,7 +97,7 @@ class IndefinitePenaltyError(ValueError):
 
 
 class ShrinkStepError(ValueError):
-    """mu * penalty out of floating-point range: the shrinkage step 1/(mu * penalty) is 0 or inf."""
+    """mu or penalty out of floating-point range for the shrinkage step or the shifted solve (see ``_penalty``)."""
 
 
 RANDOM_START = re.compile("random:([0-9]+)")
@@ -362,7 +362,7 @@ def solve_sweep(
     S = len(polished)
     # mu-major: every start at the first mu, then every start at the next one
     block_starts = [(x, cfg.mu, r) for cfg, r in zip(configs, penalties) for x in polished]
-    block = _lockstep(H, J, w, block_starts, solvers, config.max_iters, config.tol, trace)
+    block = _lockstep(H, J, block_starts, solvers, config.max_iters, config.tol, trace)
 
     limit = limit_frame(H, J, N, eigs) if len(configs) > 1 else None
     configured_labels = tuple("warm" if isinstance(start, ModeSet) else start for start in config.starts)
@@ -373,7 +373,7 @@ def solve_sweep(
             configured = ModeSet(H.grid, runs[_winner(runs)].best_matrix)
             warm = warm_start(results[-1].modes, (configs[i - 1].mu, cfg.mu), limit, configured)
             x = rotation_polish(_start_matrix(warm, H, N, eigs), w, J)
-            runs += _lockstep(H, J, w, [(x, cfg.mu, r)], solvers, config.max_iters, config.tol, trace)
+            runs += _lockstep(H, J, [(x, cfg.mu, r)], solvers, config.max_iters, config.tol, trace)
             labels += ("warm",)
         winner = _winner(runs)
         results.append(SolverResult(labels, tuple(runs), winner, ModeSet(H.grid, runs[winner].best_matrix)))
@@ -496,7 +496,9 @@ def _penalty(config: SolverConfig, N: int, eigs: EigenSystem) -> float:
     The shifted operator H + penalty I must be positive definite: the
     quadratic step is a minimization only then, and the factorization relies
     on it.  The shrinkage step 1/(mu * penalty) must be a positive finite
-    number.
+    number, and so must penalty / sqrt(cell_volume): a unit-norm mode has node
+    values up to cell_volume^(-1/2), and the shifted solve's right-hand side
+    (H + penalty I) P at a settled frame P holds penalty times those.
     """
     lam_min = float(eigs.eigenvalues[0])
     if config.penalty is not None:
@@ -511,6 +513,12 @@ def _penalty(config: SolverConfig, N: int, eigs: EigenSystem) -> float:
         if lam_min < 0:
             penalty += 2.0 * (-lam_min)
     _shrink_step(config.mu, penalty)
+    if not math.isfinite(penalty / math.sqrt(eigs.modes.grid.cell_volume)):
+        of_mu = "" if config.penalty is not None else f" (the default at mu = {config.mu:g})"
+        raise ShrinkStepError(
+            f"penalty {penalty:g}{of_mu} is out of floating-point range on this grid: "
+            "penalty / sqrt(cell_volume), the scale of the shifted solve's right-hand side, overflows"
+        )
     return penalty
 
 
@@ -533,13 +541,17 @@ def _off_span(moved: np.ndarray, frame: np.ndarray, w: float) -> float:
 
 
 def _splitting_run(H, J, config, penalty, shifted_solve, w, x0) -> StartRun:
-    """One traced splitting iteration chain from one (node_count, N) start: ``_lockstep`` of that start alone."""
+    """One traced splitting iteration chain from one (node_count, N) start: ``_lockstep`` of that start alone.
+
+    The benchmark's tracer wraps this seven-argument form by name; ``w`` stays
+    for that signature, unread, as ``_lockstep`` takes the node weight from ``H``.
+    """
     _shrink_step(config.mu, penalty)
     solvers = {penalty: shifted_solve}
-    return _lockstep(H, J, w, [(x0, config.mu, penalty)], solvers, config.max_iters, config.tol, True)[0]
+    return _lockstep(H, J, [(x0, config.mu, penalty)], solvers, config.max_iters, config.tol, True)[0]
 
 
-def _lockstep(H, J, w, starts, solvers, max_iters, tol, trace) -> list[StartRun]:
+def _lockstep(H, J, starts, solvers, max_iters, tol, trace) -> list[StartRun]:
     """Splitting iteration chains from (start (node_count, N), mu, penalty) tuples, in lockstep.
 
     ``solvers`` maps each penalty to the shifted solve of H + penalty I.  The
@@ -583,7 +595,7 @@ def _lockstep(H, J, w, starts, solvers, max_iters, tol, trace) -> list[StartRun]
     block are alive at once.
     """
     n, N = starts[0][0].shape
-    eye = np.eye(N)
+    w, eye = H.grid.cell_volume, np.eye(N)
 
     def feasible_objectives(rows, mu):
         # the product is laid out like ``rows``, so each start's energy is a sum

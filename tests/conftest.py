@@ -8,12 +8,13 @@ from cmlab import (
     HamiltonianOperator,
     L1Regularizer,
     ModeSet,
+    SolverConfig,
     make_regularizer,
     mu_sweep,
     multiwell,
     reference_eigenpairs,
 )
-from cmlab.cli import build_operator, build_solver_config, load_config
+from cmlab.cli import build_operator, load_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -86,7 +87,7 @@ def reference_sweep(reference_config):
     H = build_operator(cfg)
     problem = cfg["problem"]
     J = make_regularizer(problem["regularizer"])
-    solver_cfg = build_solver_config(cfg, problem["mu_schedule"][0])
+    solver_cfg = SolverConfig(mu=problem["mu_schedule"][0], **cfg["solver"])
     return mu_sweep(H, J, problem["N"], problem["mu_schedule"], solver_cfg)
 
 

@@ -615,6 +615,17 @@ def test_cmd_solve_deterministic_bytes(tmp_path):
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize("formats", [["json"], ["csv"]])
+def test_cmd_solve_writes_its_trace_only_with_csv(formats, tmp_path):
+    # trace.csv is one of the csv outputs: a JSON-only traced solve writes none
+    out = tmp_path / "out"
+    doc = box_config(tmp_path, str(out), mu=20.0)
+    doc["output"].update(formats=formats, trace=True)
+    assert main(["solve", write_config(tmp_path, doc)]) == 0
+    assert (out / "solve.json").exists() == ("json" in formats)
+    assert (out / "trace.csv").exists() == ("csv" in formats)
+
+
 def test_cmd_solve_mu_override_changes_result(tmp_path):
     out = tmp_path / "out"
     doc = box_config(tmp_path, str(out), mu=10.0)
@@ -951,6 +962,14 @@ BAD_INPUT_PROBES = {
     "extent_per_axis": ("sweep", [(("domain", "extent"), [1.0, 1.0])], [], "domain.extent"),
     "mu_flag_huge": ("solve", [], ["--mu", "1e308"], "mu * penalty"),
     "penalty_huge": ("sweep", [(("solver", "penalty"), 1e308)], [], "mu * penalty"),
+    # a penalty whose shifted solve overflows at the frame scale of a 64-node
+    # box, configured or the default at a tiny mu
+    "penalty_over_frame_scale": (
+        "solve", [POINTS_64, (("problem", "mu"), 1.0), (("solver", "penalty"), 1e308)], [], "penalty 1e+308"
+    ),
+    "mu_tiny_default_penalty": (
+        "solve", [POINTS_64, (("problem", "mu"), 1e-307)], [], "(the default at mu = 1e-307)"
+    ),
     "width_underflow": ("sweep", [(("potential",), MULTIWELL_TINY_WIDTH)], [], "width"),
     "width_overflow": ("sweep", [(("potential",), MULTIWELL_HUGE_WIDTH)], [], "potential.width"),
     "depth_sum_overflow": ("sweep", [(("potential",), MULTIWELL_DEEP_PAIR)], [], "potential.depth"),

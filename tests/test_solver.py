@@ -31,7 +31,7 @@ from cmlab import (
     solve_sweep,
 )
 from cmlab import consistency, solver
-from cmlab.cli import build_operator, build_solver_config, load_config
+from cmlab.cli import build_operator, load_config
 from cmlab.solver import (
     LIMIT_ORDER_TOL,
     TRACE_COLUMNS,
@@ -43,7 +43,6 @@ from cmlab.solver import (
     _lockstep,
     _pair_angle,
     _penalty,
-    _splitting_run,
     _start_matrix,
     limit_distance,
     limit_frame,
@@ -537,6 +536,27 @@ def test_huge_mu_or_penalty_raises_shrink_step_error(box_H, box_eigs):
             solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
 
 
+def test_penalty_over_the_frame_scale_raises_before_any_factorization(monkeypatch):
+    # a unit-norm mode on a 64-node box reaches sqrt(65) at a node, so a
+    # penalty of 1e308, configured or the default at mu = 1e-307, overflows
+    # the shifted solve's right-hand side: every mu is checked first, and
+    # nothing is factored, polished or run; 1e307 is in range and runs
+    H = HamiltonianOperator(Grid(1, (1.0,), (64,), "dirichlet"))
+    eigs = reference_eigenpairs(H, 2)
+    entered = []
+    for name in ("_lockstep", "_build_shifted_solver", "rotation_polish"):
+        monkeypatch.setattr(solver, name, lambda *args, _name=name: entered.append(_name))
+    with pytest.raises(ShrinkStepError, match=r"^penalty 1e\+308 \(the default at mu = 1e-307\) is out"):
+        solve_sweep(H, L1, 2, [5.0, 1e-307], SolverConfig(mu=5.0), eigs=eigs)
+    with pytest.raises(ShrinkStepError, match=r"^penalty 1e\+308 is out"):
+        solve_cm(H, L1, 2, SolverConfig(mu=1.0, penalty=1e308), eigs=eigs)
+    assert entered == []
+    monkeypatch.undo()
+    for cfg in (SolverConfig(mu=1e-306, max_iters=100), SolverConfig(mu=1.0, penalty=1e307, max_iters=100)):
+        assert _penalty(cfg, 2, eigs) == pytest.approx(1e307)
+        assert solve_cm(H, L1, 2, cfg, eigs=eigs).modes.ortho_defect <= 1e-8
+
+
 def test_start_record_eigen_converges_randoms_cap(box_H, box_eigs):
     cfg = SolverConfig(mu=5.0, max_iters=100)
     res = solve_cm(box_H, L1, 2, cfg, eigs=box_eigs)
@@ -631,9 +651,8 @@ def _lockstep_cases(draw):
 
 
 def _solo(H, J, cfg, start, solve):
-    """The run of one (frame, mu, penalty) start alone: ``_splitting_run``, the form the tracer wraps."""
-    frame, mu, penalty = start
-    return _splitting_run(H, J, replace(cfg, mu=mu), penalty, solve, H.grid.cell_volume, frame)
+    """The traced run of one (frame, mu, penalty) start alone."""
+    return _lockstep(H, J, [start], {start[2]: solve}, cfg.max_iters, cfg.tol, True)[0]
 
 
 def _assert_runs_equal(run, other):
@@ -661,7 +680,7 @@ def _lockstep_matches_solo_runs(H, J, cfg, starts):
     Each (frame, mu, penalty) start's run must be bitwise its solo run.
     """
     solvers = {r: _build_shifted_solver(H, r) for _, _, r in starts}
-    runs = _lockstep(H, J, H.grid.cell_volume, starts, solvers, cfg.max_iters, cfg.tol, True)
+    runs = _lockstep(H, J, starts, solvers, cfg.max_iters, cfg.tol, True)
     assert len(runs) == len(starts)
     for run, start in zip(runs, starts):
         assert run.trace.shape == (run.iterations, len(TRACE_COLUMNS))
@@ -738,7 +757,7 @@ def test_lockstep_groups_interleaved_penalties_at_block_build(dim, boundary):
         return call
 
     solvers = {r: counted(r) for r in penalties}
-    _lockstep(H, L1, H.grid.cell_volume, starts, solvers, 1, cfg.tol, False)
+    _lockstep(H, L1, starts, solvers, 1, cfg.tol, False)
     assert calls == [(r, 2) for r in penalties]
 
 
@@ -751,11 +770,6 @@ def test_trace_buffers_grow_past_first_block(small_box_H):
     assert res.trace.shape == (2100, len(TRACE_COLUMNS)) and res.iterations == 2100
     short = solve_cm(H, L1, 1, replace(cfg, max_iters=1024), eigs=eigs, trace=True)
     np.testing.assert_array_equal(res.trace[:1024], short.trace, strict=True)
-    # ``_splitting_run``, the one-start run that perfbench's tracer wraps, runs it alike
-    penalty = _penalty(cfg, 1, eigs)
-    solve, w = _build_shifted_solver(H, penalty), H.grid.cell_volume
-    solo = _splitting_run(H, L1, cfg, penalty, solve, w, _start_matrix("random:4", H, 1, eigs))
-    _assert_runs_equal(solo, res.runs[0])
 
 
 # --- drift: a start re-polished inside its span ----------------------------------------
@@ -1037,7 +1051,7 @@ def test_degenerate_sweep_keeps_the_plain_warm_chain():
     problem = cfg["problem"]
     H, J = build_operator(cfg), make_regularizer(problem["regularizer"])
     N, schedule = problem["N"], problem["mu_schedule"]
-    solver_cfg = build_solver_config(cfg, schedule[0])
+    solver_cfg = SolverConfig(mu=schedule[0], **cfg["solver"])
     eigs = reference_eigenpairs(H, N + 1)  # as ``mu_sweep`` gives them
     swept = solve_sweep(H, J, N, schedule, solver_cfg, eigs=eigs, trace=True)
     previous = None
@@ -1053,7 +1067,7 @@ def _count_lockstep_starts(monkeypatch) -> list[int]:
     lockstep, calls = solver._lockstep, []
 
     def counted(*args):
-        calls.append(len(args[3]))
+        calls.append(len(args[2]))
         return lockstep(*args)
 
     monkeypatch.setattr(solver, "_lockstep", counted)
@@ -1080,7 +1094,7 @@ def test_reference_sweep_runs_its_warm_chain_one_start_at_a_time(monkeypatch, re
     # each later mu's warm start alone
     cfg, problem = reference_config, reference_config["problem"]
     H, J = build_operator(cfg), make_regularizer(problem["regularizer"])
-    solver_cfg = build_solver_config(cfg, problem["mu_schedule"][0])
+    solver_cfg = SolverConfig(mu=problem["mu_schedule"][0], **cfg["solver"])
     calls = _count_lockstep_starts(monkeypatch)
     solve_sweep(H, J, problem["N"], problem["mu_schedule"], solver_cfg)
     assert calls == [18, 1, 1, 1, 1, 1]

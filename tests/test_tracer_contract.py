@@ -3,11 +3,16 @@
 The traced benchmark run replaces ``solver.solve_cm`` and
 ``solver._splitting_run`` by counting wrappers, which read ``iterations`` off
 a result and ``best_objective``, ``iterations`` and ``converged`` off a run.
-A renamed one fails here, not only in the traced benchmark run.
+A renamed one fails here, not only in the traced benchmark run.  The
+wrapped ``_splitting_run`` must also run its start as ``_lockstep`` runs it
+alone, so that the counts it reports are the engine's.
 """
 
+import dataclasses
 import importlib
 import os
+
+import numpy as np
 
 import cmlab.cli  # noqa: F401  (the tracer wraps names in every cmlab module)
 from cmlab import Grid, HamiltonianOperator, SolverConfig, make_regularizer, reference_eigenpairs, solver
@@ -32,6 +37,11 @@ def test_tracer_installs_over_the_solver_and_counts_its_runs(monkeypatch):
         solve = solver._build_shifted_solver(H, penalty)
         run = solver._splitting_run(H, J, cfg, penalty, solve, H.grid.cell_volume, x0)
     assert solver.solve_cm is solve_cm and solver._splitting_run is splitting_run
+    solvers = {penalty: solver._build_shifted_solver(H, penalty)}
+    alone = solver._lockstep(H, J, [(x0, cfg.mu, penalty)], solvers, cfg.max_iters, cfg.tol, True)[0]
+    for field in dataclasses.fields(solver.StartRun):
+        value, expected = getattr(run, field.name), getattr(alone, field.name)
+        np.testing.assert_array_equal(value, expected, strict=True, err_msg=field.name)
 
     metrics = {name: value for name, (value, _) in tracer.metrics(1.0, 1.0).items()}
     assert metrics["solver.solve_cm.calls"] == 1
